@@ -21,7 +21,6 @@ from .operators import (
     to_descriptor,
 )
 from .regularizers import (
-    QuadraticPenalty,
     Subgradient,
     WeightedL1,
     bregman_l1,
@@ -31,13 +30,13 @@ from .regularizers import (
     prox_weighted_l1,
 )
 from .solvers import (
-    RelaxedProblem,
+    Problem,
     SolveResult,
     SolverConfig,
-    StrictProblem,
     objective_relaxed,
     objective_strict,
     reference_solve,
+    solve,
     solve_relaxed,
     solve_strict,
 )
@@ -46,6 +45,7 @@ from .certificates import (
     RateConstants,
     SourceCertificateRelaxed,
     SourceCertificateStrict,
+    certify,
     check_norm_bound,
     check_restricted_injectivity,
     check_variational_bounds,

@@ -36,6 +36,7 @@ __all__ = [
     "RateConstants",
     "VariationalBoundsReport",
     "NormBoundReport",
+    "certify",
     "check_restricted_injectivity",
     "find_certificate_relaxed",
     "find_certificate_strict",
@@ -355,6 +356,35 @@ def rate_constants_strict(cert, inj, big_c, a_norm):
         a_norm=float(a_norm),
         a_inv_norm=inj.a_omega_inv_norm,
     )
+
+
+def certify(model, w, a, basis, l1, x_star, big_c):
+    """Certificate search, restricted injectivity and rate constants at ``x_star``.
+
+    Runs the search of ``model`` (``"relaxed"`` or ``"strict"``), tests
+    injectivity of ``A`` on the saturated set of the found subgradient (on
+    the support of ``h* = W x*`` when the search found none) and computes
+    the rate constants for the parameter-choice constant ``big_c`` when the
+    certificate is valid and ``A`` is injective there.
+
+    Returns
+    -------
+    (cert, inj, constants)
+        ``constants`` is ``None`` when the linear bounds are not certified.
+    """
+    if model == "relaxed":
+        search, rate_constants = find_certificate_relaxed, rate_constants_relaxed
+    elif model == "strict":
+        search, rate_constants = find_certificate_strict, rate_constants_strict
+    else:
+        raise ValueError(f"model must be 'relaxed' or 'strict', got {model!r}")
+    cert = search(w, a, basis, l1, x_star)
+    omega = cert.eta.omega if cert.eta is not None else cert.support
+    inj = check_restricted_injectivity(a, basis, omega)
+    constants = None
+    if cert.valid and inj.injective:
+        constants = rate_constants(cert, inj, big_c, operator_norm(a))
+    return cert, inj, constants
 
 
 def check_variational_bounds(m, source_elem, x_sol, y_delta, y_star, alpha, q_bregman):

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import __version__
 from .basis import WaveletBasis
-from .certificates import (
-    check_restricted_injectivity,
-    find_certificate_relaxed,
-    find_certificate_strict,
-    rate_constants_relaxed,
-    rate_constants_strict,
-    report_lines,
-)
+from .certificates import certify, report_lines
 from .experiments import (
     SweepConfig,
     converse_consistency_flag,
@@ -36,16 +29,8 @@ from .experiments import (
     sweep_metadata,
     add_noise,
 )
-from .operators import operator_norm
 from .regularizers import WeightedL1
-from .solvers import (
-    RelaxedProblem,
-    SolverConfig,
-    StrictProblem,
-    reference_solve,
-    solve_relaxed,
-    solve_strict,
-)
+from .solvers import Problem, SolverConfig, reference_solve, solve
 
 __all__ = ["main", "entry_point", "canonical_config", "parse_config_text"]
 
@@ -128,7 +113,7 @@ def build_parser():
     p_sweep.add_argument("--delta-count", type=int, default=7)
     p_sweep.add_argument("--trials", type=int, default=3)
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel records (ordering unaffected)")
+                         help="accepted for old scripts and configs; no effect")
     p_sweep.add_argument("--out", default="sweep.csv", help="CSV output path")
     p_sweep.add_argument("--svg", default=None,
                          help="SVG output path (default: CSV path with .svg)")
@@ -262,18 +247,9 @@ def _cmd_solve(args, use_reference):
     else:
         alpha = NOISELESS_ALPHA
     cfg = _solver_config(args)
-    if args.model == "relaxed":
-        problem = RelaxedProblem(w, a, y_delta, alpha, l1)
-        result = reference_solve(problem, cfg) if use_reference else solve_relaxed(
-            problem, cfg
-        )
-        h_out = result.h
-    else:
-        problem = StrictProblem(w, a, y_delta, alpha, l1)
-        result = reference_solve(problem, cfg) if use_reference else solve_strict(
-            problem, cfg
-        )
-        h_out = result.diagnostics["wx"]
+    problem = Problem(args.model, w, a, y_delta, alpha, l1)
+    result = reference_solve(problem, cfg) if use_reference else solve(problem, cfg)
+    h_out = result.h if args.model == "relaxed" else result.diagnostics["wx"]
 
     config_lines = canonical_config(args, _config_keys(args))
     summary = [
@@ -321,24 +297,13 @@ def _cmd_sweep(args):
     constants = None
     cert_lines = []
     if not args.no_certify:
-        if args.model == "relaxed":
-            cert = find_certificate_relaxed(w, a, basis, l1, phantom.x_star)
-        else:
-            cert = find_certificate_strict(w, a, basis, l1, phantom.x_star)
-        inj = None
-        if cert.eta is not None:
-            inj = check_restricted_injectivity(a, basis, cert.eta.omega)
-        if cert.valid and inj is not None and inj.injective:
-            a_norm = operator_norm(a)
-            if args.model == "relaxed":
-                constants = rate_constants_relaxed(cert, inj, args.big_c, a_norm)
-            else:
-                constants = rate_constants_strict(cert, inj, args.big_c, a_norm)
+        cert, inj, constants = certify(
+            args.model, w, a, basis, l1, phantom.x_star, args.big_c
+        )
         cert_lines = report_lines(cert, inj, constants)
 
     result = run_sweep(
-        cfg, phantom, w, a, l1=l1,
-        constants=constants, solver_cfg=solver_cfg, jobs=args.jobs,
+        cfg, phantom, w, a, l1=l1, constants=constants, solver_cfg=solver_cfg
     )
     meta = sweep_metadata(cfg, w, a, l1, solver_cfg, args.forward,
                           sensing=args.sensing, kappa_scalar=args.kappa)
@@ -367,19 +332,9 @@ def _cmd_sweep(args):
 
 def _cmd_certify(args):
     basis, l1, w, a, phantom, _ = _build_instance(args)
-    if args.model == "relaxed":
-        cert = find_certificate_relaxed(w, a, basis, l1, phantom.x_star)
-    else:
-        cert = find_certificate_strict(w, a, basis, l1, phantom.x_star)
-    omega = cert.eta.omega if cert.eta is not None else cert.support
-    inj = check_restricted_injectivity(a, basis, omega)
-    constants = None
-    if cert.valid and inj.injective:
-        a_norm = operator_norm(a)
-        if args.model == "relaxed":
-            constants = rate_constants_relaxed(cert, inj, args.big_c, a_norm)
-        else:
-            constants = rate_constants_strict(cert, inj, args.big_c, a_norm)
+    cert, inj, constants = certify(
+        args.model, w, a, basis, l1, phantom.x_star, args.big_c
+    )
     _print_block(canonical_config(args, _config_keys(args)))
     _print_block(report_lines(cert, inj, constants))
     valid = cert.valid and inj.injective

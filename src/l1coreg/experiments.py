@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +32,7 @@ from .operators import (
     to_descriptor,
 )
 from .regularizers import WeightedL1, bregman_quadratic
-from .solvers import (
-    RelaxedProblem,
-    SolverConfig,
-    StrictProblem,
-    solve_relaxed,
-    solve_strict,
-)
+from .solvers import Problem, SolverConfig, solve
 
 __all__ = [
     "Phantom",
@@ -273,21 +266,19 @@ def fit_rate(deltas, errors):
 
 
 def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg):
+    res = solve(Problem(model, w, a, y_delta, alpha, l1), solver_cfg)
     if model == "relaxed":
-        res = solve_relaxed(RelaxedProblem(w, a, y_delta, alpha, l1), solver_cfg)
-        err_vec = res.h
         m_op = ProductMap(w, a)
         stacked = m_op.stack_domain(res.x, res.h)
         target = np.concatenate([np.zeros(m_op.dim_h), y_delta])
         residual = float(np.linalg.norm(m_op.apply(stacked) - target))
-        return res, err_vec, residual
-    res = solve_strict(StrictProblem(w, a, y_delta, alpha, l1), solver_cfg)
+        return res, res.h, residual
     wx = res.diagnostics["wx"]
     residual = float(np.linalg.norm(a.apply(wx) - y_delta))
     return res, wx, residual
 
 
-def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None, jobs=1):
+def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
     """Run the noise-level sweep and fit the rate on per-delta medians.
 
     Parameters
@@ -302,9 +293,6 @@ def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None, jobs
         When given, every record carries the theoretical bound sides
         ``c*delta`` / ``d*delta`` and their pass flags.
     solver_cfg : SolverConfig, optional
-    jobs : int
-        Records for distinct (delta, trial) pairs run in parallel when
-        ``jobs > 1``; output ordering is independent of ``jobs``.
 
     Raises
     ------
@@ -325,59 +313,48 @@ def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None, jobs
     x_star = phantom.x_star
     w_x_star = w.apply(x_star)
 
-    tasks = [
-        (i, t, delta)
-        for i, delta in enumerate(cfg.deltas)
-        for t in range(cfg.trials)
-    ]
-
-    def one(task):
-        i, t, delta = task
-        alpha = cfg.big_c * delta
-        y_delta = add_noise(y_star, delta, cfg.noise_seed(i, t))
-        try:
-            res, err_vec, residual = _solve_record(
-                cfg.model, w, a, l1, y_delta, alpha, solver_cfg
+    records = []
+    all_converged = True
+    for i, delta in enumerate(cfg.deltas):
+        for t in range(cfg.trials):
+            alpha = cfg.big_c * delta
+            y_delta = add_noise(y_star, delta, cfg.noise_seed(i, t))
+            try:
+                res, err_vec, residual = _solve_record(
+                    cfg.model, w, a, l1, y_delta, alpha, solver_cfg
+                )
+            except Exception as exc:
+                raise SweepError(
+                    f"solve failed at delta={delta!r} trial={t}: {exc}"
+                ) from exc
+            target = h_star if cfg.model == "relaxed" else w_x_star
+            err_h = float(np.linalg.norm(err_vec - target))
+            breg = bregman_quadratic(res.x, x_star)
+            if constants is not None:
+                c_rhs = constants.c * delta
+                d_rhs = constants.d * delta
+                pass_c = breg <= c_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
+                pass_d = err_h <= d_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
+            else:
+                c_rhs = float("nan")
+                d_rhs = float("nan")
+                pass_c = None
+                pass_d = None
+            record = SweepRecord(
+                delta=delta,
+                alpha=alpha,
+                bregman_x=breg,
+                err_h=err_h,
+                residual=residual,
+                iterations=res.iterations,
+                bound_c_rhs=c_rhs,
+                bound_d_rhs=d_rhs,
+                pass_c=pass_c,
+                pass_d=pass_d,
             )
-        except Exception as exc:
-            raise SweepError(
-                f"solve failed at delta={delta!r} trial={t}: {exc}"
-            ) from exc
-        target = h_star if cfg.model == "relaxed" else w_x_star
-        err_h = float(np.linalg.norm(err_vec - target))
-        breg = bregman_quadratic(res.x, x_star)
-        if constants is not None:
-            c_rhs = constants.c * delta
-            d_rhs = constants.d * delta
-            pass_c = breg <= c_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
-            pass_d = err_h <= d_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
-        else:
-            c_rhs = float("nan")
-            d_rhs = float("nan")
-            pass_c = None
-            pass_d = None
-        record = SweepRecord(
-            delta=delta,
-            alpha=alpha,
-            bregman_x=breg,
-            err_h=err_h,
-            residual=residual,
-            iterations=res.iterations,
-            bound_c_rhs=c_rhs,
-            bound_d_rhs=d_rhs,
-            pass_c=pass_c,
-            pass_d=pass_d,
-        )
-        return record, res.converged
+            records.append(record)
+            all_converged = all_converged and res.converged
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, tasks))
-    else:
-        outcomes = [one(task) for task in tasks]
-
-    records = [rec for rec, _ in outcomes]
-    all_converged = all(conv for _, conv in outcomes)
     medians = []
     for i, delta in enumerate(cfg.deltas):
         errs = [records[i * cfg.trials + t].err_h for t in range(cfg.trials)]

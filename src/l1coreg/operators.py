@@ -106,11 +106,6 @@ class LinearMap:
         """Plain-data dict describing this operator (see :func:`to_descriptor`)."""
         raise NotImplementedError
 
-    def __matmul__(self, other):
-        if isinstance(other, LinearMap):
-            return ComposedMap(self, other)
-        return NotImplemented
-
     def __repr__(self):
         return (
             f"{type(self).__name__}(domain_dim={self.domain_dim}, "
@@ -301,19 +296,8 @@ class ProductMap(LinearMap):
         self.dim_y = a.codomain_dim
         super().__init__(self.dim_x + self.dim_h, self.dim_h + self.dim_y)
 
-    def split_domain(self, z):
-        z = _as_vector(z, self.domain_dim, "product.split_domain")
-        return z[: self.dim_x], z[self.dim_x :]
-
-    def split_codomain(self, r):
-        r = _as_vector(r, self.codomain_dim, "product.split_codomain")
-        return r[: self.dim_h], r[self.dim_h :]
-
     def stack_domain(self, x, h):
         return np.concatenate([np.asarray(x, dtype=float), np.asarray(h, dtype=float)])
-
-    def stack_codomain(self, r, s):
-        return np.concatenate([np.asarray(r, dtype=float), np.asarray(s, dtype=float)])
 
     def _apply(self, z):
         x, h = z[: self.dim_x], z[self.dim_x :]

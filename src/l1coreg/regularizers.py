@@ -1,8 +1,9 @@
 """Penalty functionals, proximal maps, subgradients and Bregman distances.
 
-The weighted l1 functional acts on wavelet coefficients of signals in H; the
-quadratic penalty ``||x||^2 / 2`` acts on the signal space X directly.  Both
-are pure value objects, safe to share between threads.
+The weighted l1 functional acts on wavelet coefficients of signals in H and is
+a pure value object.  The signal-space penalty ``||x||^2 / 2`` needs no
+object: the solvers inline its value and prox, and :func:`bregman_quadratic`
+gives its Bregman distance.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .basis import CoefficientVector, WaveletBasis
 
 __all__ = [
     "WeightedL1",
-    "QuadraticPenalty",
     "Subgradient",
     "SubgradientError",
     "soft_threshold",
@@ -76,44 +76,6 @@ class WeightedL1:
         c = np.asarray(c, dtype=float)
         return float(np.sum(self.kappa * np.abs(c)))
 
-    def prox(self, h, t):
-        return prox_weighted_l1(self, h, t)
-
-
-class QuadraticPenalty:
-    """The penalty ``R(x) = ||x||^2 / 2`` with ``grad R(x) = x``.
-
-    This is the only penalty the solvers ship with; other proper convex
-    choices can be added by mirroring this interface (``eval``, ``gradient``,
-    ``prox``, ``bregman``).
-    """
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ x)
-
-    def gradient(self, x):
-        return np.asarray(x, dtype=float).copy()
-
-    def prox(self, x, t):
-        """``argmin_z ||z - x||^2/2 + t ||z||^2/2 = x / (1 + t)``."""
-        return np.asarray(x, dtype=float) / (1.0 + t)
-
-    def bregman(self, x, x_star, xi=None):
-        """Bregman distance at subgradient ``xi`` (default ``xi = x_star``)."""
-        x = np.asarray(x, dtype=float)
-        x_star = np.asarray(x_star, dtype=float)
-        if xi is None:
-            return bregman_quadratic(x, x_star)
-        xi = np.asarray(xi, dtype=float)
-        return self.eval(x) - self.eval(x_star) - float(xi @ (x - x_star))
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticPenalty)
-
-    def __hash__(self):
-        return hash(QuadraticPenalty)
-
 
 @dataclass(frozen=True)
 class Subgradient:
@@ -133,11 +95,6 @@ class Subgradient:
     eta: CoefficientVector
     omega: tuple
     margin: float
-
-    def off_omega_mask(self):
-        mask = np.ones(self.eta.basis.n, dtype=bool)
-        mask[list(self.omega)] = False
-        return mask
 
 
 def soft_threshold(c, thresholds):
@@ -274,11 +231,19 @@ def bregman_l1(f, eta, h, h_star):
     return value
 
 
-def bregman_quadratic(x, x_star):
-    """Bregman distance of ``||.||^2/2`` at the canonical subgradient ``x_star``."""
+def bregman_quadratic(x, x_star, xi=None):
+    """Bregman distance of ``||.||^2/2`` at ``x_star``.
+
+    ``xi`` is the subgradient at which it is taken; the default is the
+    canonical one, ``xi = x_star``, where it equals ``||x - x_star||^2 / 2``.
+    """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
     if x.shape != x_star.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_star.shape}")
-    d = x - x_star
-    return 0.5 * float(d @ d)
+    if xi is None:
+        d = x - x_star
+        return 0.5 * float(d @ d)
+    xi = np.asarray(xi, dtype=float)
+    gap = 0.5 * float(x @ x) - 0.5 * float(x_star @ x_star)
+    return gap - float(xi @ (x - x_star))

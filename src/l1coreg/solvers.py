@@ -16,9 +16,10 @@ The strict functional
 
 is minimized by ADMM on the constraint formulation ``W x = h``.
 
-Both solvers are deterministic: zero initialization by default, a seeded
-random start when :attr:`SolverConfig.seed` is set, and no data-dependent
-branching beyond the stopping rule.
+Both models share one :class:`Problem` type, and :func:`solve` dispatches on
+its ``model`` field.  Both solvers are deterministic: zero initialization by
+default, a seeded random start when :attr:`SolverConfig.seed` is set, and no
+data-dependent branching beyond the stopping rule.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .operators import ProductMap, compose, materialize
-from .regularizers import QuadraticPenalty, WeightedL1, soft_threshold
+from .regularizers import WeightedL1, soft_threshold
 
 __all__ = [
-    "RelaxedProblem",
-    "StrictProblem",
+    "Problem",
     "SolverConfig",
     "SolveResult",
     "SolverError",
@@ -44,6 +44,7 @@ __all__ = [
     "objective_strict",
     "solve_relaxed",
     "solve_strict",
+    "solve",
     "reference_solve",
 ]
 
@@ -81,17 +82,26 @@ def _check_problem_dims(w, a, y_delta, alpha, l1):
 
 
 @dataclass(frozen=True)
-class RelaxedProblem:
-    """Data of the relaxed model: operators, noisy data, weight and penalties."""
+class Problem:
+    """Data of one co-regularized problem: model, operators, noisy data, weight.
 
+    ``model`` is ``"relaxed"`` or ``"strict"``; both models penalize the
+    signal by ``||x||^2 / 2`` and its indirect data ``W x`` (or ``h``) by
+    the weighted l1 norm ``l1``.
+    """
+
+    model: str
     w: object
     a: object
     y_delta: np.ndarray
     alpha: float
     l1: WeightedL1
-    r: QuadraticPenalty = field(default_factory=QuadraticPenalty)
 
     def __post_init__(self):
+        if self.model not in ("relaxed", "strict"):
+            raise ValueError(
+                f"model must be 'relaxed' or 'strict', got {self.model!r}"
+            )
         y = np.asarray(self.y_delta, dtype=float).copy()
         y.setflags(write=False)
         object.__setattr__(self, "y_delta", y)
@@ -99,23 +109,9 @@ class RelaxedProblem:
         _check_problem_dims(self.w, self.a, y, self.alpha, self.l1)
 
 
-@dataclass(frozen=True)
-class StrictProblem:
-    """Data of the strict model; same fields as :class:`RelaxedProblem`."""
-
-    w: object
-    a: object
-    y_delta: np.ndarray
-    alpha: float
-    l1: WeightedL1
-    r: QuadraticPenalty = field(default_factory=QuadraticPenalty)
-
-    def __post_init__(self):
-        y = np.asarray(self.y_delta, dtype=float).copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "y_delta", y)
-        object.__setattr__(self, "alpha", float(self.alpha))
-        _check_problem_dims(self.w, self.a, y, self.alpha, self.l1)
+def _require_model(p, model):
+    if p.model != model:
+        raise ValueError(f"solve_{model} got a {p.model} problem")
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def objective_relaxed(p, x, h):
     return (
         0.5 * float(coupling @ coupling)
         + 0.5 * float(misfit @ misfit)
-        + p.alpha * (p.r.eval(x) + p.l1.eval(h))
+        + p.alpha * (0.5 * float(x @ x) + p.l1.eval(h))
     )
 
 
@@ -180,7 +176,8 @@ def objective_strict(p, x):
     x = np.asarray(x, dtype=float)
     wx = p.w.apply(x)
     misfit = p.a.apply(wx) - p.y_delta
-    return 0.5 * float(misfit @ misfit) + p.alpha * (p.r.eval(x) + p.l1.eval(wx))
+    penalty = 0.5 * float(x @ x) + p.l1.eval(wx)
+    return 0.5 * float(misfit @ misfit) + p.alpha * penalty
 
 
 class _SpdSolver:
@@ -261,13 +258,15 @@ def solve_relaxed(p, cfg=None, trace=None):
         z <- z + lambda (prox_{g}(2 prox_{f}(z) - z) - prox_{f}(z))
 
     with ``f`` the quadratic coupling (a cached linear solve) and ``g`` the
-    separable penalties (scaling of ``x``, weighted soft-threshold of ``h``).
+    separable penalties (``x -> x / (1 + gamma alpha)``, the prox of the
+    quadratic penalty, and a weighted soft-threshold of ``h``).
     The returned iterate is ``prox_f(z)``.  Stops when the relative iterate
     change drops below ``cfg.tol``.
 
     Parameters
     ----------
-    p : RelaxedProblem
+    p : Problem
+        Must have ``model == "relaxed"``.
     cfg : SolverConfig, optional
     trace : path or file-like, optional
         When given, iteration rows ``iter,objective,fpr,primal_res,dual_res``
@@ -279,6 +278,7 @@ def solve_relaxed(p, cfg=None, trace=None):
         With ``diagnostics['fpr_trace']`` holding the raw iterate-change
         norms (monotone for this splitting).
     """
+    _require_model(p, "relaxed")
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
     m_op, solver, shift = _quadratic_prox_solver_relaxed(p, cfg.gamma)
@@ -292,7 +292,7 @@ def solve_relaxed(p, cfg=None, trace=None):
 
     def prox_g(v):
         out = np.empty_like(v)
-        out[:dim_x] = p.r.prox(v[:dim_x], t_pen)
+        out[:dim_x] = v[:dim_x] / (1.0 + t_pen)
         c = basis.decompose(v[dim_x:])
         out[dim_x:] = basis.reconstruct(soft_threshold(c, kappa_thresholds))
         return out
@@ -377,7 +377,8 @@ def solve_strict(p, cfg=None, trace=None):
     cached factorization, an h-step soft-thresholding ``W x + u`` at level
     ``alpha/rho`` per weight, and the dual ascent ``u <- u + W x - h``.
 
-    Converged when the primal residual ``||W x - h||`` and the dual residual
+    ``p`` must have ``model == "strict"``.  Converged when the primal
+    residual ``||W x - h||`` and the dual residual
     ``rho ||W*(h_k - h_{k-1})||`` are both at most ``cfg.tol``.
 
     Returns
@@ -387,11 +388,8 @@ def solve_strict(p, cfg=None, trace=None):
         ``||W x - h||`` and the final ``W x`` are reported in
         ``diagnostics`` (error bounds for this model concern ``W x``).
     """
+    _require_model(p, "strict")
     cfg = cfg or SolverConfig()
-    if not isinstance(p.r, QuadraticPenalty):
-        raise NotImplementedError(
-            "the strict solver's x-update assumes the quadratic penalty"
-        )
     start = time.perf_counter()
     solver = _x_update_solver_strict(p, p.alpha, cfg.rho)
     aw = compose(p.a, p.w)
@@ -454,6 +452,19 @@ def solve_strict(p, cfg=None, trace=None):
     )
 
 
+def solve(problem, cfg=None, trace=None):
+    """Minimize ``problem`` with the splitting method of its model.
+
+    Douglas-Rachford (:func:`solve_relaxed`) for the relaxed model, ADMM
+    (:func:`solve_strict`) for the strict one.  The error bounds concern
+    ``result.h`` for the relaxed model and ``result.diagnostics['wx']`` for
+    the strict one.
+    """
+    if problem.model == "relaxed":
+        return solve_relaxed(problem, cfg, trace)
+    return solve_strict(problem, cfg, trace)
+
+
 def reference_solve(problem, cfg=None):
     """High-accuracy oracle: the matching splitting method at tight settings.
 
@@ -462,7 +473,7 @@ def reference_solve(problem, cfg=None):
     dimensions above 256.  Non-convergence is flagged on the result, never
     hidden.
     """
-    if not isinstance(problem, (RelaxedProblem, StrictProblem)):
+    if not isinstance(problem, Problem):
         raise TypeError(f"unsupported problem type {type(problem).__name__}")
     dims = (
         problem.w.domain_dim,
@@ -475,7 +486,4 @@ def reference_solve(problem, cfg=None):
             f"got {dims}"
         )
     base = cfg or SolverConfig()
-    ref_cfg = replace(base, max_iters=500_000, tol=1e-14)
-    if isinstance(problem, RelaxedProblem):
-        return solve_relaxed(problem, ref_cfg)
-    return solve_strict(problem, ref_cfg)
+    return solve(problem, replace(base, max_iters=500_000, tol=1e-14))

@@ -38,18 +38,17 @@ from l1coreg.operators import (
     restrict,
 )
 from l1coreg.regularizers import (
-    QuadraticPenalty,
     WeightedL1,
     bregman_l1,
+    bregman_quadratic,
     canonical_subgradient,
     prox_weighted_l1,
 )
 from l1coreg.solvers import (
-    RelaxedProblem,
+    Problem,
     SolverConfig,
-    StrictProblem,
     reference_solve,
-    solve_relaxed,
+    solve,
     solve_strict,
 )
 
@@ -108,7 +107,7 @@ def certified_reference_records(certified_instance):
         for t in range(cfg.trials):
             y_delta = add_noise(y_star, delta, cfg.noise_seed(i, t))
             alpha = constants.big_c * delta
-            problem = RelaxedProblem(w, a, y_delta, alpha, l1)
+            problem = Problem("relaxed", w, a, y_delta, alpha, l1)
             res = reference_solve(problem)
             assert res.converged
             records.append(
@@ -183,14 +182,13 @@ def test_criterion_4_variational_bounds(certified_instance, certified_reference_
     basis, l1, w, a, phantom, cfg, cert, inj, constants = certified_instance
     m_op = ProductMap(w, a)
     xi = w.adjoint_apply(cert.u)
-    r_pen = QuadraticPenalty()
     source = np.concatenate([cert.u, cert.v])
     y_star_prod = np.concatenate([np.zeros(m_op.dim_h), a.apply(phantom.h_star)])
     failures = 0
     for rec in certified_reference_records:
         res = rec["res"]
         y_delta_prod = np.concatenate([np.zeros(m_op.dim_h), rec["y_delta"]])
-        breg = r_pen.bregman(res.x, phantom.x_star, xi=xi) + bregman_l1(
+        breg = bregman_quadratic(res.x, phantom.x_star, xi=xi) + bregman_l1(
             l1, cert.eta, res.h, phantom.h_star
         )
         rep = check_variational_bounds(
@@ -292,19 +290,15 @@ def test_criterion_7_solver_correctness():
             a = BernoulliSensing(m, n, seed=int(rng.integers(0, 2**31)))
             y = rng.standard_normal(m)
             alpha = float(rng.uniform(0.05, 0.5))
-            if model == "relaxed":
-                p = RelaxedProblem(w, a, y, alpha, l1)
-                res = solve_relaxed(p, SolverConfig())
-            else:
-                p = StrictProblem(w, a, y, alpha, l1)
-                res = solve_strict(p, SolverConfig())
+            p = Problem(model, w, a, y, alpha, l1)
+            res = solve(p, SolverConfig())
             ref = reference_solve(p)
             worst_gap = max(worst_gap, res.objective - ref.objective)
     basis8 = WaveletBasis(8)
     l18 = WeightedL1(basis8)
     y = 3.0 * basis8.basis_vector(0)
     res = solve_strict(
-        StrictProblem(identity(8), identity(8), y, 1.0, l18),
+        Problem("strict", identity(8), identity(8), y, 1.0, l18),
         SolverConfig(tol=1e-12),
     )
     enet_err = abs(basis8.decompose(res.x)[0] - 1.0)

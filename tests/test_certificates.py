@@ -27,7 +27,7 @@ from l1coreg.operators import (
     operator_norm,
 )
 from l1coreg.regularizers import WeightedL1, bregman_l1, canonical_subgradient
-from l1coreg.solvers import RelaxedProblem, SolverConfig, solve_relaxed
+from l1coreg.solvers import Problem, SolverConfig, solve_relaxed
 
 
 class TestRestrictedInjectivity:
@@ -264,7 +264,7 @@ class TestVariationalBounds:
         # iff the data is large enough; for y=1 the solution is x=h=0
         # (threshold exceeds the pull), giving easy exact sides; use y=3 phi0
         y_big = 3.0 * basis8.basis_vector(0)
-        p = RelaxedProblem(w, a, y_big, alpha, l1_unit8)
+        p = Problem("relaxed", w, a, y_big, alpha, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
         cert = find_certificate_relaxed(w, a, basis8, l1_unit8, res.x * 0.0)
         # true pair for data y_big: x*=0 is wrong; build the certified pair
@@ -409,8 +409,8 @@ class TestStrictBoundSuite:
         # whose strict split certificate is valid, reference-accuracy solves
         # obey D_xi <= c*delta and ||W x - W x*|| <= d*delta
         from l1coreg.experiments import add_noise
-        from l1coreg.regularizers import QuadraticPenalty
-        from l1coreg.solvers import StrictProblem, reference_solve
+        from l1coreg.regularizers import bregman_quadratic
+        from l1coreg.solvers import reference_solve
 
         basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
         cert = find_certificate_strict(w, a, basis, l1, x_star)
@@ -419,13 +419,12 @@ class TestStrictBoundSuite:
         assert inj.injective
         constants = rate_constants_strict(cert, inj, 1.0, operator_norm(a))
         y_star = a.apply(h_star)
-        r_pen = QuadraticPenalty()
         for i, delta in enumerate((1e-2, 1e-3, 1e-4)):
             for trial in range(2):
                 y_delta = add_noise(y_star, delta, 1_000 + 10 * i + trial)
-                res = reference_solve(StrictProblem(w, a, y_delta, delta, l1))
+                res = reference_solve(Problem("strict", w, a, y_delta, delta, l1))
                 assert res.converged
-                breg = r_pen.bregman(res.x, x_star, xi=cert.xi)
+                breg = bregman_quadratic(res.x, x_star, xi=cert.xi)
                 err_wx = np.linalg.norm(w.apply(res.x) - h_star)
                 assert breg <= constants.c * delta * (1 + 1e-6) + 1e-10
                 assert err_wx <= constants.d * delta * (1 + 1e-6) + 1e-10

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import l1coreg
+from l1coreg.certificates import parse_report
 from l1coreg.cli import (
     EXIT_CERT_INVALID,
     EXIT_NOT_CONVERGED,
@@ -174,6 +180,24 @@ class TestSweep:
         assert all(r.pass_d is not None for r in records)
         assert all(r.pass_c and r.pass_d for r in records)
 
+    def test_uncertified_sweep_reports_certify_lines(self, tmp_path, capsys):
+        # integration forward operator: the certificate search fails, and the
+        # sweep still records the injectivity report that certify prints
+        instance = ["--model", "relaxed", "--n", "32", "--m", "24",
+                    "--sparsity", "2", "--seed", "1"]
+        rc, stdout, _ = run_cli(["certify", *instance], capsys)
+        assert rc == EXIT_CERT_INVALID
+        lines = stdout.splitlines()
+        report = lines[lines.index("certificate_kind = relaxed"):]
+        run_cli(["sweep", *instance, "--deltas", "1e-1,1e-2", "--trials", "1",
+                 "--out", str(tmp_path / "u.csv")], capsys)
+        _, meta, _ = parse_csv(tmp_path / "u.csv")
+        assert meta["cert_valid"] == "false"
+        assert "injective = true" in report
+        for line in report:
+            key, _, value = line.partition(" = ")
+            assert meta[f"cert_{key}"] == value
+
     def test_no_certify_skips_bounds(self, tmp_path, capsys):
         rc, _, _ = run_cli(
             self.sweep_args(tmp_path, extra=("--no-certify",)), capsys
@@ -191,8 +215,6 @@ class TestCertify:
             capsys,
         )
         assert rc == EXIT_OK
-        from l1coreg.certificates import parse_report
-
         rep = parse_report(stdout)
         assert rep["valid"] is True
         assert rep["saturation_margin"] == pytest.approx(1.0, abs=1e-10)
@@ -305,3 +327,16 @@ def test_solve_at_reference_noise_level(tmp_path, capsys):
         [l for l in stdout.splitlines() if l.startswith("err_h = ")][0].split(" = ")[1]
     )
     assert err_h <= 1e-3
+
+
+def test_python_dash_m_runs_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(l1coreg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "l1coreg",
+         "--version"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == l1coreg.__version__

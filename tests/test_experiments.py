@@ -177,18 +177,6 @@ class TestRunSweep:
         violations = sum(m2 > m1 * (1 + 1e-9) for m1, m2 in zip(med, med[1:]))
         assert violations <= 1
 
-    def test_jobs_do_not_change_output(self, small_sweep):
-        cfg, phantom, w, a, l1 = small_sweep
-        serial = run_sweep(cfg, phantom, w, a, l1=l1)
-        parallel = run_sweep(cfg, phantom, w, a, l1=l1, jobs=3)
-        for r1, r2 in zip(serial.records, parallel.records):
-            for name in CSV_COLUMNS:
-                v1, v2 = getattr(r1, name), getattr(r2, name)
-                if isinstance(v1, float) and np.isnan(v1):
-                    assert np.isnan(v2)
-                else:
-                    assert v1 == v2
-
     def test_solver_failure_identified(self, small_sweep):
         cfg, phantom, w, a, l1 = small_sweep
         bad_l1 = WeightedL1(WaveletBasis(32))  # wrong basis size
@@ -288,7 +276,7 @@ def test_noiseless_limit_on_certified_instance():
     # bound d*delta; square sensing keeps the data term nondegenerate so the
     # solver can actually resolve the minimizer at alpha = 1e-12
     from l1coreg.certificates import find_certificate_relaxed
-    from l1coreg.solvers import StrictProblem, solve_strict
+    from l1coreg.solvers import Problem, solve_strict
 
     n, sparsity, seed = 32, 3, 4
     basis = WaveletBasis(n)
@@ -301,7 +289,7 @@ def test_noiseless_limit_on_certified_instance():
     assert cert.valid
     delta = 1e-12
     y_delta = add_noise(a.apply(phantom.h_star), delta, 5)
-    p = StrictProblem(w, a, y_delta, delta, l1)
+    p = Problem("strict", w, a, y_delta, delta, l1)
     res = solve_strict(p, SolverConfig(tol=1e-12, max_iters=50000))
     err = np.linalg.norm(w.apply(res.x) - phantom.h_star)
     assert err <= 1e-6

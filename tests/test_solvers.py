@@ -3,16 +3,17 @@ import io
 import numpy as np
 import pytest
 
+from l1coreg import solvers
 from l1coreg.basis import WaveletBasis
 from l1coreg.operators import BernoulliSensing, DenseMap, IntegrationOp, identity
 from l1coreg.regularizers import WeightedL1
 from l1coreg.solvers import (
-    RelaxedProblem,
+    Problem,
     SolverConfig,
-    StrictProblem,
     objective_relaxed,
     objective_strict,
     reference_solve,
+    solve,
     solve_relaxed,
     solve_strict,
 )
@@ -25,19 +26,18 @@ def random_small_problem(rng, n=16, m=8, model="relaxed", alpha=None):
     a = BernoulliSensing(m, n, seed=int(rng.integers(0, 2**31)))
     y = rng.standard_normal(m)
     alpha = alpha or float(rng.uniform(0.05, 0.5))
-    cls = RelaxedProblem if model == "relaxed" else StrictProblem
-    return cls(w, a, y, alpha, l1)
+    return Problem(model, w, a, y, alpha, l1)
 
 
 class TestObjectives:
     def test_relaxed_zero(self, basis8, l1_unit8):
-        p = RelaxedProblem(identity(8), identity(8), np.zeros(8), 1.0, l1_unit8)
+        p = Problem("relaxed", identity(8), identity(8), np.zeros(8), 1.0, l1_unit8)
         assert objective_relaxed(p, np.zeros(8), np.zeros(8)) == 0.0
 
     def test_relaxed_plugin_1d(self):
         basis = WaveletBasis(1)
         l1 = WeightedL1(basis)
-        p = RelaxedProblem(identity(1), identity(1), np.ones(1), 1.0, l1)
+        p = Problem("relaxed", identity(1), identity(1), np.ones(1), 1.0, l1)
         # 0 + 0 + 1*(0.5 + 1) with x = h = y = (1)
         assert objective_relaxed(p, np.ones(1), np.ones(1)) == pytest.approx(1.5)
 
@@ -54,13 +54,13 @@ class TestObjectives:
             assert objective_relaxed(p, x, h) == pytest.approx(expected, abs=1e-12)
 
     def test_strict_zero(self, l1_unit8):
-        p = StrictProblem(identity(8), identity(8), np.zeros(8), 1.0, l1_unit8)
+        p = Problem("strict", identity(8), identity(8), np.zeros(8), 1.0, l1_unit8)
         assert objective_strict(p, np.zeros(8)) == 0.0
 
     def test_strict_plugin_1d(self):
         basis = WaveletBasis(1)
         l1 = WeightedL1(basis)
-        p = StrictProblem(identity(1), identity(1), np.ones(1), 1.0, l1)
+        p = Problem("strict", identity(1), identity(1), np.ones(1), 1.0, l1)
         assert objective_strict(p, np.ones(1)) == pytest.approx(1.5)
 
     def test_strict_recomputation(self, rng):
@@ -94,12 +94,22 @@ class TestConfigValidation:
             SolverConfig(**kwargs)
 
     def test_problem_dim_checks(self, basis8, l1_unit8):
+        eye = identity(8)
         with pytest.raises(ValueError):
-            RelaxedProblem(identity(8), identity(8), np.zeros(7), 1.0, l1_unit8)
+            Problem("relaxed", eye, eye, np.zeros(7), 1.0, l1_unit8)
         with pytest.raises(ValueError):
-            RelaxedProblem(identity(8), identity(8), np.zeros(8), 0.0, l1_unit8)
+            Problem("relaxed", eye, eye, np.zeros(8), 0.0, l1_unit8)
         with pytest.raises(ValueError):
-            RelaxedProblem(IntegrationOp(4), identity(8), np.zeros(8), 1.0, l1_unit8)
+            Problem("relaxed", IntegrationOp(4), eye, np.zeros(8), 1.0, l1_unit8)
+
+    def test_model_checks(self, l1_unit8):
+        eye = identity(8)
+        with pytest.raises(ValueError):
+            Problem("elastic", eye, eye, np.zeros(8), 1.0, l1_unit8)
+        with pytest.raises(ValueError):
+            solve_relaxed(Problem("strict", eye, eye, np.zeros(8), 1.0, l1_unit8))
+        with pytest.raises(ValueError):
+            solve_strict(Problem("relaxed", eye, eye, np.zeros(8), 1.0, l1_unit8))
 
 
 def grid_search_2d(objective, span=4.0, steps=3):
@@ -120,13 +130,13 @@ class TestSolveRelaxed:
     def test_penalty_dominated_limit(self, basis8, l1_unit8):
         y = 3.0 * basis8.basis_vector(0)
         alpha = 1e3 * np.linalg.norm(y)
-        p = RelaxedProblem(identity(8), identity(8), y, alpha, l1_unit8)
+        p = Problem("relaxed", identity(8), identity(8), y, alpha, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
         assert np.linalg.norm(np.concatenate([res.x, res.h])) <= 1e-6
 
     def test_identity_instance_matches_grid_oracle(self, basis8, l1_unit8):
         y = 3.0 * basis8.basis_vector(0)
-        p = RelaxedProblem(identity(8), identity(8), y, 1.0, l1_unit8)
+        p = Problem("relaxed", identity(8), identity(8), y, 1.0, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
 
         def coord_objective(x0, h0):
@@ -185,7 +195,7 @@ class TestSolveRelaxed:
 
 class TestSolveStrict:
     def test_zero_data(self, basis8, l1_unit8):
-        p = StrictProblem(identity(8), identity(8), np.zeros(8), 1.0, l1_unit8)
+        p = Problem("strict", identity(8), identity(8), np.zeros(8), 1.0, l1_unit8)
         res = solve_strict(p, SolverConfig())
         assert np.linalg.norm(res.x) <= 1e-12
         assert np.linalg.norm(res.h) <= 1e-12
@@ -194,7 +204,7 @@ class TestSolveStrict:
         # W = A = I reduces to the elastic net; the spike solves
         # min (x-3)^2/2 + x^2/2 + |x| with solution soft(3, 1)/2 = 1
         y = 3.0 * basis8.basis_vector(0)
-        p = StrictProblem(identity(8), identity(8), y, 1.0, l1_unit8)
+        p = Problem("strict", identity(8), identity(8), y, 1.0, l1_unit8)
         res = solve_strict(p, SolverConfig(tol=1e-12))
         coeffs = basis8.decompose(res.x)
         assert coeffs[0] == pytest.approx(1.0, abs=1e-6)
@@ -222,7 +232,7 @@ class TestSolveStrict:
         w = DenseMap(np.array([[1.0, 0.3], [0.0, 0.8]]))
         a = DenseMap(np.array([[0.9, 0.1], [0.2, 1.1]]))
         y = np.array([1.0, -0.5])
-        p = StrictProblem(w, a, y, 0.3, l1)
+        p = Problem("strict", w, a, y, 0.3, l1)
         res = solve_strict(p, SolverConfig(tol=1e-12))
 
         def objective(x0, x1):
@@ -271,8 +281,8 @@ class TestReferenceSolve:
     def test_dimension_limit(self):
         basis = WaveletBasis(512)
         l1 = WeightedL1(basis)
-        p = RelaxedProblem(
-            identity(512), identity(512), np.zeros(512), 1.0, l1
+        p = Problem(
+            "relaxed", identity(512), identity(512), np.zeros(512), 1.0, l1
         )
         with pytest.raises(ValueError):
             reference_solve(p)
@@ -280,3 +290,27 @@ class TestReferenceSolve:
     def test_type_check(self):
         with pytest.raises(TypeError):
             reference_solve(object())
+
+
+class TestConjugateGradientPath:
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_matches_dense_path(self, rng, monkeypatch, model):
+        # a dimension limit below the instance size routes the inner linear
+        # solves through CG; the iterates must follow the dense path
+        p = random_small_problem(rng, model=model)
+        cfg = SolverConfig(max_iters=5000)
+        dense = solve(p, cfg)
+        cg_calls = []
+        cg = solvers.spla.cg
+
+        def counting_cg(*args, **kwargs):
+            cg_calls.append(1)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)
+        monkeypatch.setattr(solvers.spla, "cg", counting_cg)
+        matrix_free = solve(p, cfg)
+        assert len(cg_calls) >= matrix_free.iterations
+        assert matrix_free.iterations == dense.iterations
+        np.testing.assert_allclose(matrix_free.x, dense.x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(matrix_free.h, dense.h, rtol=0, atol=1e-8)

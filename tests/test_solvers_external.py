@@ -8,13 +8,7 @@ cvxpy = pytest.importorskip("cvxpy")
 from l1coreg.basis import WaveletBasis
 from l1coreg.operators import BernoulliSensing, IntegrationOp, materialize
 from l1coreg.regularizers import WeightedL1
-from l1coreg.solvers import (
-    RelaxedProblem,
-    SolverConfig,
-    StrictProblem,
-    solve_relaxed,
-    solve_strict,
-)
+from l1coreg.solvers import Problem, SolverConfig, solve_relaxed, solve_strict
 
 
 def build_problem(seed, n=16, m=10, alpha=0.2):
@@ -47,7 +41,7 @@ def test_relaxed_matches_cvxpy(seed):
     cvxpy.Problem(cvxpy.Minimize(objective)).solve(solver=cvxpy.CLARABEL)
     external = float(objective.value)
 
-    p = RelaxedProblem(w, a, y, alpha, l1)
+    p = Problem("relaxed", w, a, y, alpha, l1)
     res = solve_relaxed(p, SolverConfig(tol=1e-12))
     assert res.objective <= external + 1e-6
     assert external <= res.objective + 1e-6
@@ -69,7 +63,7 @@ def test_strict_matches_cvxpy(seed):
     cvxpy.Problem(cvxpy.Minimize(objective)).solve(solver=cvxpy.CLARABEL)
     external = float(objective.value)
 
-    p = StrictProblem(w, a, y, alpha, l1)
+    p = Problem("strict", w, a, y, alpha, l1)
     res = solve_strict(p, SolverConfig(tol=1e-12))
     assert res.objective <= external + 1e-6
     assert external <= res.objective + 1e-6
