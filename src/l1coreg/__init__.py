@@ -43,16 +43,14 @@ from .solvers import (
 from .certificates import (
     InjectivityReport,
     RateConstants,
-    SourceCertificateRelaxed,
-    SourceCertificateStrict,
+    SourceCertificate,
     certify,
     check_norm_bound,
     check_restricted_injectivity,
     check_variational_bounds,
     find_certificate_relaxed,
     find_certificate_strict,
-    rate_constants_relaxed,
-    rate_constants_strict,
+    rate_constants,
 )
 from .experiments import (
     Phantom,

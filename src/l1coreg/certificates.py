@@ -1,18 +1,23 @@
 """Source-condition certificates, restricted injectivity and rate constants.
 
-A certificate consists of pre-images under adjoint operators of the
-subgradients at the truth: for the relaxed model a pair ``(u, v)`` with
-``W* u = x*`` and ``A* v - u`` a weighted-l1 subgradient at ``h* = W x*``;
-for the strict model a ``nu`` whose pullback ``W* A* nu`` splits into
-``x* + W* eta``.  Together with injectivity of the sensing operator
-restricted to the saturated coefficient set, these yield explicit linear
-error-rate constants, which this module computes and re-checks numerically.
+Both models rest on one certificate.  The relaxed source condition asks for
+a pair ``(u, v)`` with ``W* u = x*`` and ``A* v - u = eta`` a weighted-l1
+subgradient at ``h* = W x*``; the strict one asks for ``nu`` whose pullback
+splits as ``W* A* nu = x* + W* eta``.  Substituting ``u = A* v - eta`` turns
+the first into the second with ``nu = v``, so one search for the split
+serves both, and the models differ only in the source norm that enters the
+rate constants: ``||(u, v)||`` for relaxed, ``||nu||`` for strict.  Together
+with injectivity of the sensing operator restricted to the saturated
+coefficient set, the certificate yields explicit linear error-rate
+constants, which this module computes and re-checks numerically.
 
-The searches used here (least squares for ``u``, a minimum-norm
-equality-constrained solve for ``v``, alternating least squares with box
-projection for the strict split) are heuristics: a failed search is reported
-with its residuals, never turned into an exception, and does not prove that
-no certificate exists.
+The search alternates two least-squares steps: ``nu`` for ``eta`` fixed to
+``kappa sign(h*)`` on the support and free off it, then the off-support
+coefficients of ``eta``, projected onto the box ``|eta_lambda| <=
+kappa_lambda``.  Both least-squares matrices are fixed, so their
+pseudo-inverses are computed once.  The search is a heuristic: a failed
+search is reported with its residual, never turned into an exception, and
+does not prove that no certificate exists.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from .regularizers import (
 
 __all__ = [
     "InjectivityReport",
-    "SourceCertificateRelaxed",
-    "SourceCertificateStrict",
+    "SourceCertificate",
     "RateConstants",
     "VariationalBoundsReport",
     "NormBoundReport",
@@ -40,8 +44,7 @@ __all__ = [
     "check_restricted_injectivity",
     "find_certificate_relaxed",
     "find_certificate_strict",
-    "rate_constants_relaxed",
-    "rate_constants_strict",
+    "rate_constants",
     "check_variational_bounds",
     "check_norm_bound",
     "report_lines",
@@ -58,6 +61,11 @@ CERTIFICATE_RTOL = 1e-8
 BOUND_SLACK_REL = 1e-6
 _BOUND_SLACK_ABS = 1e-12
 
+#: The certificate search stops after this many alternations, or once one
+#: alternation lowers the split residual by at most ``_ALTERNATION_TOL``.
+_MAX_ALTERNATIONS = 200
+_ALTERNATION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class InjectivityReport:
@@ -70,39 +78,41 @@ class InjectivityReport:
 
 
 @dataclass(frozen=True)
-class SourceCertificateRelaxed:
-    """Candidate pair ``(u, v)`` for the relaxed-model source condition.
+class SourceCertificate:
+    """Candidate source element of ``model`` (``"relaxed"`` or ``"strict"``).
 
-    ``eta`` is the validated subgradient built from ``A* v - u`` when the
+    ``v`` (the strict model's ``nu``) realizes ``W* A* v = x* + W* eta`` up
+    to ``split_residual``, and ``u = A* v - eta`` then satisfies ``W* u = x*``
+    up to the same residual.  ``eta`` is the validated subgradient when the
     certificate is valid, else ``None``; ``eta_coeffs`` always holds the raw
     coefficients.  ``saturation_margin`` is measured off the support of
-    ``h*``; the certificate satisfies strict complementarity iff it is
+    ``h*``; a valid certificate satisfies strict complementarity iff it is
     positive.
     """
 
+    model: str
     u: np.ndarray
     v: np.ndarray
     eta: Subgradient | None
     eta_coeffs: np.ndarray
-    residual_u: float
-    support_residual: float
+    split_residual: float
     saturation_margin: float
     support: tuple
     valid: bool
     strict_complementarity: bool
 
+    @property
+    def norm_uv(self):
+        return float(np.sqrt(self.u @ self.u + self.v @ self.v))
 
-@dataclass(frozen=True)
-class SourceCertificateStrict:
-    """Candidate ``nu`` (plus subgradient split) for the strict-model condition."""
+    @property
+    def norm_nu(self):
+        return float(np.linalg.norm(self.v))
 
-    nu: np.ndarray
-    xi: np.ndarray
-    eta: Subgradient | None
-    eta_coeffs: np.ndarray
-    split_residual: float
-    support: tuple
-    valid: bool
+    @property
+    def source_norm(self):
+        """Norm of the source element: ``||(u, v)||`` relaxed, ``||nu||`` strict."""
+        return self.norm_uv if self.model == "relaxed" else self.norm_nu
 
 
 @dataclass(frozen=True)
@@ -173,82 +183,14 @@ def check_restricted_injectivity(a, basis, omega):
     return InjectivityReport(omega, sigma_min, inv_norm, injective)
 
 
-def _lstsq(mat, rhs):
-    if mat.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(rhs))
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    return sol, float(np.linalg.norm(mat @ sol - rhs))
+def _find_certificate(model, w, a, basis, l1, x_star):
+    """Search for ``nu`` and ``eta`` with ``W* A* nu = x* + W* eta``.
 
-
-def find_certificate_relaxed(w, a, basis, l1, x_star):
-    """Search for the relaxed-model source certificate at ``x_star``.
-
-    Step 1 solves ``min_u ||W* u - x*||`` by dense least squares.  Step 2
-    computes the minimum-norm ``v`` satisfying the sign equalities
-    ``<phi_lambda, A* v - u> = kappa_lambda sign(<phi_lambda, h*>)`` on the
-    support of ``h* = W x*``, then checks the box constraints off the
-    support.  Invalid outcomes are reported, not raised.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    h_star = w.apply(x_star)
-    c_star = basis.analyze(h_star)
-    support = c_star.support()
-    kappa = l1.kappa
-
-    wt = materialize(w).T
-    u, residual_u = _lstsq(wt, x_star)
-
-    u_coeffs = basis.decompose(u)
-    signs = np.sign(c_star.coeffs[list(support)]) if support else np.zeros(0)
-    cols = materialize(restrict(a, support, basis=basis))  # m x |S|
-    targets = u_coeffs[list(support)] + kappa[list(support)] * signs
-    v, support_residual = _lstsq(cols.T, targets)
-    if len(support) == 0:
-        v = np.zeros(a.codomain_dim)
-
-    eta_coeffs = basis.decompose(a.adjoint_apply(v) - u)
-    off = np.ones(basis.n, dtype=bool)
-    off[list(support)] = False
-    if off.any():
-        saturation_margin = float(np.min(kappa[off] - np.abs(eta_coeffs[off])))
-    else:
-        saturation_margin = float("inf")
-
-    x_scale = max(float(np.linalg.norm(x_star)), 1e-300)
-    t_scale = max(float(np.linalg.norm(targets)), 1.0)
-    valid = (
-        residual_u <= CERTIFICATE_RTOL * x_scale
-        and support_residual <= CERTIFICATE_RTOL * t_scale
-        and saturation_margin >= 0.0
-    )
-    eta = None
-    if valid:
-        try:
-            eta = subgradient_from_coefficients(l1, h_star, eta_coeffs)
-        except SubgradientError:
-            valid = False
-    return SourceCertificateRelaxed(
-        u=u,
-        v=v,
-        eta=eta,
-        eta_coeffs=eta_coeffs,
-        residual_u=residual_u,
-        support_residual=support_residual,
-        saturation_margin=saturation_margin,
-        support=support,
-        valid=valid,
-        strict_complementarity=valid and saturation_margin > 0.0,
-    )
-
-
-def find_certificate_strict(w, a, basis, l1, x_star, max_alternations=200, tol=1e-10):
-    """Search for the strict-model certificate by alternating least squares.
-
-    Minimizes ``||W* A* nu - x* - W* eta||`` jointly over ``nu`` and the
-    admissible off-support coefficients of ``eta`` (projected onto the box
-    ``|eta_lambda| <= kappa_lambda`` after each least-squares step).  The
-    split uses ``xi = x*`` since the quadratic penalty has gradient
-    identity.
+    ``eta`` equals ``kappa sign(<phi_lambda, h*>)`` on the support of
+    ``h* = W x*``.  The search alternates the least-squares ``nu`` for the
+    current ``eta`` with the least-squares off-support coefficients of
+    ``eta`` for that ``nu``, clipped to the box ``|eta_lambda| <=
+    kappa_lambda``, until the split residual stops decreasing.
     """
     x_star = np.asarray(x_star, dtype=float)
     h_star = w.apply(x_star)
@@ -257,34 +199,35 @@ def find_certificate_strict(w, a, basis, l1, x_star, max_alternations=200, tol=1
     kappa = l1.kappa
 
     w_mat = materialize(w)
-    aw_t = (materialize(a) @ w_mat).T  # N x m, columns span ran(W* A*)
+    a_mat = materialize(a)
+    aw_t = (a_mat @ w_mat).T  # N x m, columns span ran(W* A*)
     synth = np.zeros((basis.n, basis.n))
     for j in range(basis.n):
         synth[:, j] = basis.basis_vector(j)
     b_mat = w_mat.T @ synth  # maps coefficients of eta to W* eta
     off = np.ones(basis.n, dtype=bool)
     off[support] = False
-    b_off = b_mat[:, off]
+    # minimum-norm least-squares solution operators, factored once
+    aw_pinv = np.linalg.pinv(aw_t)
+    off_pinv = np.linalg.pinv(b_mat[:, off])
 
     eta_coeffs = np.zeros(basis.n)
     eta_coeffs[support] = kappa[support] * np.sign(c_star.coeffs[support])
-    xi = x_star
-
-    nu = np.zeros(a.codomain_dim)
+    on_part = b_mat[:, ~off] @ eta_coeffs[~off]
     prev = np.inf
-    for _ in range(max_alternations):
-        target_nu = xi + b_mat @ eta_coeffs
-        nu, _ = _lstsq(aw_t, target_nu)
-        resid_vec = aw_t @ nu - xi - b_mat[:, ~off] @ eta_coeffs[~off]
-        free, _ = _lstsq(b_off, resid_vec)
+    for _ in range(_MAX_ALTERNATIONS):
+        v = aw_pinv @ (x_star + b_mat @ eta_coeffs)
+        free = off_pinv @ (aw_t @ v - x_star - on_part)
         eta_coeffs[off] = np.clip(free, -kappa[off], kappa[off])
-        split = float(np.linalg.norm(aw_t @ nu - xi - b_mat @ eta_coeffs))
-        if prev - split <= tol:
-            prev = split
+        split_residual = float(np.linalg.norm(aw_t @ v - x_star - b_mat @ eta_coeffs))
+        if prev - split_residual <= _ALTERNATION_TOL:
             break
-        prev = split
+        prev = split_residual
 
-    split_residual = float(np.linalg.norm(aw_t @ nu - xi - b_mat @ eta_coeffs))
+    if off.any():
+        saturation_margin = float(np.min(kappa[off] - np.abs(eta_coeffs[off])))
+    else:
+        saturation_margin = float("inf")
     valid = split_residual <= CERTIFICATE_RTOL * max(
         1.0, float(np.linalg.norm(x_star))
     )
@@ -294,65 +237,67 @@ def find_certificate_strict(w, a, basis, l1, x_star, max_alternations=200, tol=1
             eta = subgradient_from_coefficients(l1, h_star, eta_coeffs)
         except SubgradientError:
             valid = False
-    return SourceCertificateStrict(
-        nu=nu,
-        xi=xi,
+    return SourceCertificate(
+        model=model,
+        u=a_mat.T @ v - synth @ eta_coeffs,
+        v=v,
         eta=eta,
         eta_coeffs=eta_coeffs,
         split_residual=split_residual,
+        saturation_margin=saturation_margin,
         support=tuple(support),
         valid=valid,
+        strict_complementarity=valid and saturation_margin > 0.0,
     )
 
 
-def _rate_constants(source_norm, m_eta, inj, big_c, a_norm):
+def find_certificate_relaxed(w, a, basis, l1, x_star):
+    """Search for a relaxed-model certificate ``(u, v)`` at ``x_star``.
+
+    ``W* u = x*`` and ``A* v - u = eta`` a subgradient at ``h* = W x*``;
+    see :func:`_find_certificate`.  Invalid outcomes are reported, not
+    raised.
+    """
+    return _find_certificate("relaxed", w, a, basis, l1, x_star)
+
+
+def find_certificate_strict(w, a, basis, l1, x_star):
+    """Search for a strict-model certificate ``nu`` (returned as ``v``).
+
+    ``W* A* nu = x* + W* eta`` with ``eta`` a subgradient at ``h* = W x*``;
+    the split uses ``xi = x*`` since the quadratic penalty has gradient
+    identity.  See :func:`_find_certificate`.
+    """
+    return _find_certificate("strict", w, a, basis, l1, x_star)
+
+
+def rate_constants(cert, inj, big_c, a_norm):
+    """Rate constants of the linear error bounds of ``cert.model``.
+
+    ``c = (1 + C s)^2 / (2C)`` and
+    ``d = 2 ||A_Omega^-1|| (1 + C s) + (1 + ||A_Omega^-1|| ||A||) / m[eta] * c``
+    for ``s = cert.source_norm`` and ``Omega = Omega[eta]``.
+    """
+    if not cert.valid:
+        raise ValueError("rate constants require a valid certificate")
     if not big_c > 0:
         raise ValueError("the parameter-choice constant C must be positive")
     if not inj.injective:
         raise ValueError("rate constants are undefined without restricted injectivity")
+    m_eta = cert.eta.margin
     if not m_eta > 0:
         raise ValueError(f"rate constants are undefined for margin m[eta] = {m_eta}")
+    source_norm = cert.source_norm
     growth = 1.0 + big_c * source_norm
     c = growth**2 / (2.0 * big_c)
     d = 2.0 * inj.a_omega_inv_norm * growth
     d += (1.0 + inj.a_omega_inv_norm * a_norm) / m_eta * c
-    return c, d
-
-
-def rate_constants_relaxed(cert, inj, big_c, a_norm):
-    """Rate constants of the relaxed-model linear error bounds.
-
-    ``c = (1 + C ||(u,v)||)^2 / (2C)`` and
-    ``d = 2 ||A_Omega^-1|| (1 + C ||(u,v)||)
-    + (1 + ||A_Omega^-1|| ||A||) / m[eta] * c`` for ``Omega = Omega[A*v - u]``.
-    """
-    if not cert.valid:
-        raise ValueError("rate constants require a valid relaxed certificate")
-    source_norm = float(np.sqrt(cert.u @ cert.u + cert.v @ cert.v))
-    c, d = _rate_constants(source_norm, cert.eta.margin, inj, big_c, a_norm)
     return RateConstants(
         c=c,
         d=d,
         big_c=float(big_c),
         norm_uv_or_nu=source_norm,
-        m_eta=cert.eta.margin,
-        a_norm=float(a_norm),
-        a_inv_norm=inj.a_omega_inv_norm,
-    )
-
-
-def rate_constants_strict(cert, inj, big_c, a_norm):
-    """Rate constants of the strict-model bounds (same shape, with ``||nu||``)."""
-    if not cert.valid:
-        raise ValueError("rate constants require a valid strict certificate")
-    source_norm = float(np.linalg.norm(cert.nu))
-    c, d = _rate_constants(source_norm, cert.eta.margin, inj, big_c, a_norm)
-    return RateConstants(
-        c=c,
-        d=d,
-        big_c=float(big_c),
-        norm_uv_or_nu=source_norm,
-        m_eta=cert.eta.margin,
+        m_eta=m_eta,
         a_norm=float(a_norm),
         a_inv_norm=inj.a_omega_inv_norm,
     )
@@ -373,12 +318,11 @@ def certify(model, w, a, basis, l1, x_star, big_c):
         ``constants`` is ``None`` when the linear bounds are not certified.
     """
     if model == "relaxed":
-        search, rate_constants = find_certificate_relaxed, rate_constants_relaxed
+        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
     elif model == "strict":
-        search, rate_constants = find_certificate_strict, rate_constants_strict
+        cert = find_certificate_strict(w, a, basis, l1, x_star)
     else:
         raise ValueError(f"model must be 'relaxed' or 'strict', got {model!r}")
-    cert = search(w, a, basis, l1, x_star)
     omega = cert.eta.omega if cert.eta is not None else cert.support
     inj = check_restricted_injectivity(a, basis, omega)
     constants = None
@@ -485,27 +429,16 @@ def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
 
 def report_lines(cert, inj=None, constants=None):
     """Serialize a certificate (plus optional reports) as ``key = value`` lines."""
-    lines = []
-    if isinstance(cert, SourceCertificateRelaxed):
-        lines.append("certificate_kind = relaxed")
-        lines.append(f"valid = {str(cert.valid).lower()}")
-        lines.append(f"residual_u = {cert.residual_u!r}")
-        lines.append(f"support_residual = {cert.support_residual!r}")
-        lines.append(f"saturation_margin = {cert.saturation_margin!r}")
-        lines.append(
-            f"strict_complementarity = {str(cert.strict_complementarity).lower()}"
-        )
-        lines.append(f"support = {','.join(str(i) for i in cert.support)}")
-        norm_uv = float(np.sqrt(cert.u @ cert.u + cert.v @ cert.v))
-        lines.append(f"norm_uv = {norm_uv!r}")
-    elif isinstance(cert, SourceCertificateStrict):
-        lines.append("certificate_kind = strict")
-        lines.append(f"valid = {str(cert.valid).lower()}")
-        lines.append(f"split_residual = {cert.split_residual!r}")
-        lines.append(f"support = {','.join(str(i) for i in cert.support)}")
-        lines.append(f"norm_nu = {float(np.linalg.norm(cert.nu))!r}")
-    else:
-        raise TypeError(f"unsupported certificate type {type(cert).__name__}")
+    lines = [
+        f"certificate_kind = {cert.model}",
+        f"valid = {str(cert.valid).lower()}",
+        f"split_residual = {cert.split_residual!r}",
+        f"saturation_margin = {cert.saturation_margin!r}",
+        f"strict_complementarity = {str(cert.strict_complementarity).lower()}",
+        f"support = {','.join(str(i) for i in cert.support)}",
+        f"norm_uv = {cert.norm_uv!r}",
+        f"norm_nu = {cert.norm_nu!r}",
+    ]
     if cert.eta is not None:
         lines.append(f"m_eta = {cert.eta.margin!r}")
         lines.append(f"omega = {','.join(str(i) for i in cert.eta.omega)}")

@@ -103,6 +103,8 @@ class Problem:
                 f"model must be 'relaxed' or 'strict', got {self.model!r}"
             )
         y = np.asarray(self.y_delta, dtype=float).copy()
+        if not np.all(np.isfinite(y)):
+            raise ValueError("data y_delta must be finite")
         y.setflags(write=False)
         object.__setattr__(self, "y_delta", y)
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -200,7 +202,9 @@ class _SpdSolver:
 
     def solve(self, rhs):
         if self._factor is not None:
-            return scipy.linalg.cho_solve(self._factor, rhs)
+            # cho_factor checked the matrix; Problem refuses non-finite data
+            # and the solver loops stop on non-finite iterates
+            return scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
         sol, info = spla.cg(self._op, rhs, x0=self._warm, rtol=_CG_RTOL, atol=0.0)
         if info != 0:
             res = np.linalg.norm(self._matvec(sol) - rhs)

@@ -16,7 +16,7 @@ from l1coreg.certificates import (
     check_norm_bound,
     check_variational_bounds,
     find_certificate_relaxed,
-    rate_constants_relaxed,
+    rate_constants,
 )
 from l1coreg.cli import main as cli_main
 from l1coreg.experiments import (
@@ -88,7 +88,7 @@ def certified_instance():
     assert cert.valid and cert.strict_complementarity
     inj = check_restricted_injectivity(a, basis, cert.eta.omega)
     assert inj.injective
-    constants = rate_constants_relaxed(cert, inj, big_c=1.0, a_norm=operator_norm(a))
+    constants = rate_constants(cert, inj, big_c=1.0, a_norm=operator_norm(a))
     return basis, l1, w, a, phantom, cfg, cert, inj, constants
 
 

@@ -1,20 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import certified_identity_instance, make_sparse_signal
 from l1coreg.basis import WaveletBasis
 from l1coreg.certificates import (
+    CERTIFICATE_RTOL,
     InjectivityReport,
-    SourceCertificateRelaxed,
-    SourceCertificateStrict,
+    SourceCertificate,
+    certify,
     check_norm_bound,
     check_restricted_injectivity,
     check_variational_bounds,
     find_certificate_relaxed,
     find_certificate_strict,
     parse_report,
-    rate_constants_relaxed,
-    rate_constants_strict,
+    rate_constants,
     report_lines,
 )
 from l1coreg.operators import (
@@ -110,8 +112,10 @@ class TestFindCertificateRelaxed:
         x_star = w.inverse().apply(h_star)
         cert = find_certificate_relaxed(w, a, basis, l1, x_star)
         assert not cert.valid
-        assert cert.saturation_margin < 0
-        assert cert.residual_u <= 1e-8 * np.linalg.norm(x_star)
+        assert cert.eta is None
+        assert cert.split_residual > CERTIFICATE_RTOL * max(
+            1.0, np.linalg.norm(x_star)
+        )
 
 
 class TestFindCertificateStrict:
@@ -121,19 +125,20 @@ class TestFindCertificateStrict:
             identity(8), identity(8), basis8, l1_unit8, x_star
         )
         assert cert.valid
+        assert cert.model == "strict"
         assert cert.split_residual <= 1e-8
-        np.testing.assert_allclose(cert.xi, x_star, atol=1e-15)
         # nu with coefficient 2 at the support realizes the split
         np.testing.assert_allclose(
-            basis8.decompose(cert.nu)[0], 2.0, atol=1e-8
+            basis8.decompose(cert.v)[0], 2.0, atol=1e-8
         )
+        assert cert.source_norm == pytest.approx(2.0, abs=1e-10)
 
     def test_zero_truth(self, basis8, l1_unit8):
         cert = find_certificate_strict(
             identity(8), identity(8), basis8, l1_unit8, np.zeros(8)
         )
         assert cert.valid
-        np.testing.assert_allclose(cert.nu, np.zeros(8), atol=1e-10)
+        np.testing.assert_allclose(cert.v, np.zeros(8), atol=1e-10)
 
     def test_split_residual_recomputation(self):
         basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
@@ -144,23 +149,49 @@ class TestFindCertificateStrict:
         a_mat = materialize(a)
         eta_sig = basis.reconstruct(cert.eta_coeffs)
         split = np.linalg.norm(
-            w_mat.T @ (a_mat.T @ cert.nu) - cert.xi - w_mat.T @ eta_sig
+            w_mat.T @ (a_mat.T @ cert.v) - x_star - w_mat.T @ eta_sig
         )
         assert split == pytest.approx(cert.split_residual, abs=1e-10)
         assert split <= 1e-8
+
+        # the same split is a relaxed certificate: W* u = x*, A* v - u = eta
+        relaxed = find_certificate_relaxed(w, a, basis, l1, x_star)
+        assert relaxed.valid and relaxed.model == "relaxed"
+        tol = CERTIFICATE_RTOL * max(1.0, np.linalg.norm(x_star))
+        assert np.linalg.norm(w_mat.T @ relaxed.u - x_star) <= tol
+        np.testing.assert_allclose(
+            basis.decompose(a_mat.T @ relaxed.v - relaxed.u),
+            relaxed.eta_coeffs,
+            atol=1e-12,
+        )
+
+    def test_both_models_certify_alike(self):
+        # identity forward operator: the relaxed and strict source conditions
+        # are the same equation, so certify must reach the same verdict
+        basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
+        (rel, rel_inj, rel_k), (st, st_inj, st_k) = (
+            certify(model, w, a, basis, l1, x_star, 1.0)
+            for model in ("relaxed", "strict")
+        )
+        assert rel.valid and st.valid
+        assert rel_inj.injective and st_inj.injective
+        assert rel.eta.omega == st.eta.omega
+        assert rel.eta.margin == st.eta.margin
+        assert rel_k.norm_uv_or_nu == pytest.approx(rel.norm_uv)
+        assert st_k.norm_uv_or_nu == pytest.approx(st.norm_nu)
 
 
 def synthetic_unit_certificate(basis, l1):
     """Certificate with all norm ingredients equal to one (paper example)."""
     h_star = basis.basis_vector(0)
     sg = canonical_subgradient(l1, h_star)
-    cert = SourceCertificateRelaxed(
+    cert = SourceCertificate(
+        model="relaxed",
         u=basis.basis_vector(0) * 0.0,
         v=np.zeros(basis.n),
         eta=sg,
         eta_coeffs=sg.eta.coeffs,
-        residual_u=0.0,
-        support_residual=0.0,
+        split_residual=0.0,
         saturation_margin=1.0,
         support=(0,),
         valid=True,
@@ -176,14 +207,10 @@ class TestRateConstants:
         cert = synthetic_unit_certificate(basis8, l1_unit8)
         u = np.zeros(8)
         u[0] = 1.0  # ||(u, v)|| = 1 with v = 0
-        cert = SourceCertificateRelaxed(
-            u=u, v=cert.v, eta=cert.eta, eta_coeffs=cert.eta_coeffs,
-            residual_u=0.0, support_residual=0.0, saturation_margin=1.0,
-            support=(0,), valid=True, strict_complementarity=True,
-        )
+        cert = replace(cert, u=u)
         inj = InjectivityReport(omega=(0,), sigma_min=1.0, a_omega_inv_norm=1.0,
                                 injective=True)
-        constants = rate_constants_relaxed(cert, inj, big_c=1.0, a_norm=1.0)
+        constants = rate_constants(cert, inj, big_c=1.0, a_norm=1.0)
         assert constants.c == pytest.approx(2.0, abs=1e-12)
         assert constants.d == pytest.approx(8.0, abs=1e-12)
 
@@ -191,13 +218,11 @@ class TestRateConstants:
         base = synthetic_unit_certificate(basis8, l1_unit8)
         nu = np.zeros(8)
         nu[0] = 1.0
-        cert = SourceCertificateStrict(
-            nu=nu, xi=np.zeros(8), eta=base.eta, eta_coeffs=base.eta_coeffs,
-            split_residual=0.0, support=(0,), valid=True,
-        )
+        # the strict source norm is ||nu||, whatever u is
+        cert = replace(base, model="strict", u=np.ones(8), v=nu)
         inj = InjectivityReport(omega=(0,), sigma_min=1.0, a_omega_inv_norm=1.0,
                                 injective=True)
-        constants = rate_constants_strict(cert, inj, big_c=1.0, a_norm=1.0)
+        constants = rate_constants(cert, inj, big_c=1.0, a_norm=1.0)
         assert constants.c == pytest.approx(2.0, abs=1e-12)
         assert constants.d == pytest.approx(8.0, abs=1e-12)
 
@@ -205,15 +230,11 @@ class TestRateConstants:
         cert = synthetic_unit_certificate(basis8, l1_unit8)
         u = np.zeros(8)
         u[0] = 1.0
-        cert = SourceCertificateRelaxed(
-            u=u, v=cert.v, eta=cert.eta, eta_coeffs=cert.eta_coeffs,
-            residual_u=0.0, support_residual=0.0, saturation_margin=1.0,
-            support=(0,), valid=True, strict_complementarity=True,
-        )
+        cert = replace(cert, u=u)
         inj = InjectivityReport(omega=(0,), sigma_min=1.0, a_omega_inv_norm=1.0,
                                 injective=True)
         values = [
-            rate_constants_relaxed(cert, inj, big_c=c, a_norm=1.0).c
+            rate_constants(cert, inj, big_c=c, a_norm=1.0).c
             for c in (1.0, 10.0, 100.0)
         ]
         assert values[0] < values[1] < values[2]
@@ -223,7 +244,7 @@ class TestRateConstants:
         cert = find_certificate_relaxed(w, a, basis, l1, x_star)
         inj = check_restricted_injectivity(a, basis, cert.eta.omega)
         a_norm = operator_norm(a)
-        k = rate_constants_relaxed(cert, inj, big_c=1.0, a_norm=a_norm)
+        k = rate_constants(cert, inj, big_c=1.0, a_norm=a_norm)
         growth = 1.0 + k.big_c * k.norm_uv_or_nu
         c = growth**2 / (2.0 * k.big_c)
         d = 2.0 * k.a_inv_norm * growth + (1.0 + k.a_inv_norm * k.a_norm) / k.m_eta * c
@@ -237,16 +258,14 @@ class TestRateConstants:
         inj_ok = InjectivityReport(omega=(0,), sigma_min=1.0, a_omega_inv_norm=1.0,
                                    injective=True)
         with pytest.raises(ValueError):
-            rate_constants_relaxed(cert, inj_bad, big_c=1.0, a_norm=1.0)
+            rate_constants(cert, inj_bad, big_c=1.0, a_norm=1.0)
         with pytest.raises(ValueError):
-            rate_constants_relaxed(cert, inj_ok, big_c=0.0, a_norm=1.0)
-        invalid = SourceCertificateRelaxed(
-            u=cert.u, v=cert.v, eta=cert.eta, eta_coeffs=cert.eta_coeffs,
-            residual_u=1.0, support_residual=0.0, saturation_margin=-1.0,
-            support=(0,), valid=False, strict_complementarity=False,
+            rate_constants(cert, inj_ok, big_c=0.0, a_norm=1.0)
+        invalid = replace(
+            cert, split_residual=1.0, valid=False, strict_complementarity=False
         )
         with pytest.raises(ValueError):
-            rate_constants_relaxed(invalid, inj_ok, big_c=1.0, a_norm=1.0)
+            rate_constants(invalid, inj_ok, big_c=1.0, a_norm=1.0)
 
 
 class TestVariationalBounds:
@@ -382,7 +401,7 @@ class TestReportRoundTrip:
             identity(8), identity(8), basis8, l1_unit8, x_star
         )
         inj = check_restricted_injectivity(identity(8), basis8, cert.eta.omega)
-        constants = rate_constants_relaxed(cert, inj, 1.0, 1.0)
+        constants = rate_constants(cert, inj, 1.0, 1.0)
         lines = report_lines(cert, inj, constants)
         parsed = parse_report("\n".join(lines))
         assert parsed["certificate_kind"] == "relaxed"
@@ -401,6 +420,9 @@ class TestReportRoundTrip:
         assert parsed["certificate_kind"] == "strict"
         assert parsed["valid"] is True
         assert parsed["split_residual"] <= 1e-8
+        # both source norms are printed: nu = 2 phi_0, u = phi_0
+        assert parsed["norm_nu"] == pytest.approx(2.0, abs=1e-10)
+        assert parsed["norm_uv"] == pytest.approx(np.sqrt(5.0), abs=1e-10)
 
 
 class TestStrictBoundSuite:
@@ -417,14 +439,14 @@ class TestStrictBoundSuite:
         assert cert.valid
         inj = check_restricted_injectivity(a, basis, cert.eta.omega)
         assert inj.injective
-        constants = rate_constants_strict(cert, inj, 1.0, operator_norm(a))
+        constants = rate_constants(cert, inj, 1.0, operator_norm(a))
         y_star = a.apply(h_star)
         for i, delta in enumerate((1e-2, 1e-3, 1e-4)):
             for trial in range(2):
                 y_delta = add_noise(y_star, delta, 1_000 + 10 * i + trial)
                 res = reference_solve(Problem("strict", w, a, y_delta, delta, l1))
                 assert res.converged
-                breg = bregman_quadratic(res.x, x_star, xi=cert.xi)
+                breg = bregman_quadratic(res.x, x_star, xi=x_star)
                 err_wx = np.linalg.norm(w.apply(res.x) - h_star)
                 assert breg <= constants.c * delta * (1 + 1e-6) + 1e-10
                 assert err_wx <= constants.d * delta * (1 + 1e-6) + 1e-10

@@ -102,6 +102,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Problem("relaxed", IntegrationOp(4), eye, np.zeros(8), 1.0, l1_unit8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_problem_rejects_non_finite_data(self, l1_unit8, bad):
+        eye = identity(8)
+        y = np.zeros(8)
+        y[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Problem("relaxed", eye, eye, y, 1.0, l1_unit8)
+
     def test_model_checks(self, l1_unit8):
         eye = identity(8)
         with pytest.raises(ValueError):
