@@ -145,20 +145,27 @@ class WaveletBasis:
             length *= 2
         return cur
 
+    def _checked(self, v):
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.n:
+            raise ValueError(
+                f"expected shape ({self.n},) or ({self.n}, k), got {v.shape}"
+            )
+        return v
+
     def decompose(self, h):
-        """Full analysis transform of a length-``n`` array."""
-        h = np.asarray(h, dtype=float)
-        if h.shape != (self.n,):
-            raise ValueError(f"expected length-{self.n} vector, got shape {h.shape}")
+        """Full analysis transform of a length-``n`` array.
+
+        An ``(n, k)`` array is transformed column by column.
+        """
+        h = self._checked(h)
         if self._matrix is not None:
             return self._matrix @ h
         return self._decompose_filter_bank(h)
 
     def reconstruct(self, c):
-        """Inverse of :meth:`decompose`."""
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.n,):
-            raise ValueError(f"expected length-{self.n} vector, got shape {c.shape}")
+        """Inverse of :meth:`decompose`, also column by column."""
+        c = self._checked(c)
         if self._matrix is not None:
             return self._matrix.T @ c
         return self._reconstruct_filter_bank(c)

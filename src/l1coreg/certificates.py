@@ -201,9 +201,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     w_mat = materialize(w)
     a_mat = materialize(a)
     aw_t = (a_mat @ w_mat).T  # N x m, columns span ran(W* A*)
-    synth = np.zeros((basis.n, basis.n))
-    for j in range(basis.n):
-        synth[:, j] = basis.basis_vector(j)
+    synth = basis.reconstruct(np.eye(basis.n))
     b_mat = w_mat.T @ synth  # maps coefficients of eta to W* eta
     off = np.ones(basis.n, dtype=bool)
     off[support] = False

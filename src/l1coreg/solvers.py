@@ -16,6 +16,16 @@ The strict functional
 
 is minimized by ADMM on the constraint formulation ``W x = h``.
 
+The penalty is separable only in the wavelet coefficients ``c = Phi h``, and
+``Phi`` is orthonormal, so both loops iterate in coefficient coordinates:
+every prox of the penalty is a scaling plus a soft-threshold, and the
+coupling step is an affine map built once per solve.  Up to
+:data:`DENSE_SOLVE_LIMIT` that map is a dense matrix (the inverse of the
+Douglas-Rachford system; the ADMM x-step folded through ``W`` and ``Phi``),
+so an iteration costs one or two matvecs.  Above it the map applies the
+operators and the wavelet transform and solves its linear system by
+conjugate gradients.
+
 Both models share one :class:`Problem` type, and :func:`solve` dispatches on
 its ``model`` field.  Both solvers are deterministic: zero initialization by
 default, a seeded random start when :attr:`SolverConfig.seed` is set, and no
@@ -48,8 +58,9 @@ __all__ = [
     "reference_solve",
 ]
 
-#: Largest single dimension for which inner linear systems use a cached
-#: dense Cholesky factor; beyond it conjugate gradients take over.
+#: Largest single dimension for which the coupling step of a solve is built
+#: as dense matrices from one Cholesky factorization; beyond it the step is
+#: applied matrix-free with conjugate gradients.
 DENSE_SOLVE_LIMIT = 512
 
 _CG_RTOL = 1e-12
@@ -182,29 +193,23 @@ def objective_strict(p, x):
     return 0.5 * float(misfit @ misfit) + p.alpha * penalty
 
 
-class _SpdSolver:
-    """Solves ``G z = rhs`` for a fixed SPD ``G``, densely or by CG.
+def _dense_coupling(p):
+    """Whether the coupling step of ``p`` is built as dense matrices."""
+    return max(p.w.domain_dim, p.w.codomain_dim, p.a.codomain_dim) <= DENSE_SOLVE_LIMIT
 
-    The dense path factors once (Cholesky) and reuses the factor on every
-    call; the CG path applies ``G`` matrix-free and warm-starts from the
-    previous solution.
+
+class _ConjugateGradient:
+    """Solves ``G z = rhs`` for a fixed SPD ``G`` given by its matvec.
+
+    Each solve warm-starts from the previous solution.
     """
 
-    def __init__(self, dense_matrix=None, matvec=None, dim=None):
-        if dense_matrix is not None:
-            self._factor = scipy.linalg.cho_factor(dense_matrix)
-            self._matvec = None
-        else:
-            self._factor = None
-            self._matvec = matvec
-            self._op = spla.LinearOperator((dim, dim), matvec=matvec)
-            self._warm = np.zeros(dim)
+    def __init__(self, matvec, dim):
+        self._matvec = matvec
+        self._op = spla.LinearOperator((dim, dim), matvec=matvec)
+        self._warm = np.zeros(dim)
 
     def solve(self, rhs):
-        if self._factor is not None:
-            # cho_factor checked the matrix; Problem refuses non-finite data
-            # and the solver loops stop on non-finite iterates
-            return scipy.linalg.cho_solve(self._factor, rhs, check_finite=False)
         sol, info = spla.cg(self._op, rhs, x0=self._warm, rtol=_CG_RTOL, atol=0.0)
         if info != 0:
             res = np.linalg.norm(self._matvec(sol) - rhs)
@@ -214,6 +219,21 @@ class _SpdSolver:
             )
         self._warm = sol
         return sol
+
+
+def _spd_inverse(mat):
+    """Inverse of the symmetric positive definite ``mat``, formed in its storage."""
+    # the transposed view is Fortran-ordered, so LAPACK factors and inverts
+    # it in place; by symmetry it is the same matrix
+    factor, lower = scipy.linalg.cho_factor(mat.T, overwrite_a=True)
+    inv, info = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=1)
+    if info != 0:
+        raise LinearSolveError(f"Cholesky inverse failed (info={info})")
+    # dpotri fills the upper triangle; mirror it one contiguous column of
+    # the Fortran view (a row of the storage) at a time
+    for i in range(inv.shape[0] - 1):
+        inv[i + 1 :, i] = inv[i, i + 1 :]
+    return inv.T
 
 
 def _init_vector(dim, seed):
@@ -236,36 +256,56 @@ def _trace_row(handle, it, objective, fpr, primal, dual):
     handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r}\n")
 
 
-def _quadratic_prox_solver_relaxed(p, gamma):
-    """Prox of ``||M z - b||^2 / 2``: the map ``v -> (I + g M*M)^{-1} (v + g M* b)``."""
-    m_op = ProductMap(p.w, p.a)
-    dim = m_op.domain_dim
-    b = np.concatenate([np.zeros(m_op.dim_h), p.y_delta])
-    shift = gamma * m_op.adjoint_apply(b)
-    if max(p.w.domain_dim, p.w.codomain_dim, p.a.codomain_dim) <= DENSE_SOLVE_LIMIT:
-        mat = materialize(m_op)
-        g_mat = np.eye(dim) + gamma * (mat.T @ mat)
-        solver = _SpdSolver(dense_matrix=g_mat)
-    else:
-        def matvec(z):
-            return z + gamma * m_op.adjoint_apply(m_op.apply(z))
+def _coupling_relaxed(p, gamma):
+    """Prox of ``gamma ||M z - b||^2 / 2`` in coefficient coordinates.
 
-        solver = _SpdSolver(matvec=matvec, dim=dim)
-    return m_op, solver, shift
+    With ``z^ = (x, Phi h)`` and ``M^ = M diag(I, Phi*)`` the prox is the
+    affine map ``z^ -> (I + gamma M^* M^)^{-1} (z^ + gamma M^* b)``: one
+    matvec with the inverse, formed once, on the dense path; a CG solve in
+    signal coordinates otherwise.
+    """
+    m_op = ProductMap(p.w, p.a)
+    basis = p.l1.basis
+    dim_x = m_op.dim_x
+    b = np.concatenate([np.zeros(m_op.dim_h), p.y_delta])
+    if _dense_coupling(p):
+        mat = materialize(m_op)
+        mat[:, dim_x:] = basis.decompose(mat[:, dim_x:].T).T
+        gram = mat.T @ mat
+        gram *= gamma
+        gram.flat[:: gram.shape[0] + 1] += 1.0
+        g_inv = _spd_inverse(gram)
+        p_shift = g_inv @ (gamma * (mat.T @ b))
+        return lambda z: g_inv @ z + p_shift
+
+    shift = gamma * m_op.adjoint_apply(b)
+    cg = _ConjugateGradient(
+        lambda z: z + gamma * m_op.adjoint_apply(m_op.apply(z)), m_op.domain_dim
+    )
+
+    def prox_f(z):
+        sol = cg.solve(
+            np.concatenate([z[:dim_x], basis.reconstruct(z[dim_x:])]) + shift
+        )
+        return np.concatenate([sol[:dim_x], basis.decompose(sol[dim_x:])])
+
+    return prox_f
 
 
 def solve_relaxed(p, cfg=None, trace=None):
     """Minimize the relaxed functional by Douglas-Rachford splitting.
 
-    One iteration maps the governing sequence ``z`` through
+    One iteration maps the governing sequence ``z^ = (x, Phi h)``, kept in
+    wavelet coefficients, through
 
-        z <- z + lambda (prox_{g}(2 prox_{f}(z) - z) - prox_{f}(z))
+        z^ <- z^ + lambda (prox_{g}(2 prox_{f}(z^) - z^) - prox_{f}(z^))
 
-    with ``f`` the quadratic coupling (a cached linear solve) and ``g`` the
-    separable penalties (``x -> x / (1 + gamma alpha)``, the prox of the
-    quadratic penalty, and a weighted soft-threshold of ``h``).
-    The returned iterate is ``prox_f(z)``.  Stops when the relative iterate
-    change drops below ``cfg.tol``.
+    with ``f`` the quadratic coupling, whose prox is an affine map built once
+    per solve, and ``g`` the separable penalties (``x -> x / (1 + gamma
+    alpha)``, the prox of the quadratic penalty, and a weighted
+    soft-threshold of the coefficients).  The returned iterate is
+    ``prox_f(z^)`` mapped back to ``(x, h)``.  Stops when the relative
+    iterate change drops below ``cfg.tol``.
 
     Parameters
     ----------
@@ -285,27 +325,27 @@ def solve_relaxed(p, cfg=None, trace=None):
     _require_model(p, "relaxed")
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
-    m_op, solver, shift = _quadratic_prox_solver_relaxed(p, cfg.gamma)
-    dim_x = m_op.dim_x
+    prox_f = _coupling_relaxed(p, cfg.gamma)
+    basis = p.l1.basis
+    dim_x = p.w.domain_dim
     t_pen = cfg.gamma * p.alpha
     kappa_thresholds = t_pen * p.l1.kappa
-    basis = p.l1.basis
-
-    def prox_f(v):
-        return solver.solve(v + shift)
 
     def prox_g(v):
         out = np.empty_like(v)
         out[:dim_x] = v[:dim_x] / (1.0 + t_pen)
-        c = basis.decompose(v[dim_x:])
-        out[dim_x:] = basis.reconstruct(soft_threshold(c, kappa_thresholds))
+        out[dim_x:] = soft_threshold(v[dim_x:], kappa_thresholds)
         return out
+
+    def signal(v):
+        return v[:dim_x], basis.reconstruct(v[dim_x:])
 
     handle, own = _open_trace(trace)
     if handle is not None:
         handle.write("iter,objective,fpr,primal_res,dual_res\n")
 
-    z = _init_vector(m_op.domain_dim, cfg.seed)
+    z = _init_vector(dim_x + p.w.codomain_dim, cfg.seed)
+    z[dim_x:] = basis.decompose(z[dim_x:])
     fpr_trace = []
     rel_change = np.inf
     converged = False
@@ -323,11 +363,10 @@ def solve_relaxed(p, cfg=None, trace=None):
             z = z_new
             iterations = k
             if handle is not None:
-                x_it, h_it = p1[:dim_x], p1[dim_x:]
                 _trace_row(
                     handle,
                     k,
-                    objective_relaxed(p, x_it, h_it),
+                    objective_relaxed(p, *signal(p1)),
                     rel_change,
                     float("nan"),
                     float("nan"),
@@ -339,8 +378,7 @@ def solve_relaxed(p, cfg=None, trace=None):
         if own:
             handle.close()
 
-    z_star = prox_f(z)
-    x, h = z_star[:dim_x], z_star[dim_x:]
+    x, h = signal(prox_f(z))
     return SolveResult(
         x=x,
         h=h,
@@ -353,33 +391,67 @@ def solve_relaxed(p, cfg=None, trace=None):
     )
 
 
-def _x_update_solver_strict(p, alpha, rho):
-    """Solver for ``((AW)*(AW) + alpha I + rho W*W) x = rhs``."""
-    n = p.w.domain_dim
-    if max(n, p.w.codomain_dim, p.a.codomain_dim) <= DENSE_SOLVE_LIMIT:
+def _coupling_strict(p, rho):
+    """The ADMM x-step seen from coefficient space.
+
+    For ``d = Phi (h - u)`` the x-step solves
+    ``K x = (AW)* y + rho W* Phi* d`` with
+    ``K = (AW)*(AW) + alpha I + rho W*W``.  Returns three maps:
+    ``x_of(d)``, that ``x``; ``wx_of(d) = Phi W x_of(d)``; and
+    ``r_of(v) = W* Phi* v``, for the dual residual.  On the dense path all
+    three are one matvec with a matrix formed once from the Cholesky factor
+    of ``K``; otherwise they apply the operators and solve by CG.
+    """
+    basis = p.l1.basis
+    const_rhs = compose(p.a, p.w).adjoint_apply(p.y_delta)
+    if _dense_coupling(p):
+        n = p.w.domain_dim
         w_mat = materialize(p.w)
         aw_mat = materialize(p.a) @ w_mat
-        k_mat = aw_mat.T @ aw_mat + alpha * np.eye(n) + rho * (w_mat.T @ w_mat)
-        return _SpdSolver(dense_matrix=k_mat)
-    aw_op = compose(p.a, p.w)
-
-    def matvec(x):
+        k_mat = aw_mat.T @ aw_mat + p.alpha * np.eye(n) + rho * (w_mat.T @ w_mat)
+        factor = scipy.linalg.cho_factor(k_mat)
+        r_mat = np.ascontiguousarray(basis.decompose(w_mat).T)
+        # one solve for every column of W* Phi* and for (AW)* y
+        sol = scipy.linalg.cho_solve(
+            factor, np.column_stack([r_mat, const_rhs]), check_finite=False
+        )
+        x_step = rho * sol[:, :-1]
+        x0 = sol[:, -1].copy()
+        q_mat = basis.decompose(w_mat @ x_step)
+        wx0 = basis.decompose(w_mat @ x0)
         return (
-            aw_op.adjoint_apply(aw_op.apply(x))
-            + alpha * x
-            + rho * p.w.adjoint_apply(p.w.apply(x))
+            lambda d: x0 + x_step @ d,
+            lambda d: wx0 + q_mat @ d,
+            lambda v: r_mat @ v,
         )
 
-    return _SpdSolver(matvec=matvec, dim=n)
+    aw = compose(p.a, p.w)
+    cg = _ConjugateGradient(
+        lambda x: aw.adjoint_apply(aw.apply(x))
+        + p.alpha * x
+        + rho * p.w.adjoint_apply(p.w.apply(x)),
+        p.w.domain_dim,
+    )
+
+    def r_of(v):
+        return p.w.adjoint_apply(basis.reconstruct(v))
+
+    def x_of(d):
+        return cg.solve(const_rhs + rho * r_of(d))
+
+    return x_of, lambda d: basis.decompose(p.w.apply(x_of(d))), r_of
 
 
 def solve_strict(p, cfg=None, trace=None):
     """Minimize the strict functional by ADMM on the split ``W x = h``.
 
-    Updates per iteration: an x-step solving
-    ``((AW)*(AW) + alpha I + rho W*W) x = (AW)* y + rho W*(h - u)`` with a
-    cached factorization, an h-step soft-thresholding ``W x + u`` at level
-    ``alpha/rho`` per weight, and the dual ascent ``u <- u + W x - h``.
+    The iterates are kept in wavelet coefficients: ``h^ = Phi h``,
+    ``u^ = Phi u`` and ``w^ = Phi W x``.  Updates per iteration: the x-step
+    solving ``((AW)*(AW) + alpha I + rho W*W) x = (AW)* y + rho W*(h - u)``,
+    which enters only through the affine map ``h^ - u^ -> w^`` built once
+    per solve; an h-step soft-thresholding ``w^ + u^`` at level
+    ``alpha/rho`` per weight; and the dual ascent ``u^ <- u^ + w^ - h^``.
+    ``x`` itself is formed once, after the loop.
 
     ``p`` must have ``model == "strict"``.  Converged when the primal
     residual ``||W x - h||`` and the dual residual
@@ -395,42 +467,46 @@ def solve_strict(p, cfg=None, trace=None):
     _require_model(p, "strict")
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
-    solver = _x_update_solver_strict(p, p.alpha, cfg.rho)
-    aw = compose(p.a, p.w)
-    const_rhs = aw.adjoint_apply(p.y_delta)
+    x_of, wx_of, r_of = _coupling_strict(p, cfg.rho)
     thresholds = (p.alpha / cfg.rho) * p.l1.kappa
     basis = p.l1.basis
     n_h = p.w.codomain_dim
 
-    h = _init_vector(n_h, cfg.seed)
-    u = np.zeros(n_h) if cfg.seed is None else _init_vector(n_h, cfg.seed + 1)
+    h_hat = basis.decompose(_init_vector(n_h, cfg.seed))
+    u_hat = (
+        np.zeros(n_h)
+        if cfg.seed is None
+        else basis.decompose(_init_vector(n_h, cfg.seed + 1))
+    )
 
     handle, own = _open_trace(trace)
     if handle is not None:
         handle.write("iter,objective,fpr,primal_res,dual_res\n")
 
-    x = np.zeros(p.w.domain_dim)
-    wx = p.w.apply(x)
     primal = np.inf
     dual = np.inf
     converged = False
     iterations = 0
     try:
         for k in range(1, cfg.max_iters + 1):
-            x = solver.solve(const_rhs + cfg.rho * p.w.adjoint_apply(h - u))
-            wx = p.w.apply(x)
-            h_prev = h
-            c = basis.decompose(wx + u)
-            h = basis.reconstruct(soft_threshold(c, thresholds))
-            u = u + wx - h
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
+            d = h_hat - u_hat
+            wx_hat = wx_of(d)
+            h_prev = h_hat
+            h_hat = soft_threshold(wx_hat + u_hat, thresholds)
+            u_hat = u_hat + wx_hat - h_hat
+            if not (np.all(np.isfinite(wx_hat)) and np.all(np.isfinite(h_hat))):
                 raise SolverError(f"non-finite iterate at iteration {k}")
-            primal = float(np.linalg.norm(wx - h))
-            dual = cfg.rho * float(np.linalg.norm(p.w.adjoint_apply(h - h_prev)))
+            primal = float(np.linalg.norm(wx_hat - h_hat))
+            dual = cfg.rho * float(np.linalg.norm(r_of(h_hat - h_prev)))
             iterations = k
             if handle is not None:
                 _trace_row(
-                    handle, k, objective_strict(p, x), max(primal, dual), primal, dual
+                    handle,
+                    k,
+                    objective_strict(p, x_of(d)),
+                    max(primal, dual),
+                    primal,
+                    dual,
                 )
             if primal <= cfg.tol and dual <= cfg.tol:
                 converged = True
@@ -439,9 +515,10 @@ def solve_strict(p, cfg=None, trace=None):
         if own:
             handle.close()
 
+    x = x_of(d)
     return SolveResult(
         x=x,
-        h=h,
+        h=basis.reconstruct(h_hat),
         objective=objective_strict(p, x),
         iterations=iterations,
         fixed_point_residual=max(primal, dual),
@@ -451,7 +528,7 @@ def solve_strict(p, cfg=None, trace=None):
             "primal_residual": primal,
             "dual_residual": dual,
             "constraint_gap": primal,
-            "wx": wx,
+            "wx": p.w.apply(x),
         },
     )
 

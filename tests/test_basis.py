@@ -18,7 +18,7 @@ def test_filter_orthonormality_conditions():
     assert abs(g @ np.arange(4.0)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [8, 64, 256, 1024])
+@pytest.mark.parametrize("n", [8, 64, 256, 1024, 2048])
 def test_reconstruction_and_isometry(n):
     basis = WaveletBasis(n)
     rng = np.random.default_rng(n)
@@ -29,6 +29,24 @@ def test_reconstruction_and_isometry(n):
             1.0, np.linalg.norm(h)
         )
         assert abs(np.linalg.norm(c) - np.linalg.norm(h)) <= 1e-10
+
+
+@pytest.mark.parametrize("levels", [None, 2])
+@pytest.mark.parametrize("n", [8, 256])
+def test_filter_bank_matches_matrix_path(monkeypatch, n, levels):
+    matrix_path = WaveletBasis(n, levels)
+    monkeypatch.setattr(WaveletBasis, "_MATRIX_CACHE_LIMIT", n // 2)
+    filter_bank = WaveletBasis(n, levels)
+    assert matrix_path._matrix is not None
+    assert filter_bank._matrix is None
+    rng = np.random.default_rng(n)
+    for v in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+        for direction in ("decompose", "reconstruct"):
+            got = getattr(filter_bank, direction)(v)
+            assert got.shape == v.shape
+            np.testing.assert_allclose(
+                got, getattr(matrix_path, direction)(v), rtol=0, atol=1e-12
+            )
 
 
 def test_parseval_inner_products():
@@ -90,6 +108,10 @@ def test_wrong_length_raises(basis8):
         basis8.decompose(np.zeros(7))
     with pytest.raises(ValueError):
         basis8.reconstruct(np.zeros(9))
+    with pytest.raises(ValueError):
+        basis8.decompose(np.zeros((8, 2, 2)))
+    with pytest.raises(ValueError):
+        basis8.reconstruct(np.zeros((7, 3)))
 
 
 class TestCoefficientVector:

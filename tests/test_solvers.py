@@ -5,7 +5,13 @@ import pytest
 
 from l1coreg import solvers
 from l1coreg.basis import WaveletBasis
-from l1coreg.operators import BernoulliSensing, DenseMap, IntegrationOp, identity
+from l1coreg.operators import (
+    BernoulliSensing,
+    DenseMap,
+    IntegrationOp,
+    identity,
+    materialize,
+)
 from l1coreg.regularizers import WeightedL1
 from l1coreg.solvers import (
     Problem,
@@ -27,6 +33,39 @@ def random_small_problem(rng, n=16, m=8, model="relaxed", alpha=None):
     y = rng.standard_normal(m)
     alpha = alpha or float(rng.uniform(0.05, 0.5))
     return Problem(model, w, a, y, alpha, l1)
+
+
+def natural_residual(p, res):
+    """Relative KKT residual of ``res``, from dense matrices alone.
+
+    In the coefficients ``c = Phi h`` the point is optimal exactly when
+    ``c - S_{alpha kappa}(c - Phi grad_h f)`` vanishes (``S`` is the
+    soft-threshold), and for the relaxed model also ``grad_x f``.  The value
+    is scaled by ``||Phi A* y||_inf``, the smallest alpha with ``h = 0``
+    optimal.
+    """
+    phi = p.l1.basis.decompose(np.eye(p.l1.basis.n))
+    w = materialize(p.w)
+    a = materialize(p.a)
+    y = p.y_delta
+    if p.model == "relaxed":
+        h = res.h
+        coupling = w @ res.x - h
+        grad_x = w.T @ coupling + p.alpha * res.x
+        grad_h = -coupling + a.T @ (a @ h - y)
+    else:
+        h = w @ res.x
+        grad_x = np.zeros(1)
+        grad_h = a.T @ (a @ h - y) + p.alpha * np.linalg.solve(w.T, res.x)
+    c = phi @ h
+    g = c - phi @ grad_h
+    r_c = c - np.sign(g) * np.maximum(np.abs(g) - p.alpha * p.l1.kappa, 0.0)
+    worst = max(np.max(np.abs(r_c)), np.max(np.abs(grad_x)))
+    return worst / np.max(np.abs(phi @ (a.T @ y)))
+
+
+def last_trace_objective(buf):
+    return float(buf.getvalue().strip().splitlines()[-1].split(",")[1])
 
 
 class TestObjectives:
@@ -200,6 +239,13 @@ class TestSolveRelaxed:
         assert first[0] == "1"
         float(first[1])  # objective parses
 
+    def test_trace_objective_matches_result(self, rng):
+        p = random_small_problem(rng)
+        buf = io.StringIO()
+        res = solve_relaxed(p, SolverConfig(), trace=buf)
+        assert res.converged
+        assert last_trace_objective(buf) == pytest.approx(res.objective, rel=1e-8)
+
 
 class TestSolveStrict:
     def test_zero_data(self, basis8, l1_unit8):
@@ -264,6 +310,13 @@ class TestSolveStrict:
         assert lines[0] == "iter,objective,fpr,primal_res,dual_res"
         assert len(lines) == 41
 
+    def test_trace_objective_matches_result(self, rng):
+        p = random_small_problem(rng, model="strict")
+        buf = io.StringIO()
+        res = solve_strict(p, SolverConfig(), trace=buf)
+        assert res.converged
+        assert last_trace_objective(buf) == pytest.approx(res.objective, rel=1e-8)
+
 
 class TestReferenceSolve:
     def test_deterministic_rerun(self, rng):
@@ -322,3 +375,17 @@ class TestConjugateGradientPath:
         assert matrix_free.iterations == dense.iterations
         np.testing.assert_allclose(matrix_free.x, dense.x, rtol=0, atol=1e-8)
         np.testing.assert_allclose(matrix_free.h, dense.h, rtol=0, atol=1e-8)
+
+
+class TestOptimality:
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("path", ["dense", "cg"])
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_natural_residual(self, rng, monkeypatch, model, path, seed):
+        # the KKT residual shares no code with either splitting loop
+        p = random_small_problem(rng, model=model)
+        if path == "cg":
+            monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)
+        res = solve(p, SolverConfig(seed=seed))
+        assert res.converged
+        assert natural_residual(p, res) <= 1e-8
