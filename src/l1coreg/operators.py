@@ -168,7 +168,9 @@ class IntegrationOp(LinearMap):
         return np.cumsum(y[::-1])[::-1] * self.scale
 
     def _materialize(self):
-        return np.tril(np.ones((self.n, self.n))) * self.scale
+        mat = np.tri(self.n)
+        mat *= self.scale
+        return mat
 
     def inverse(self):
         """Exact inverse (scaled first difference)."""

@@ -19,10 +19,11 @@ is minimized by ADMM on the constraint formulation ``W x = h``.
 The penalty is separable only in the wavelet coefficients ``c = Phi h``, and
 ``Phi`` is orthonormal, so both loops iterate in coefficient coordinates:
 every prox of the penalty is a scaling plus a soft-threshold, and the
-coupling step is an affine map built once per solve.  Up to
-:data:`DENSE_SOLVE_LIMIT` that map is a dense matrix (the inverse of the
-Douglas-Rachford system; the ADMM x-step folded through ``W`` and ``Phi``),
-so an iteration costs one or two matvecs.  Above it the map applies the
+coupling step is an affine map built once per solve.  While the side of
+its matrix is at most :data:`DENSE_SOLVE_LIMIT` that map is dense (the
+inverse of the Douglas-Rachford system; the ADMM x-step folded through ``W``
+and ``Phi``), so an iteration costs one or two matvecs and no operator
+apply, wavelet transform or linear solve.  Above it the map applies the
 operators and the wavelet transform and solves its linear system by
 conjugate gradients.
 
@@ -58,11 +59,16 @@ __all__ = [
     "reference_solve",
 ]
 
-#: Largest single dimension for which the coupling step of a solve is built
-#: as dense matrices from one Cholesky factorization; beyond it the step is
-#: applied matrix-free with conjugate gradients.
-DENSE_SOLVE_LIMIT = 512
+#: Largest side of the dense coupling matrix (``dim_x + dim_h`` for the
+#: relaxed model, ``max(dim_x, dim_h)`` for the strict one) and of the data
+#: dimension for which the coupling step of a solve is built from one
+#: Cholesky factorization; beyond it the step is applied matrix-free with
+#: conjugate gradients.
+DENSE_SOLVE_LIMIT = 1024
 
+#: Columns of ``W* Phi*`` per ``cho_solve`` while the strict coupling matrix
+#: is built, so ``K^{-1} W* Phi*`` is never held whole.
+_COUPLING_BLOCK = 128
 _CG_RTOL = 1e-12
 _REFERENCE_MAX_DIM = 256
 
@@ -195,7 +201,9 @@ def objective_strict(p, x):
 
 def _dense_coupling(p):
     """Whether the coupling step of ``p`` is built as dense matrices."""
-    return max(p.w.domain_dim, p.w.codomain_dim, p.a.codomain_dim) <= DENSE_SOLVE_LIMIT
+    dim_x, dim_h = p.w.domain_dim, p.w.codomain_dim
+    side = dim_x + dim_h if p.model == "relaxed" else max(dim_x, dim_h)
+    return max(side, p.a.codomain_dim) <= DENSE_SOLVE_LIMIT
 
 
 class _ConjugateGradient:
@@ -221,11 +229,20 @@ class _ConjugateGradient:
         return sol
 
 
+def _cho_factor_in_place(mat):
+    """Cholesky factor of the C-ordered symmetric positive definite ``mat``.
+
+    The factor overwrites ``mat``: the transposed view is Fortran-ordered, so
+    LAPACK factors it in place, and by symmetry it is the same matrix.  The
+    caller should drop its own name for ``mat``.
+    """
+    return scipy.linalg.cho_factor(mat.T, overwrite_a=True)
+
+
 def _spd_inverse(mat):
     """Inverse of the symmetric positive definite ``mat``, formed in its storage."""
-    # the transposed view is Fortran-ordered, so LAPACK factors and inverts
-    # it in place; by symmetry it is the same matrix
-    factor, lower = scipy.linalg.cho_factor(mat.T, overwrite_a=True)
+    factor, lower = _cho_factor_in_place(mat)
+    # dpotri inverts the Fortran-ordered factor in place too
     inv, info = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=1)
     if info != 0:
         raise LinearSolveError(f"Cholesky inverse failed (info={info})")
@@ -395,32 +412,49 @@ def _coupling_strict(p, rho):
     """The ADMM x-step seen from coefficient space.
 
     For ``d = Phi (h - u)`` the x-step solves
-    ``K x = (AW)* y + rho W* Phi* d`` with
-    ``K = (AW)*(AW) + alpha I + rho W*W``.  Returns three maps:
-    ``x_of(d)``, that ``x``; ``wx_of(d) = Phi W x_of(d)``; and
-    ``r_of(v) = W* Phi* v``, for the dual residual.  On the dense path all
-    three are one matvec with a matrix formed once from the Cholesky factor
-    of ``K``; otherwise they apply the operators and solve by CG.
+    ``K x = (AW)* y + rho R d`` with
+    ``K = (AW)*(AW) + alpha I + rho W*W`` and ``R = W* Phi*``.  Returns three
+    maps: ``x_of(d)``, that ``x``; ``wx_of(d) = Phi W x_of(d)``; and
+    ``r_of(v) = R v``, for the dual residual.
+
+    On the dense path ``wx_of`` is one matvec with
+    ``Q = Phi W rho K^{-1} R``, and ``r_of`` one with ``R``, the transposed
+    view of ``Phi W``; ``x_of`` solves with the Cholesky factor of ``K`` and
+    runs only after the loop or for a trace row.  The build keeps at most
+    four n-by-n arrays alive: ``K`` is summed through one temporary and
+    factored in its own storage, and ``Q`` is filled in column blocks of
+    :data:`_COUPLING_BLOCK`, so ``K^{-1} R`` is never held whole.  Afterwards
+    the factor, ``Phi W`` and ``Q`` remain.  Otherwise the maps apply the
+    operators and solve by CG.
     """
     basis = p.l1.basis
     const_rhs = compose(p.a, p.w).adjoint_apply(p.y_delta)
     if _dense_coupling(p):
-        n = p.w.domain_dim
         w_mat = materialize(p.w)
         aw_mat = materialize(p.a) @ w_mat
-        k_mat = aw_mat.T @ aw_mat + p.alpha * np.eye(n) + rho * (w_mat.T @ w_mat)
-        factor = scipy.linalg.cho_factor(k_mat)
-        r_mat = np.ascontiguousarray(basis.decompose(w_mat).T)
-        # one solve for every column of W* Phi* and for (AW)* y
-        sol = scipy.linalg.cho_solve(
-            factor, np.column_stack([r_mat, const_rhs]), check_finite=False
-        )
-        x_step = rho * sol[:, :-1]
-        x0 = sol[:, -1].copy()
-        q_mat = basis.decompose(w_mat @ x_step)
-        wx0 = basis.decompose(w_mat @ x0)
+        k_mat = aw_mat.T @ aw_mat
+        del aw_mat
+        tmp = w_mat.T @ w_mat
+        tmp *= rho
+        k_mat += tmp
+        del tmp
+        k_mat.flat[:: k_mat.shape[0] + 1] += p.alpha
+        factor = _cho_factor_in_place(k_mat)
+        del k_mat
+        phi_w = basis.decompose(w_mat)
+        del w_mat
+        r_mat = phi_w.T
+        q_mat = np.empty((phi_w.shape[0], phi_w.shape[0]))
+        for j in range(0, q_mat.shape[1], _COUPLING_BLOCK):
+            cols = slice(j, j + _COUPLING_BLOCK)
+            blk = scipy.linalg.cho_solve(factor, r_mat[:, cols], check_finite=False)
+            blk *= rho
+            q_mat[:, cols] = phi_w @ blk
+        wx0 = phi_w @ scipy.linalg.cho_solve(factor, const_rhs, check_finite=False)
         return (
-            lambda d: x0 + x_step @ d,
+            lambda d: scipy.linalg.cho_solve(
+                factor, const_rhs + rho * (r_mat @ d), check_finite=False
+            ),
             lambda d: wx0 + q_mat @ d,
             lambda v: r_mat @ v,
         )

@@ -60,6 +60,11 @@ class TestIntegrationOp:
             materialize(IntegrationOp(2)), [[0.5, 0.0], [0.5, 0.5]]
         )
 
+    def test_materialize_equals_columns_exactly(self):
+        w = IntegrationOp(64)
+        columns = np.column_stack([w.apply(e) for e in np.eye(64)])
+        np.testing.assert_array_equal(materialize(w), columns)
+
     def test_inverse_roundtrip(self, rng):
         w = IntegrationOp(33)
         inv = w.inverse()

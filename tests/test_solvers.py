@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,57 @@ class TestConjugateGradientPath:
         assert matrix_free.iterations == dense.iterations
         np.testing.assert_allclose(matrix_free.x, dense.x, rtol=0, atol=1e-8)
         np.testing.assert_allclose(matrix_free.h, dense.h, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("n, block", [(16, 3), (256, None)])
+    def test_strict_blocked_build_matches_cg(self, rng, monkeypatch, n, block):
+        # the dense strict coupling is filled in column blocks: several
+        # blocks with a short last one (n=16 by 3), or the default width
+        # (n=256); the iterates must follow the CG path
+        if block is not None:
+            monkeypatch.setattr(solvers, "_COUPLING_BLOCK", block)
+        assert n > solvers._COUPLING_BLOCK
+        p = random_small_problem(rng, n=n, m=n // 2, model="strict")
+        cfg = SolverConfig(max_iters=1000, rho=2.0)
+        dense = solve(p, cfg)
+        monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)
+        matrix_free = solve(p, cfg)
+        assert matrix_free.iterations == dense.iterations
+        np.testing.assert_allclose(matrix_free.x, dense.x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(matrix_free.h, dense.h, rtol=0, atol=1e-8)
+
+
+def integration_problem(model, n):
+    a = BernoulliSensing(n // 2, n, seed=1)
+    l1 = WeightedL1(WaveletBasis(n))
+    return Problem(model, IntegrationOp(n), a, np.ones(n // 2), 0.1, l1)
+
+
+class TestDenseCoupling:
+    @pytest.mark.parametrize(
+        "model, n, dense",
+        [
+            ("relaxed", 512, True),
+            ("relaxed", 1024, False),
+            ("strict", 1024, True),
+            ("strict", 2048, False),
+        ],
+    )
+    def test_dense_or_cg(self, model, n, dense):
+        # the limit bounds the side of the coupling matrix: dim_x + dim_h
+        # for the relaxed model, max(dim_x, dim_h) for the strict one
+        assert solvers._dense_coupling(integration_problem(model, n)) is dense
+
+    def test_strict_build_memory(self):
+        # the dense strict build keeps at most four n-by-n arrays alive
+        n = 512
+        p = integration_problem("strict", n)
+        tracemalloc.start()
+        try:
+            solve(p, SolverConfig(max_iters=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * n * n
 
 
 class TestOptimality:
