@@ -153,6 +153,13 @@ class WaveletBasis:
             )
         return v
 
+    @property
+    def matrix(self):
+        """The orthogonal analysis matrix ``Phi``, read-only when cached."""
+        if self._matrix is None:
+            return self._decompose_filter_bank(np.eye(self.n))
+        return self._matrix
+
     def decompose(self, h):
         """Full analysis transform of a length-``n`` array.
 

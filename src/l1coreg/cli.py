@@ -19,6 +19,7 @@ from .basis import WaveletBasis
 from .certificates import certify, report_lines
 from .experiments import (
     SweepConfig,
+    SweepError,
     converse_consistency_flag,
     default_operators,
     determinism_hash,
@@ -29,8 +30,9 @@ from .experiments import (
     sweep_metadata,
     add_noise,
 )
+from .operators import MaterializeBudgetError
 from .regularizers import WeightedL1
-from .solvers import Problem, SolverConfig, reference_solve, solve
+from .solvers import Problem, SolverConfig, SolverError, reference_solve, solve
 
 __all__ = ["main", "entry_point", "canonical_config", "parse_config_text"]
 
@@ -72,10 +74,11 @@ def _add_solver(p):
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--gamma", type=float, default=1.0,
-                   help="Douglas-Rachford step size")
+                   help="accepted for old scripts and configs; no effect")
     p.add_argument("--lambda-relax", type=float, default=1.0,
-                   help="Douglas-Rachford relaxation in (0, 2)")
-    p.add_argument("--rho", type=float, default=1.0, help="ADMM penalty")
+                   help="accepted for old scripts and configs; no effect")
+    p.add_argument("--rho", type=float, default=1.0,
+                   help="ADMM penalty (both models)")
     p.add_argument("--solver-seed", type=int, default=None,
                    help="random-initialization seed (default: zero start)")
 
@@ -198,8 +201,6 @@ def _solver_config(args):
     return SolverConfig(
         max_iters=args.max_iters,
         tol=args.tol,
-        gamma=args.gamma,
-        lambda_relax=args.lambda_relax,
         rho=args.rho,
         seed=args.solver_seed,
     )
@@ -342,7 +343,12 @@ def _cmd_certify(args):
 
 
 def main(argv=None):
-    """Run the CLI; returns the exit code instead of raising SystemExit."""
+    """Run the CLI; returns the exit code instead of raising.
+
+    Usage errors, bad inputs and operators too large to materialize exit
+    with 1; a solve or sweep that fails outright exits with 2, like one that
+    does not converge.  Each writes one ``error: ...`` line to stderr.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -363,9 +369,12 @@ def main(argv=None):
             return _cmd_sweep(args)
         if args.command == "certify":
             return _cmd_certify(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MaterializeBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except (SolverError, SweepError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NOT_CONVERGED
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

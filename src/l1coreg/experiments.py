@@ -606,8 +606,6 @@ def sweep_metadata(cfg, w, a, l1, solver_cfg, forward, sensing="bernoulli",
         ),
         "solver_max_iters": str(solver_cfg.max_iters),
         "solver_tol": repr(solver_cfg.tol),
-        "solver_gamma": repr(solver_cfg.gamma),
-        "solver_lambda_relax": repr(solver_cfg.lambda_relax),
         "solver_rho": repr(solver_cfg.rho),
         "solver_seed": "none" if solver_cfg.seed is None else str(solver_cfg.seed),
         "phantom_seed": str(cfg.phantom_seed()),

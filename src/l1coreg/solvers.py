@@ -1,36 +1,40 @@
-"""Splitting solvers for the strict and relaxed co-regularization models.
+"""ADMM for the strict and relaxed co-regularization models.
 
 The relaxed functional
 
     B(x, h) = ||W x - h||^2/2 + ||A h - y||^2/2 + alpha (||x||^2/2 + ||h||_{1,kappa})
 
-is minimized by Douglas-Rachford splitting on the stacked variable
-``z = (x, h)``: the smooth part is the quadratic coupling through the product
-operator ``M(x, h) = (W x - h, A h)``, whose prox is a constant-matrix linear
-solve, and the penalty part splits into a scaling of ``x`` and a weighted
-soft-threshold of ``h``.
-
-The strict functional
+and the strict functional
 
     A(x) = ||A W x - y||^2/2 + alpha (||x||^2/2 + ||W x||_{1,kappa})
 
-is minimized by ADMM on the constraint formulation ``W x = h``.
+are both a quadratic in one variable ``v`` plus ``alpha`` times a weighted
+l1 norm of the wavelet coefficients ``c = F v``:
 
-The penalty is separable only in the wavelet coefficients ``c = Phi h``, and
-``Phi`` is orthonormal, so both loops iterate in coefficient coordinates:
-every prox of the penalty is a scaling plus a soft-threshold, and the
-coupling step is an affine map built once per solve.  While the side of
-its matrix is at most :data:`DENSE_SOLVE_LIMIT` that map is dense (the
-inverse of the Douglas-Rachford system; the ADMM x-step folded through ``W``
-and ``Phi``), so an iteration costs one or two matvecs and no operator
-apply, wavelet transform or linear solve.  Above it the map applies the
-operators and the wavelet transform and solves its linear system by
-conjugate gradients.
+* strict: ``v = x`` and ``F = Phi W``;
+* relaxed: ``v = (x, h)`` and ``F = [0 Phi]``.
 
-Both models share one :class:`Problem` type, and :func:`solve` dispatches on
-its ``model`` field.  Both solvers are deterministic: zero initialization by
-default, a seeded random start when :attr:`SolverConfig.seed` is set, and no
-data-dependent branching beyond the stopping rule.
+One ADMM loop on the split ``F v = c`` serves both.  Its v-step solves one
+symmetric positive definite system ``G v = rhs0 + rho F* d`` with
+``d = c - u``:
+
+* strict: ``G = (AW)*(AW) + rho W*W + alpha I`` and ``rhs0 = (AW)* y``;
+* relaxed: ``G = [[W*W + alpha I, -W*], [-W, (1 + rho) I + A*A]]`` and
+  ``rhs0 = (0, A* y)``.
+
+``Phi`` is orthonormal, so the c-step is a weighted soft-threshold, and the
+v-step enters the loop only through the affine map ``d -> c0 + Q d`` with
+``Q = rho F G^{-1} F*``, built once per solve.  While the side of ``G`` is at
+most :data:`DENSE_SOLVE_LIMIT` that map is a dense matrix formed from a
+Cholesky factor, so an iteration costs two matvecs and no operator apply,
+wavelet transform or linear solve.  Above it the map applies the operators
+and the wavelet transform and solves with ``G`` by conjugate gradients.
+``x`` is read off ``v`` after the loop.
+
+Both models share one :class:`Problem` type.  The loop is deterministic:
+zero initialization by default, a seeded random start when
+:attr:`SolverConfig.seed` is set, and no data-dependent branching beyond the
+stopping rule.
 """
 
 from __future__ import annotations
@@ -59,15 +63,14 @@ __all__ = [
     "reference_solve",
 ]
 
-#: Largest side of the dense coupling matrix (``dim_x + dim_h`` for the
-#: relaxed model, ``max(dim_x, dim_h)`` for the strict one) and of the data
-#: dimension for which the coupling step of a solve is built from one
-#: Cholesky factorization; beyond it the step is applied matrix-free with
-#: conjugate gradients.
+#: Largest side of ``G`` (``dim_x + dim_h`` for the relaxed model,
+#: ``max(dim_x, dim_h)`` for the strict one) and of the data dimension for
+#: which the coupling map of a solve is built as a dense matrix; beyond it
+#: the v-step is solved matrix-free with conjugate gradients.
 DENSE_SOLVE_LIMIT = 1024
 
-#: Columns of ``W* Phi*`` per ``cho_solve`` while the strict coupling matrix
-#: is built, so ``K^{-1} W* Phi*`` is never held whole.
+#: Columns of ``F*`` per ``cho_solve`` while ``F G^{-1} F*`` is built, so
+#: ``G^{-1} F*`` is never held whole.
 _COUPLING_BLOCK = 128
 _CG_RTOL = 1e-12
 _REFERENCE_MAX_DIM = 256
@@ -135,18 +138,17 @@ def _require_model(p, model):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits, step sizes and stopping tolerance.
+    """Iteration limit, stopping tolerance, ADMM penalty and start.
 
-    ``tol`` is the relative iterate-change threshold for Douglas-Rachford
-    and the absolute primal/dual residual threshold for ADMM.  ``seed``
-    switches from the deterministic zero start to a seeded random start;
-    by convexity the reachable objective value does not depend on it.
+    ``tol`` bounds both the absolute primal residual ``||F v - c||`` and the
+    absolute dual residual ``rho ||F*(c_k - c_{k-1})||``.  ``rho`` is the
+    ADMM penalty of both models.  ``seed`` switches from the deterministic
+    zero start to a seeded random start; by convexity the reachable
+    objective value does not depend on it.
     """
 
     max_iters: int = 20_000
     tol: float = 1e-10
-    gamma: float = 1.0
-    lambda_relax: float = 1.0
     rho: float = 1.0
     seed: int | None = None
 
@@ -155,12 +157,8 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if not 0.0 < self.lambda_relax < 2.0:
-            raise ValueError("lambda_relax must lie in (0, 2)")
 
 
 @dataclass
@@ -200,7 +198,7 @@ def objective_strict(p, x):
 
 
 def _dense_coupling(p):
-    """Whether the coupling step of ``p`` is built as dense matrices."""
+    """Whether the coupling map of ``p`` is built as a dense matrix."""
     dim_x, dim_h = p.w.domain_dim, p.w.codomain_dim
     side = dim_x + dim_h if p.model == "relaxed" else max(dim_x, dim_h)
     return max(side, p.a.codomain_dim) <= DENSE_SOLVE_LIMIT
@@ -239,18 +237,20 @@ def _cho_factor_in_place(mat):
     return scipy.linalg.cho_factor(mat.T, overwrite_a=True)
 
 
-def _spd_inverse(mat):
-    """Inverse of the symmetric positive definite ``mat``, formed in its storage."""
-    factor, lower = _cho_factor_in_place(mat)
-    # dpotri inverts the Fortran-ordered factor in place too
-    inv, info = scipy.linalg.lapack.dpotri(factor, lower=lower, overwrite_c=1)
-    if info != 0:
-        raise LinearSolveError(f"Cholesky inverse failed (info={info})")
-    # dpotri fills the upper triangle; mirror it one contiguous column of
-    # the Fortran view (a row of the storage) at a time
-    for i in range(inv.shape[0] - 1):
-        inv[i + 1 :, i] = inv[i, i + 1 :]
-    return inv.T
+def _sandwich(factor, f_mat, scale):
+    """``scale F G^{-1} F*`` from the Cholesky ``factor`` of ``G``.
+
+    Filled in column blocks of :data:`_COUPLING_BLOCK`, so ``G^{-1} F*`` is
+    never held whole.
+    """
+    ft_mat = f_mat.T
+    out = np.empty((f_mat.shape[0], f_mat.shape[0]))
+    for j in range(0, out.shape[1], _COUPLING_BLOCK):
+        cols = slice(j, j + _COUPLING_BLOCK)
+        blk = scipy.linalg.cho_solve(factor, ft_mat[:, cols], check_finite=False)
+        blk *= scale
+        out[:, cols] = f_mat @ blk
+    return out
 
 
 def _init_vector(dim, seed):
@@ -273,163 +273,17 @@ def _trace_row(handle, it, objective, fpr, primal, dual):
     handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r}\n")
 
 
-def _coupling_relaxed(p, gamma):
-    """Prox of ``gamma ||M z - b||^2 / 2`` in coefficient coordinates.
+def _strict_system(p, rho, dense):
+    """``(G, rhs0, F, F*, read_x)`` of the strict v-step, ``v = x``.
 
-    With ``z^ = (x, Phi h)`` and ``M^ = M diag(I, Phi*)`` the prox is the
-    affine map ``z^ -> (I + gamma M^* M^)^{-1} (z^ + gamma M^* b)``: one
-    matvec with the inverse, formed once, on the dense path; a CG solve in
-    signal coordinates otherwise.
-    """
-    m_op = ProductMap(p.w, p.a)
-    basis = p.l1.basis
-    dim_x = m_op.dim_x
-    b = np.concatenate([np.zeros(m_op.dim_h), p.y_delta])
-    if _dense_coupling(p):
-        mat = materialize(m_op)
-        mat[:, dim_x:] = basis.decompose(mat[:, dim_x:].T).T
-        gram = mat.T @ mat
-        gram *= gamma
-        gram.flat[:: gram.shape[0] + 1] += 1.0
-        g_inv = _spd_inverse(gram)
-        p_shift = g_inv @ (gamma * (mat.T @ b))
-        return lambda z: g_inv @ z + p_shift
-
-    shift = gamma * m_op.adjoint_apply(b)
-    cg = _ConjugateGradient(
-        lambda z: z + gamma * m_op.adjoint_apply(m_op.apply(z)), m_op.domain_dim
-    )
-
-    def prox_f(z):
-        sol = cg.solve(
-            np.concatenate([z[:dim_x], basis.reconstruct(z[dim_x:])]) + shift
-        )
-        return np.concatenate([sol[:dim_x], basis.decompose(sol[dim_x:])])
-
-    return prox_f
-
-
-def solve_relaxed(p, cfg=None, trace=None):
-    """Minimize the relaxed functional by Douglas-Rachford splitting.
-
-    One iteration maps the governing sequence ``z^ = (x, Phi h)``, kept in
-    wavelet coefficients, through
-
-        z^ <- z^ + lambda (prox_{g}(2 prox_{f}(z^) - z^) - prox_{f}(z^))
-
-    with ``f`` the quadratic coupling, whose prox is an affine map built once
-    per solve, and ``g`` the separable penalties (``x -> x / (1 + gamma
-    alpha)``, the prox of the quadratic penalty, and a weighted
-    soft-threshold of the coefficients).  The returned iterate is
-    ``prox_f(z^)`` mapped back to ``(x, h)``.  Stops when the relative
-    iterate change drops below ``cfg.tol``.
-
-    Parameters
-    ----------
-    p : Problem
-        Must have ``model == "relaxed"``.
-    cfg : SolverConfig, optional
-    trace : path or file-like, optional
-        When given, iteration rows ``iter,objective,fpr,primal_res,dual_res``
-        are streamed as CSV (primal/dual are nan for this method).
-
-    Returns
-    -------
-    SolveResult
-        With ``diagnostics['fpr_trace']`` holding the raw iterate-change
-        norms (monotone for this splitting).
-    """
-    _require_model(p, "relaxed")
-    cfg = cfg or SolverConfig()
-    start = time.perf_counter()
-    prox_f = _coupling_relaxed(p, cfg.gamma)
-    basis = p.l1.basis
-    dim_x = p.w.domain_dim
-    t_pen = cfg.gamma * p.alpha
-    kappa_thresholds = t_pen * p.l1.kappa
-
-    def prox_g(v):
-        out = np.empty_like(v)
-        out[:dim_x] = v[:dim_x] / (1.0 + t_pen)
-        out[dim_x:] = soft_threshold(v[dim_x:], kappa_thresholds)
-        return out
-
-    def signal(v):
-        return v[:dim_x], basis.reconstruct(v[dim_x:])
-
-    handle, own = _open_trace(trace)
-    if handle is not None:
-        handle.write("iter,objective,fpr,primal_res,dual_res\n")
-
-    z = _init_vector(dim_x + p.w.codomain_dim, cfg.seed)
-    z[dim_x:] = basis.decompose(z[dim_x:])
-    fpr_trace = []
-    rel_change = np.inf
-    converged = False
-    iterations = 0
-    try:
-        for k in range(1, cfg.max_iters + 1):
-            p1 = prox_f(z)
-            p2 = prox_g(2.0 * p1 - z)
-            z_new = z + cfg.lambda_relax * (p2 - p1)
-            if not np.all(np.isfinite(z_new)):
-                raise SolverError(f"non-finite iterate at iteration {k}")
-            raw = float(np.linalg.norm(z_new - z))
-            rel_change = raw / max(1.0, float(np.linalg.norm(z_new)))
-            fpr_trace.append(raw)
-            z = z_new
-            iterations = k
-            if handle is not None:
-                _trace_row(
-                    handle,
-                    k,
-                    objective_relaxed(p, *signal(p1)),
-                    rel_change,
-                    float("nan"),
-                    float("nan"),
-                )
-            if rel_change <= cfg.tol:
-                converged = True
-                break
-    finally:
-        if own:
-            handle.close()
-
-    x, h = signal(prox_f(z))
-    return SolveResult(
-        x=x,
-        h=h,
-        objective=objective_relaxed(p, x, h),
-        iterations=iterations,
-        fixed_point_residual=rel_change,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-        diagnostics={"fpr_trace": np.asarray(fpr_trace)},
-    )
-
-
-def _coupling_strict(p, rho):
-    """The ADMM x-step seen from coefficient space.
-
-    For ``d = Phi (h - u)`` the x-step solves
-    ``K x = (AW)* y + rho R d`` with
-    ``K = (AW)*(AW) + alpha I + rho W*W`` and ``R = W* Phi*``.  Returns three
-    maps: ``x_of(d)``, that ``x``; ``wx_of(d) = Phi W x_of(d)``; and
-    ``r_of(v) = R v``, for the dual residual.
-
-    On the dense path ``wx_of`` is one matvec with
-    ``Q = Phi W rho K^{-1} R``, and ``r_of`` one with ``R``, the transposed
-    view of ``Phi W``; ``x_of`` solves with the Cholesky factor of ``K`` and
-    runs only after the loop or for a trace row.  The build keeps at most
-    four n-by-n arrays alive: ``K`` is summed through one temporary and
-    factored in its own storage, and ``Q`` is filled in column blocks of
-    :data:`_COUPLING_BLOCK`, so ``K^{-1} R`` is never held whole.  Afterwards
-    the factor, ``Phi W`` and ``Q`` remain.  Otherwise the maps apply the
-    operators and solve by CG.
+    Dense: ``G = K`` summed through one temporary, ``F = Phi W`` as matrices
+    and ``F*`` None.  Otherwise ``G``, ``F`` and ``F*`` are maps that apply
+    the operators and the wavelet transform.
     """
     basis = p.l1.basis
-    const_rhs = compose(p.a, p.w).adjoint_apply(p.y_delta)
-    if _dense_coupling(p):
+    aw = compose(p.a, p.w)
+    rhs0 = aw.adjoint_apply(p.y_delta)
+    if dense:
         w_mat = materialize(p.w)
         aw_mat = materialize(p.a) @ w_mat
         k_mat = aw_mat.T @ aw_mat
@@ -439,75 +293,139 @@ def _coupling_strict(p, rho):
         k_mat += tmp
         del tmp
         k_mat.flat[:: k_mat.shape[0] + 1] += p.alpha
-        factor = _cho_factor_in_place(k_mat)
-        del k_mat
-        phi_w = basis.decompose(w_mat)
-        del w_mat
-        r_mat = phi_w.T
-        q_mat = np.empty((phi_w.shape[0], phi_w.shape[0]))
-        for j in range(0, q_mat.shape[1], _COUPLING_BLOCK):
-            cols = slice(j, j + _COUPLING_BLOCK)
-            blk = scipy.linalg.cho_solve(factor, r_mat[:, cols], check_finite=False)
-            blk *= rho
-            q_mat[:, cols] = phi_w @ blk
-        wx0 = phi_w @ scipy.linalg.cho_solve(factor, const_rhs, check_finite=False)
-        return (
-            lambda d: scipy.linalg.cho_solve(
-                factor, const_rhs + rho * (r_mat @ d), check_finite=False
-            ),
-            lambda d: wx0 + q_mat @ d,
-            lambda v: r_mat @ v,
-        )
-
-    aw = compose(p.a, p.w)
-    cg = _ConjugateGradient(
+        return k_mat, rhs0, basis.decompose(w_mat), None, lambda x: x
+    return (
         lambda x: aw.adjoint_apply(aw.apply(x))
         + p.alpha * x
         + rho * p.w.adjoint_apply(p.w.apply(x)),
-        p.w.domain_dim,
+        rhs0,
+        lambda x: basis.decompose(p.w.apply(x)),
+        lambda c: p.w.adjoint_apply(basis.reconstruct(c)),
+        lambda x: x,
     )
 
-    def r_of(v):
-        return p.w.adjoint_apply(basis.reconstruct(v))
 
-    def x_of(d):
-        return cg.solve(const_rhs + rho * r_of(d))
+def _relaxed_system(p, rho, dense):
+    """``(G, rhs0, F, F*, read_x)`` of the relaxed v-step, ``v = (x, h)``.
 
-    return x_of, lambda d: basis.decompose(p.w.apply(x_of(d))), r_of
-
-
-def solve_strict(p, cfg=None, trace=None):
-    """Minimize the strict functional by ADMM on the split ``W x = h``.
-
-    The iterates are kept in wavelet coefficients: ``h^ = Phi h``,
-    ``u^ = Phi u`` and ``w^ = Phi W x``.  Updates per iteration: the x-step
-    solving ``((AW)*(AW) + alpha I + rho W*W) x = (AW)* y + rho W*(h - u)``,
-    which enters only through the affine map ``h^ - u^ -> w^`` built once
-    per solve; an h-step soft-thresholding ``w^ + u^`` at level
-    ``alpha/rho`` per weight; and the dual ascent ``u^ <- u^ + w^ - h^``.
-    ``x`` itself is formed once, after the loop.
-
-    ``p`` must have ``model == "strict"``.  Converged when the primal
-    residual ``||W x - h||`` and the dual residual
-    ``rho ||W*(h_k - h_{k-1})||`` are both at most ``cfg.tol``.
-
-    Returns
-    -------
-    SolveResult
-        ``h`` is the exactly sparse h-update output; the constraint gap
-        ``||W x - h||`` and the final ``W x`` are reported in
-        ``diagnostics`` (error bounds for this model concern ``W x``).
+    Dense: ``F`` vanishes on ``x``, so ``x`` is eliminated.  The factor of
+    ``G11 = W*W + alpha I`` gives the Schur complement
+    ``S = (1 + rho) I + A*A - W G11^{-1} W*``, which is returned as ``G`` of
+    the system in ``v = h`` alone, with ``F = Phi``; ``read_x`` solves
+    ``G11 x = W* h``.  Otherwise ``G = M*M + diag(alpha I, rho I)`` for the
+    coupling ``M(x, h) = (W x - h, A h)``, and ``G``, ``F`` and ``F*`` are
+    maps on the stacked ``v``.
     """
-    _require_model(p, "strict")
-    cfg = cfg or SolverConfig()
+    basis = p.l1.basis
+    dim_x = p.w.domain_dim
+    a_ty = p.a.adjoint_apply(p.y_delta)
+    if dense:
+        w_mat = materialize(p.w)
+        g11 = w_mat.T @ w_mat
+        g11.flat[:: g11.shape[0] + 1] += p.alpha
+        factor11 = _cho_factor_in_place(g11)
+        del g11
+        schur = _sandwich(factor11, w_mat, -1.0)
+        del w_mat
+        a_mat = materialize(p.a)
+        schur += a_mat.T @ a_mat
+        del a_mat
+        schur.flat[:: schur.shape[0] + 1] += 1.0 + rho
+        return (
+            schur,
+            a_ty,
+            basis.matrix,
+            None,
+            lambda h: scipy.linalg.cho_solve(
+                factor11, p.w.adjoint_apply(h), check_finite=False
+            ),
+        )
+    m_op = ProductMap(p.w, p.a)
+    shift = np.concatenate([np.full(dim_x, p.alpha), np.full(m_op.dim_h, rho)])
+    return (
+        lambda v: m_op.adjoint_apply(m_op.apply(v)) + shift * v,
+        np.concatenate([np.zeros(dim_x), a_ty]),
+        lambda v: basis.decompose(v[dim_x:]),
+        lambda c: np.concatenate([np.zeros(dim_x), basis.reconstruct(c)]),
+        lambda v: v[:dim_x],
+    )
+
+
+def _coupling(p, rho):
+    """The v-step seen from coefficient space.
+
+    Returns three maps: ``x_of(d)``, the ``x`` of the v-step for
+    ``d = c - u``; ``fv_of(d) = F v``; and ``ft_of(c) = F* c``, for the dual
+    residual.
+
+    On the dense path ``fv_of`` is one matvec with ``Q = rho F G^{-1} F*``
+    and ``ft_of`` one with ``F*``, the transposed view of ``F``; ``x_of``
+    solves with the Cholesky factor of ``G`` and runs only after the loop or
+    for a trace row.  ``G`` is factored in its own storage and ``Q`` is
+    filled in column blocks, so neither model's build keeps more than four
+    n-by-n arrays alive.  Otherwise the maps solve with ``G`` by CG.
+    """
+    system = _relaxed_system if p.model == "relaxed" else _strict_system
+    dense = _dense_coupling(p)
+    g, rhs0, f, ft_of, read_x = system(p, rho, dense)
+    if dense:
+        factor = _cho_factor_in_place(g)
+        del g
+        ft_mat = f.T
+        q_mat = _sandwich(factor, f, rho)
+        c0 = f @ scipy.linalg.cho_solve(factor, rhs0, check_finite=False)
+
+        def v_of(d):
+            return scipy.linalg.cho_solve(
+                factor, rhs0 + rho * (ft_mat @ d), check_finite=False
+            )
+
+        def fv_of(d):
+            return c0 + q_mat @ d
+
+        def ft_of(c):
+            return ft_mat @ c
+
+    else:
+        cg = _ConjugateGradient(g, rhs0.size)
+
+        def v_of(d):
+            return cg.solve(rhs0 + rho * ft_of(d))
+
+        def fv_of(d):
+            return f(v_of(d))
+
+    return (lambda d: read_x(v_of(d))), fv_of, ft_of
+
+
+def _admm(p, cfg, trace):
+    """Scaled ADMM on the split ``F v = c`` of either model.
+
+    Per iteration: the v-step, which enters only through ``F v``, the
+    affine map of :func:`_coupling`; a c-step soft-thresholding ``F v + u``
+    at level ``alpha/rho`` per weight; and the dual ascent
+    ``u <- u + F v - c``.  ``x`` itself is formed after the loop and for
+    trace rows only.
+    """
     start = time.perf_counter()
-    x_of, wx_of, r_of = _coupling_strict(p, cfg.rho)
+    x_of, fv_of, ft_of = _coupling(p, cfg.rho)
     thresholds = (p.alpha / cfg.rho) * p.l1.kappa
     basis = p.l1.basis
     n_h = p.w.codomain_dim
 
-    h_hat = basis.decompose(_init_vector(n_h, cfg.seed))
-    u_hat = (
+    def objective(x, c):
+        if p.model == "strict":
+            return objective_strict(p, x)
+        return objective_relaxed(p, x, basis.reconstruct(c))
+
+    def dual_norm(dc):
+        if p.model == "strict":
+            return float(np.linalg.norm(ft_of(dc)))
+        # relaxed: F* = (0, Phi*) keeps the norm, since Phi is orthonormal
+        return float(np.linalg.norm(dc))
+
+    c = basis.decompose(_init_vector(n_h, cfg.seed))
+    u = (
         np.zeros(n_h)
         if cfg.seed is None
         else basis.decompose(_init_vector(n_h, cfg.seed + 1))
@@ -523,21 +441,21 @@ def solve_strict(p, cfg=None, trace=None):
     iterations = 0
     try:
         for k in range(1, cfg.max_iters + 1):
-            d = h_hat - u_hat
-            wx_hat = wx_of(d)
-            h_prev = h_hat
-            h_hat = soft_threshold(wx_hat + u_hat, thresholds)
-            u_hat = u_hat + wx_hat - h_hat
-            if not (np.all(np.isfinite(wx_hat)) and np.all(np.isfinite(h_hat))):
+            d = c - u
+            fv = fv_of(d)
+            c_prev = c
+            c = soft_threshold(fv + u, thresholds)
+            u = u + fv - c
+            if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(c))):
                 raise SolverError(f"non-finite iterate at iteration {k}")
-            primal = float(np.linalg.norm(wx_hat - h_hat))
-            dual = cfg.rho * float(np.linalg.norm(r_of(h_hat - h_prev)))
+            primal = float(np.linalg.norm(fv - c))
+            dual = cfg.rho * dual_norm(c - c_prev)
             iterations = k
             if handle is not None:
                 _trace_row(
                     handle,
                     k,
-                    objective_strict(p, x_of(d)),
+                    objective(x_of(d), c),
                     max(primal, dual),
                     primal,
                     dual,
@@ -552,8 +470,8 @@ def solve_strict(p, cfg=None, trace=None):
     x = x_of(d)
     return SolveResult(
         x=x,
-        h=basis.reconstruct(h_hat),
-        objective=objective_strict(p, x),
+        h=basis.reconstruct(c),
+        objective=objective(x, c),
         iterations=iterations,
         fixed_point_residual=max(primal, dual),
         converged=converged,
@@ -567,13 +485,40 @@ def solve_strict(p, cfg=None, trace=None):
     )
 
 
-def solve(problem, cfg=None, trace=None):
-    """Minimize ``problem`` with the splitting method of its model.
+def solve_relaxed(p, cfg=None, trace=None):
+    """:func:`solve` for a problem with ``model == "relaxed"``."""
+    _require_model(p, "relaxed")
+    return _admm(p, cfg or SolverConfig(), trace)
 
-    Douglas-Rachford (:func:`solve_relaxed`) for the relaxed model, ADMM
-    (:func:`solve_strict`) for the strict one.  The error bounds concern
-    ``result.h`` for the relaxed model and ``result.diagnostics['wx']`` for
-    the strict one.
+
+def solve_strict(p, cfg=None, trace=None):
+    """:func:`solve` for a problem with ``model == "strict"``."""
+    _require_model(p, "strict")
+    return _admm(p, cfg or SolverConfig(), trace)
+
+
+def solve(problem, cfg=None, trace=None):
+    """Minimize ``problem`` by ADMM on the split ``F v = c``.
+
+    Converged when the primal residual ``||F v - c||`` and the dual
+    residual ``rho ||F*(c_k - c_{k-1})||`` are both at most ``cfg.tol``.
+
+    Parameters
+    ----------
+    problem : Problem
+    cfg : SolverConfig, optional
+    trace : path or file-like, optional
+        When given, iteration rows ``iter,objective,fpr,primal_res,dual_res``
+        are streamed as CSV; ``fpr`` is the larger of the two residuals.
+
+    Returns
+    -------
+    SolveResult
+        ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
+        ``x`` is read off the last v-step.  ``diagnostics`` holds the
+        residuals, the constraint gap ``||F v - c||`` and ``wx = W x``.  The
+        error bounds concern ``result.h`` for the relaxed model and
+        ``result.diagnostics['wx']`` for the strict one.
     """
     if problem.model == "relaxed":
         return solve_relaxed(problem, cfg, trace)
@@ -581,10 +526,10 @@ def solve(problem, cfg=None, trace=None):
 
 
 def reference_solve(problem, cfg=None):
-    """High-accuracy oracle: the matching splitting method at tight settings.
+    """High-accuracy oracle: the same ADMM loop at tight settings.
 
-    Runs with ``max_iters=500000`` and ``tol=1e-14`` (other parameters taken
-    from ``cfg`` when given).  Only intended for small instances; refuses
+    Runs with ``max_iters=500000`` and absolute residuals ``tol=1e-14``
+    (``rho`` and ``seed`` taken from ``cfg`` when given).  Only intended for small instances; refuses
     dimensions above 256.  Non-convergence is flagged on the result, never
     hidden.
     """

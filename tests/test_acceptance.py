@@ -56,7 +56,7 @@ RATE_SEED = 178       # N=256 instance whose certificate search succeeds
 BOUND_SEED = 198      # N=64 certified instance for the bound suites
 DELTAS = tuple(np.logspace(-2, -5, 7))
 
-RELAXED_SWEEP_CFG = SolverConfig(gamma=10.0, max_iters=30_000)
+RELAXED_SWEEP_CFG = SolverConfig(rho=0.1, max_iters=30_000)
 STRICT_SWEEP_CFG = SolverConfig(rho=1.0, max_iters=40_000)
 
 
@@ -96,9 +96,7 @@ def certified_instance():
 def certified_reference_records(certified_instance):
     """21 reference-accuracy relaxed solves on the certified instance.
 
-    Reference runs use the default step size: its fixed-point noise floor in
-    double precision lies below the reference tolerance, unlike the larger
-    sweep step.
+    Reference runs use the default penalty ``rho = 1``.
     """
     basis, l1, w, a, phantom, cfg, cert, inj, constants = certified_instance
     y_star = a.apply(phantom.h_star)

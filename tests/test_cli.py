@@ -47,6 +47,13 @@ class TestUsageErrors:
         assert rc == EXIT_USAGE
         assert "--n" in err or "notint" in err
 
+    def test_materialize_budget_is_usage_error(self, capsys):
+        rc, _, err = run_cli(
+            ["certify", "--n", "8192", "--m", "16", "--sparsity", "2"], capsys
+        )
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSolve:
     def test_writes_solutions(self, tmp_path, capsys):
@@ -165,13 +172,12 @@ class TestSweep:
         assert hashes[0] == hashes[1]
 
     def test_jobs_flag_keeps_hash(self, tmp_path, capsys):
+        # flags kept only for old scripts and configs leave the CSV unchanged
         run_cli(self.sweep_args(tmp_path), capsys)
         base = determinism_hash(tmp_path / "s.csv")
-        run_cli(
-            self.sweep_args(tmp_path, extra=("--jobs", "3")),
-            capsys,
-        )
-        assert determinism_hash(tmp_path / "s.csv") == base
+        for extra in (("--jobs", "3"), ("--gamma", "10", "--lambda-relax", "1.5")):
+            run_cli(self.sweep_args(tmp_path, extra=extra), capsys)
+            assert determinism_hash(tmp_path / "s.csv") == base, extra
 
     def test_bound_columns_present_when_certified(self, tmp_path, capsys):
         rc, _, _ = run_cli(self.sweep_args(tmp_path), capsys)
@@ -317,7 +323,7 @@ def test_solve_at_reference_noise_level(tmp_path, capsys):
     rc, stdout, _ = run_cli(
         ["solve", "--model", "relaxed", "--n", "64", "--m", "48",
          "--sparsity", "4", "--seed", "198", "--forward", "identity",
-         "--delta", "1e-5", "--C", "1", "--gamma", "10",
+         "--delta", "1e-5", "--C", "1", "--rho", "0.1",
          "--out", str(tmp_path / "run")],
         capsys,
     )

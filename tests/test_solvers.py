@@ -123,10 +123,7 @@ class TestConfigValidation:
         [
             {"max_iters": 0},
             {"tol": 0.0},
-            {"gamma": 0.0},
             {"rho": -1.0},
-            {"lambda_relax": 2.0},
-            {"lambda_relax": 0.0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -203,12 +200,6 @@ class TestSolveRelaxed:
             ref = reference_solve(p)
             assert res.objective <= ref.objective + 1e-8
 
-    def test_fpr_monotone(self, rng):
-        p = random_small_problem(rng)
-        res = solve_relaxed(p, SolverConfig())
-        trace = res.diagnostics["fpr_trace"]
-        assert np.all(np.diff(trace) <= 1e-12)
-
     def test_objective_not_above_zero_start(self, rng):
         for _ in range(5):
             p = random_small_problem(rng)
@@ -232,13 +223,18 @@ class TestSolveRelaxed:
     def test_trace_stream(self, rng):
         p = random_small_problem(rng)
         buf = io.StringIO()
-        solve_relaxed(p, SolverConfig(max_iters=50), trace=buf)
+        res = solve_relaxed(p, SolverConfig(max_iters=50), trace=buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "iter,objective,fpr,primal_res,dual_res"
-        assert len(lines) == 51
+        # one row per iteration; ADMM may stop before max_iters
+        assert len(lines) == res.iterations + 1
         first = lines[1].split(",")
         assert first[0] == "1"
         float(first[1])  # objective parses
+        residuals = np.array(
+            [[float(v) for v in line.split(",")[3:]] for line in lines[1:]]
+        )
+        assert np.all(np.isfinite(residuals))
 
     def test_trace_objective_matches_result(self, rng):
         p = random_small_problem(rng)
@@ -377,15 +373,16 @@ class TestConjugateGradientPath:
         np.testing.assert_allclose(matrix_free.x, dense.x, rtol=0, atol=1e-8)
         np.testing.assert_allclose(matrix_free.h, dense.h, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
     @pytest.mark.parametrize("n, block", [(16, 3), (256, None)])
-    def test_strict_blocked_build_matches_cg(self, rng, monkeypatch, n, block):
-        # the dense strict coupling is filled in column blocks: several
-        # blocks with a short last one (n=16 by 3), or the default width
-        # (n=256); the iterates must follow the CG path
+    def test_blocked_build_matches_cg(self, rng, monkeypatch, n, block, model):
+        # the dense coupling is filled in column blocks: several blocks with
+        # a short last one (n=16 by 3), or the default width (n=256); the
+        # iterates must follow the CG path
         if block is not None:
             monkeypatch.setattr(solvers, "_COUPLING_BLOCK", block)
         assert n > solvers._COUPLING_BLOCK
-        p = random_small_problem(rng, n=n, m=n // 2, model="strict")
+        p = random_small_problem(rng, n=n, m=n // 2, model=model)
         cfg = SolverConfig(max_iters=1000, rho=2.0)
         dense = solve(p, cfg)
         monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)
@@ -416,10 +413,11 @@ class TestDenseCoupling:
         # for the relaxed model, max(dim_x, dim_h) for the strict one
         assert solvers._dense_coupling(integration_problem(model, n)) is dense
 
-    def test_strict_build_memory(self):
-        # the dense strict build keeps at most four n-by-n arrays alive
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_build_memory(self, model):
+        # the dense build keeps at most four n-by-n arrays alive
         n = 512
-        p = integration_problem("strict", n)
+        p = integration_problem(model, n)
         tracemalloc.start()
         try:
             solve(p, SolverConfig(max_iters=1))
@@ -434,7 +432,7 @@ class TestOptimality:
     @pytest.mark.parametrize("path", ["dense", "cg"])
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_natural_residual(self, rng, monkeypatch, model, path, seed):
-        # the KKT residual shares no code with either splitting loop
+        # the KKT residual shares no code with the ADMM loop
         p = random_small_problem(rng, model=model)
         if path == "cg":
             monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)

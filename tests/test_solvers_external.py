@@ -1,4 +1,4 @@
-"""Cross-checks of both splitting solvers against an external convex solver."""
+"""Cross-checks of the ADMM solves of both models against an external convex solver."""
 
 import numpy as np
 import pytest
