@@ -124,6 +124,9 @@ class TestConfigValidation:
             {"max_iters": 0},
             {"tol": 0.0},
             {"rho": -1.0},
+            {"rho": 0.0},
+            {"tol": float("nan")},
+            {"rho": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
