@@ -24,11 +24,11 @@ symmetric positive definite system ``G v = rhs0 + rho F* d`` with
 
 ``Phi`` is orthonormal, so the c-step is a weighted soft-threshold, and the
 v-step enters the loop only through the affine map ``d -> c0 + Q d`` with
-``Q = rho F G^{-1} F*``, built once per solve.  While the side of ``G`` is at
-most :data:`DENSE_SOLVE_LIMIT` that map is a dense matrix formed from a
-Cholesky factor, so an iteration costs two matvecs and no operator apply,
-wavelet transform or linear solve.  Above it the map applies the operators
-and the wavelet transform and solves with ``G`` by conjugate gradients.
+``Q = rho F G^{-1} F*``.  That map is a dense matrix formed once per solve
+from a Cholesky factor of ``G``, so an iteration costs two matvecs and no
+operator apply, wavelet transform or linear solve.  The build materializes
+``W`` and ``A`` within the budget of :func:`~l1coreg.operators.materialize`
+and raises :class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
 ``x`` is read off ``v`` after the loop.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
@@ -44,9 +44,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
-from .operators import ProductMap, compose, materialize
+from .operators import compose, materialize
 from .regularizers import WeightedL1, soft_threshold
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "SolverError",
-    "LinearSolveError",
     "objective_relaxed",
     "objective_strict",
     "solve_relaxed",
@@ -63,25 +61,14 @@ __all__ = [
     "reference_solve",
 ]
 
-#: Largest side of ``G`` (``dim_x + dim_h`` for the relaxed model,
-#: ``max(dim_x, dim_h)`` for the strict one) and of the data dimension for
-#: which the coupling map of a solve is built as a dense matrix; beyond it
-#: the v-step is solved matrix-free with conjugate gradients.
-DENSE_SOLVE_LIMIT = 1024
-
 #: Columns of ``F*`` per ``cho_solve`` while ``F G^{-1} F*`` is built, so
 #: ``G^{-1} F*`` is never held whole.
 _COUPLING_BLOCK = 128
-_CG_RTOL = 1e-12
 _REFERENCE_MAX_DIM = 256
 
 
 class SolverError(RuntimeError):
     """A solve produced non-finite values or could not proceed."""
-
-
-class LinearSolveError(SolverError):
-    """An inner linear system could not be solved to tolerance."""
 
 
 def _check_problem_dims(w, a, y_delta, alpha, l1):
@@ -197,36 +184,6 @@ def objective_strict(p, x):
     return 0.5 * float(misfit @ misfit) + p.alpha * penalty
 
 
-def _dense_coupling(p):
-    """Whether the coupling map of ``p`` is built as a dense matrix."""
-    dim_x, dim_h = p.w.domain_dim, p.w.codomain_dim
-    side = dim_x + dim_h if p.model == "relaxed" else max(dim_x, dim_h)
-    return max(side, p.a.codomain_dim) <= DENSE_SOLVE_LIMIT
-
-
-class _ConjugateGradient:
-    """Solves ``G z = rhs`` for a fixed SPD ``G`` given by its matvec.
-
-    Each solve warm-starts from the previous solution.
-    """
-
-    def __init__(self, matvec, dim):
-        self._matvec = matvec
-        self._op = spla.LinearOperator((dim, dim), matvec=matvec)
-        self._warm = np.zeros(dim)
-
-    def solve(self, rhs):
-        sol, info = spla.cg(self._op, rhs, x0=self._warm, rtol=_CG_RTOL, atol=0.0)
-        if info != 0:
-            res = np.linalg.norm(self._matvec(sol) - rhs)
-            raise LinearSolveError(
-                f"CG failed (info={info}); residual {res:.3e} for rhs norm "
-                f"{np.linalg.norm(rhs):.3e}"
-            )
-        self._warm = sol
-        return sol
-
-
 def _cho_factor_in_place(mat):
     """Cholesky factor of the C-ordered symmetric positive definite ``mat``.
 
@@ -273,81 +230,54 @@ def _trace_row(handle, it, objective, fpr, primal, dual):
     handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r}\n")
 
 
-def _strict_system(p, rho, dense):
-    """``(G, rhs0, F, F*, read_x)`` of the strict v-step, ``v = x``.
+def _strict_system(p, rho):
+    """``(G, rhs0, F, read_x)`` of the strict v-step, ``v = x``.
 
-    Dense: ``G = K`` summed through one temporary, ``F = Phi W`` as matrices
-    and ``F*`` None.  Otherwise ``G``, ``F`` and ``F*`` are maps that apply
-    the operators and the wavelet transform.
+    ``G = K`` is summed through one temporary, and ``F = Phi W`` is a
+    matrix.
     """
     basis = p.l1.basis
-    aw = compose(p.a, p.w)
-    rhs0 = aw.adjoint_apply(p.y_delta)
-    if dense:
-        w_mat = materialize(p.w)
-        aw_mat = materialize(p.a) @ w_mat
-        k_mat = aw_mat.T @ aw_mat
-        del aw_mat
-        tmp = w_mat.T @ w_mat
-        tmp *= rho
-        k_mat += tmp
-        del tmp
-        k_mat.flat[:: k_mat.shape[0] + 1] += p.alpha
-        return k_mat, rhs0, basis.decompose(w_mat), None, lambda x: x
-    return (
-        lambda x: aw.adjoint_apply(aw.apply(x))
-        + p.alpha * x
-        + rho * p.w.adjoint_apply(p.w.apply(x)),
-        rhs0,
-        lambda x: basis.decompose(p.w.apply(x)),
-        lambda c: p.w.adjoint_apply(basis.reconstruct(c)),
-        lambda x: x,
-    )
+    rhs0 = compose(p.a, p.w).adjoint_apply(p.y_delta)
+    w_mat = materialize(p.w)
+    aw_mat = materialize(p.a) @ w_mat
+    k_mat = aw_mat.T @ aw_mat
+    del aw_mat
+    tmp = w_mat.T @ w_mat
+    tmp *= rho
+    k_mat += tmp
+    del tmp
+    k_mat.flat[:: k_mat.shape[0] + 1] += p.alpha
+    return k_mat, rhs0, basis.decompose(w_mat), lambda x: x
 
 
-def _relaxed_system(p, rho, dense):
-    """``(G, rhs0, F, F*, read_x)`` of the relaxed v-step, ``v = (x, h)``.
+def _relaxed_system(p, rho):
+    """``(G, rhs0, F, read_x)`` of the relaxed v-step, ``v = (x, h)``.
 
-    Dense: ``F`` vanishes on ``x``, so ``x`` is eliminated.  The factor of
+    ``F`` vanishes on ``x``, so ``x`` is eliminated.  The factor of
     ``G11 = W*W + alpha I`` gives the Schur complement
     ``S = (1 + rho) I + A*A - W G11^{-1} W*``, which is returned as ``G`` of
     the system in ``v = h`` alone, with ``F = Phi``; ``read_x`` solves
-    ``G11 x = W* h``.  Otherwise ``G = M*M + diag(alpha I, rho I)`` for the
-    coupling ``M(x, h) = (W x - h, A h)``, and ``G``, ``F`` and ``F*`` are
-    maps on the stacked ``v``.
+    ``G11 x = W* h``.
     """
-    basis = p.l1.basis
-    dim_x = p.w.domain_dim
     a_ty = p.a.adjoint_apply(p.y_delta)
-    if dense:
-        w_mat = materialize(p.w)
-        g11 = w_mat.T @ w_mat
-        g11.flat[:: g11.shape[0] + 1] += p.alpha
-        factor11 = _cho_factor_in_place(g11)
-        del g11
-        schur = _sandwich(factor11, w_mat, -1.0)
-        del w_mat
-        a_mat = materialize(p.a)
-        schur += a_mat.T @ a_mat
-        del a_mat
-        schur.flat[:: schur.shape[0] + 1] += 1.0 + rho
-        return (
-            schur,
-            a_ty,
-            basis.matrix,
-            None,
-            lambda h: scipy.linalg.cho_solve(
-                factor11, p.w.adjoint_apply(h), check_finite=False
-            ),
-        )
-    m_op = ProductMap(p.w, p.a)
-    shift = np.concatenate([np.full(dim_x, p.alpha), np.full(m_op.dim_h, rho)])
+    w_mat = materialize(p.w)
+    g11 = w_mat.T @ w_mat
+    g11.flat[:: g11.shape[0] + 1] += p.alpha
+    factor11 = _cho_factor_in_place(g11)
+    del g11
+    schur = _sandwich(factor11, w_mat, -1.0)
+    del w_mat
+    a_mat = materialize(p.a)
+    schur += a_mat.T @ a_mat
+    del a_mat
+    schur.flat[:: schur.shape[0] + 1] += 1.0 + rho
     return (
-        lambda v: m_op.adjoint_apply(m_op.apply(v)) + shift * v,
-        np.concatenate([np.zeros(dim_x), a_ty]),
-        lambda v: basis.decompose(v[dim_x:]),
-        lambda c: np.concatenate([np.zeros(dim_x), basis.reconstruct(c)]),
-        lambda v: v[:dim_x],
+        schur,
+        a_ty,
+        p.l1.basis.matrix,
+        lambda h: scipy.linalg.cho_solve(
+            factor11, p.w.adjoint_apply(h), check_finite=False
+        ),
     )
 
 
@@ -355,47 +285,35 @@ def _coupling(p, rho):
     """The v-step seen from coefficient space.
 
     Returns three maps: ``x_of(d)``, the ``x`` of the v-step for
-    ``d = c - u``; ``fv_of(d) = F v``; and ``ft_of(c) = F* c``, for the dual
-    residual.
-
-    On the dense path ``fv_of`` is one matvec with ``Q = rho F G^{-1} F*``
-    and ``ft_of`` one with ``F*``, the transposed view of ``F``; ``x_of``
-    solves with the Cholesky factor of ``G`` and runs only after the loop or
-    for a trace row.  ``G`` is factored in its own storage and ``Q`` is
-    filled in column blocks, so neither model's build keeps more than four
-    n-by-n arrays alive.  Otherwise the maps solve with ``G`` by CG.
+    ``d = c - u``; ``fv_of(d) = F v``, one matvec with the dense
+    ``Q = rho F G^{-1} F*``; and ``ft_of(c) = F* c``, one matvec with the
+    transposed view of ``F``, for the dual residual.  ``x_of`` solves with
+    the Cholesky factor of ``G`` and runs only after the loop or for a trace
+    row.  ``G`` is factored in its own storage and ``Q`` is filled in column
+    blocks, so while the basis caches ``Phi`` (n <= 1024) neither model's
+    build keeps more than four n-by-n arrays alive.
     """
     system = _relaxed_system if p.model == "relaxed" else _strict_system
-    dense = _dense_coupling(p)
-    g, rhs0, f, ft_of, read_x = system(p, rho, dense)
-    if dense:
-        factor = _cho_factor_in_place(g)
-        del g
-        ft_mat = f.T
-        q_mat = _sandwich(factor, f, rho)
-        c0 = f @ scipy.linalg.cho_solve(factor, rhs0, check_finite=False)
+    g, rhs0, f, read_x = system(p, rho)
+    factor = _cho_factor_in_place(g)
+    del g
+    ft_mat = f.T
+    q_mat = _sandwich(factor, f, rho)
+    c0 = f @ scipy.linalg.cho_solve(factor, rhs0, check_finite=False)
 
-        def v_of(d):
-            return scipy.linalg.cho_solve(
-                factor, rhs0 + rho * (ft_mat @ d), check_finite=False
-            )
+    def x_of(d):
+        v = scipy.linalg.cho_solve(
+            factor, rhs0 + rho * (ft_mat @ d), check_finite=False
+        )
+        return read_x(v)
 
-        def fv_of(d):
-            return c0 + q_mat @ d
+    def fv_of(d):
+        return c0 + q_mat @ d
 
-        def ft_of(c):
-            return ft_mat @ c
+    def ft_of(c):
+        return ft_mat @ c
 
-    else:
-        cg = _ConjugateGradient(g, rhs0.size)
-
-        def v_of(d):
-            return cg.solve(rhs0 + rho * ft_of(d))
-
-        def fv_of(d):
-            return f(v_of(d))
-
-    return (lambda d: read_x(v_of(d))), fv_of, ft_of
+    return x_of, fv_of, ft_of
 
 
 def _admm(p, cfg, trace):
@@ -446,9 +364,9 @@ def _admm(p, cfg, trace):
             c_prev = c
             c = soft_threshold(fv + u, thresholds)
             u = u + fv - c
-            if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(c))):
-                raise SolverError(f"non-finite iterate at iteration {k}")
             primal = float(np.linalg.norm(fv - c))
+            if not np.isfinite(primal):
+                raise SolverError(f"non-finite iterate at iteration {k}")
             dual = cfg.rho * dual_norm(c - c_prev)
             iterations = k
             if handle is not None:

@@ -48,11 +48,14 @@ class TestUsageErrors:
         assert "--n" in err or "notint" in err
 
     def test_materialize_budget_is_usage_error(self, capsys):
-        rc, _, err = run_cli(
-            ["certify", "--n", "8192", "--m", "16", "--sparsity", "2"], capsys
-        )
-        assert rc == EXIT_USAGE
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # every solve builds its coupling from dense W and A, so solves stop
+        # at the same budget as certify
+        size = ["--n", "8192", "--m", "16", "--sparsity", "2"]
+        for command in (["certify"], ["solve", "--model", "strict"],
+                        ["solve", "--model", "relaxed"]):
+            rc, _, err = run_cli(command + size, capsys)
+            assert rc == EXIT_USAGE, command
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSolve:
@@ -99,6 +102,18 @@ class TestSolve:
         )
         assert rc == EXIT_NOT_CONVERGED
         assert "converged = false" in stdout
+
+    def test_relaxed_n1024_converges(self, tmp_path, capsys):
+        # the absolute tolerance needs an exact v-step: an inner solve to a
+        # relative tolerance stalls the primal residual near 1e-8 here
+        rc, stdout, _ = run_cli(
+            ["solve", "--model", "relaxed", "--n", "1024", "--m", "512",
+             "--sparsity", "16", "--seed", "7", "--delta", "1e-2",
+             "--out", str(tmp_path / "r")],
+            capsys,
+        )
+        assert rc == EXIT_OK
+        assert "converged = true" in stdout
 
     def test_metadata_header_in_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -335,14 +350,27 @@ def test_solve_at_reference_noise_level(tmp_path, capsys):
     assert err_h <= 1e-3
 
 
-def test_python_dash_m_runs_cli():
+def run_python(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(l1coreg.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "l1coreg",
-         "--version"],
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_python_dash_m_runs_cli():
+    proc = run_python("-m", "l1coreg", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == l1coreg.__version__
+
+
+def test_import_loads_no_scipy_sparse():
+    proc = run_python(
+        "-c",
+        "import sys, l1coreg; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -353,48 +353,6 @@ class TestReferenceSolve:
             reference_solve(object())
 
 
-class TestConjugateGradientPath:
-    @pytest.mark.parametrize("model", ["relaxed", "strict"])
-    def test_matches_dense_path(self, rng, monkeypatch, model):
-        # a dimension limit below the instance size routes the inner linear
-        # solves through CG; the iterates must follow the dense path
-        p = random_small_problem(rng, model=model)
-        cfg = SolverConfig(max_iters=5000)
-        dense = solve(p, cfg)
-        cg_calls = []
-        cg = solvers.spla.cg
-
-        def counting_cg(*args, **kwargs):
-            cg_calls.append(1)
-            return cg(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)
-        monkeypatch.setattr(solvers.spla, "cg", counting_cg)
-        matrix_free = solve(p, cfg)
-        assert len(cg_calls) >= matrix_free.iterations
-        assert matrix_free.iterations == dense.iterations
-        np.testing.assert_allclose(matrix_free.x, dense.x, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(matrix_free.h, dense.h, rtol=0, atol=1e-8)
-
-    @pytest.mark.parametrize("model", ["relaxed", "strict"])
-    @pytest.mark.parametrize("n, block", [(16, 3), (256, None)])
-    def test_blocked_build_matches_cg(self, rng, monkeypatch, n, block, model):
-        # the dense coupling is filled in column blocks: several blocks with
-        # a short last one (n=16 by 3), or the default width (n=256); the
-        # iterates must follow the CG path
-        if block is not None:
-            monkeypatch.setattr(solvers, "_COUPLING_BLOCK", block)
-        assert n > solvers._COUPLING_BLOCK
-        p = random_small_problem(rng, n=n, m=n // 2, model=model)
-        cfg = SolverConfig(max_iters=1000, rho=2.0)
-        dense = solve(p, cfg)
-        monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)
-        matrix_free = solve(p, cfg)
-        assert matrix_free.iterations == dense.iterations
-        np.testing.assert_allclose(matrix_free.x, dense.x, rtol=0, atol=1e-8)
-        np.testing.assert_allclose(matrix_free.h, dense.h, rtol=0, atol=1e-8)
-
-
 def integration_problem(model, n):
     a = BernoulliSensing(n // 2, n, seed=1)
     l1 = WeightedL1(WaveletBasis(n))
@@ -402,24 +360,40 @@ def integration_problem(model, n):
 
 
 class TestDenseCoupling:
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    @pytest.mark.parametrize("n, block", [(16, 3), (256, None)])
+    def test_blocked_build_matches_one_block(
+        self, rng, monkeypatch, n, block, model
+    ):
+        # the coupling is filled in column blocks: several blocks with a
+        # short last one (n=16 by 3), or the default width (n=256); the
+        # iterates must follow a build in one block, and a scale dropped
+        # from both builds still fails the optimality check (rho far from 1;
+        # strict n=256 needs about 8000 iterations at rho=100)
+        if block is not None:
+            monkeypatch.setattr(solvers, "_COUPLING_BLOCK", block)
+        assert n > solvers._COUPLING_BLOCK
+        p = random_small_problem(rng, n=n, m=n // 2, model=model)
+        cfg = SolverConfig(rho=100.0)
+        blocked = solve(p, cfg)
+        monkeypatch.setattr(solvers, "_COUPLING_BLOCK", n)
+        one_block = solve(p, cfg)
+        assert blocked.converged
+        assert natural_residual(p, blocked) <= 1e-8
+        assert one_block.iterations == blocked.iterations
+        np.testing.assert_allclose(one_block.x, blocked.x, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(one_block.h, blocked.h, rtol=0, atol=1e-8)
+
     @pytest.mark.parametrize(
-        "model, n, dense",
+        "model, n",
         [
-            ("relaxed", 512, True),
-            ("relaxed", 1024, False),
-            ("strict", 1024, True),
-            ("strict", 2048, False),
+            pytest.param("relaxed", 512, id="relaxed"),
+            pytest.param("strict", 512, id="strict"),
+            pytest.param("relaxed", 1024, id="relaxed-1024"),
         ],
     )
-    def test_dense_or_cg(self, model, n, dense):
-        # the limit bounds the side of the coupling matrix: dim_x + dim_h
-        # for the relaxed model, max(dim_x, dim_h) for the strict one
-        assert solvers._dense_coupling(integration_problem(model, n)) is dense
-
-    @pytest.mark.parametrize("model", ["relaxed", "strict"])
-    def test_build_memory(self, model):
-        # the dense build keeps at most four n-by-n arrays alive
-        n = 512
+    def test_build_memory(self, model, n):
+        # the build keeps at most four n-by-n arrays alive
         p = integration_problem(model, n)
         tracemalloc.start()
         try:
@@ -432,13 +406,29 @@ class TestDenseCoupling:
 
 class TestOptimality:
     @pytest.mark.parametrize("seed", [None, 7])
-    @pytest.mark.parametrize("path", ["dense", "cg"])
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
-    def test_natural_residual(self, rng, monkeypatch, model, path, seed):
+    def test_natural_residual(self, rng, model, seed):
         # the KKT residual shares no code with the ADMM loop
         p = random_small_problem(rng, model=model)
-        if path == "cg":
-            monkeypatch.setattr(solvers, "DENSE_SOLVE_LIMIT", 4)
         res = solve(p, SolverConfig(seed=seed))
         assert res.converged
         assert natural_residual(p, res) <= 1e-8
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_names_iteration(self, rng, monkeypatch, model):
+        p = random_small_problem(rng, model=model)
+        calls = []
+        threshold = solvers.soft_threshold
+
+        def nan_at_third(v, t):
+            calls.append(1)
+            out = threshold(v, t)
+            if len(calls) == 3:
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(solvers, "soft_threshold", nan_at_third)
+        with pytest.raises(solvers.SolverError, match="at iteration 3$"):
+            solve(p, SolverConfig(max_iters=10, tol=1e-300))
