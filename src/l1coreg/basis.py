@@ -1,9 +1,12 @@
 """Orthonormal Daubechies wavelet basis (two vanishing moments) on ``R^n``.
 
-The transform is the periodic 4-tap filter bank applied to dyadic signal
-lengths, decomposed by default all the way down to a single scaling
-coefficient.  Periodization keeps the basis exactly orthonormal, so analysis
-is an isometry and synthesis is its transpose.
+The periodic 4-tap filter bank, run at construction all the way down to a
+single scaling coefficient, builds the analysis matrix ``Phi`` once; every
+transform is then one product with ``Phi`` (analysis) or ``Phi.T``
+(synthesis).  Periodization keeps the basis exactly orthonormal, so analysis
+is an isometry and synthesis is its transpose.  ``Phi`` is dense, so sizes
+are capped by the same entry budget as
+:func:`~l1coreg.operators.materialize`: ``n <= 4096``.
 
 Coefficient ordering: index 0 is the coarsest scaling coefficient, followed
 by detail blocks from coarsest to finest.  The first quarter of the indices
@@ -16,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .operators import DEFAULT_MATERIALIZE_BUDGET, MaterializeBudgetError
 
 __all__ = [
     "WaveletBasis",
@@ -70,26 +75,22 @@ def _dwt_step(x):
     return a, d
 
 
-def _idwt_step(a, d):
-    """Inverse (= transpose) of :func:`_dwt_step`."""
-    ap = np.roll(a, 1, axis=0)
-    dp = np.roll(d, 1, axis=0)
-    x = np.empty((2 * a.shape[0],) + a.shape[1:])
-    x[0::2] = _H[0] * a + _H[2] * ap + _G[0] * d + _G[2] * dp
-    x[1::2] = _H[1] * a + _H[3] * ap + _G[1] * d + _G[3] * dp
-    return x
-
-
 class WaveletBasis:
     """Periodic db2 wavelet basis on ``R^n`` with ``n`` a power of two.
 
     Parameters
     ----------
     n : int
-        Signal length; must be a power of two.
-    levels : int, optional
-        Decomposition depth.  Defaults to the maximum ``log2(n)``, leaving a
-        single scaling coefficient.
+        Signal length; must be a power of two with ``n * n`` within
+        :data:`~l1coreg.operators.DEFAULT_MATERIALIZE_BUDGET`.
+
+    Attributes
+    ----------
+    matrix : ndarray
+        The orthogonal analysis matrix ``Phi``, read-only, built once by the
+        filter bank at construction.
+    levels : int
+        Decomposition depth ``log2(n)``.
 
     Notes
     -----
@@ -102,27 +103,20 @@ class WaveletBasis:
     vanishing_moments = 2
     boundary = "periodic"
 
-    #: Largest n for which the orthogonal transform matrix is cached; one
-    #: BLAS matvec then replaces the level-by-level filter bank.
-    _MATRIX_CACHE_LIMIT = 1024
-
-    def __init__(self, n, levels=None):
+    def __init__(self, n):
         n = int(n)
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"wavelet basis needs a power-of-two size, got {n}")
-        max_levels = n.bit_length() - 1
-        if levels is None:
-            levels = max_levels
-        levels = int(levels)
-        if not 0 <= levels <= max_levels:
-            raise ValueError(f"levels must be in [0, {max_levels}], got {levels}")
+        if n * n > DEFAULT_MATERIALIZE_BUDGET:
+            raise MaterializeBudgetError(
+                f"wavelet basis matrix {n}x{n} ({n * n} entries) exceeds "
+                f"budget {DEFAULT_MATERIALIZE_BUDGET}"
+            )
         self.n = n
-        self.levels = levels
-        self._matrix = None
-        if n <= self._MATRIX_CACHE_LIMIT:
-            matrix = self._decompose_filter_bank(np.eye(n))
-            matrix.setflags(write=False)
-            self._matrix = matrix
+        self.levels = n.bit_length() - 1
+        matrix = self._decompose_filter_bank(np.eye(n))
+        matrix.setflags(write=False)
+        self.matrix = matrix
 
     def _decompose_filter_bank(self, h):
         c = np.empty(h.shape)
@@ -137,14 +131,6 @@ class WaveletBasis:
         c[:length] = cur
         return c
 
-    def _reconstruct_filter_bank(self, c):
-        length = self.n >> self.levels
-        cur = c[:length].copy()
-        while length < self.n:
-            cur = _idwt_step(cur, c[length : 2 * length])
-            length *= 2
-        return cur
-
     def _checked(self, v):
         v = np.asarray(v, dtype=float)
         if v.ndim not in (1, 2) or v.shape[0] != self.n:
@@ -153,29 +139,16 @@ class WaveletBasis:
             )
         return v
 
-    @property
-    def matrix(self):
-        """The orthogonal analysis matrix ``Phi``, read-only when cached."""
-        if self._matrix is None:
-            return self._decompose_filter_bank(np.eye(self.n))
-        return self._matrix
-
     def decompose(self, h):
-        """Full analysis transform of a length-``n`` array.
+        """Full analysis transform ``Phi @ h`` of a length-``n`` array.
 
         An ``(n, k)`` array is transformed column by column.
         """
-        h = self._checked(h)
-        if self._matrix is not None:
-            return self._matrix @ h
-        return self._decompose_filter_bank(h)
+        return self.matrix @ self._checked(h)
 
     def reconstruct(self, c):
-        """Inverse of :meth:`decompose`, also column by column."""
-        c = self._checked(c)
-        if self._matrix is not None:
-            return self._matrix.T @ c
-        return self._reconstruct_filter_bank(c)
+        """Inverse ``Phi.T @ c`` of :meth:`decompose`, also column by column."""
+        return self.matrix.T @ self._checked(c)
 
     def analyze(self, h):
         """Coefficients ``c_lambda = <phi_lambda, h>`` as a :class:`CoefficientVector`."""
@@ -197,17 +170,13 @@ class WaveletBasis:
         return self.reconstruct(e)
 
     def __repr__(self):
-        return f"WaveletBasis(n={self.n}, levels={self.levels})"
+        return f"WaveletBasis(n={self.n})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WaveletBasis)
-            and other.n == self.n
-            and other.levels == self.levels
-        )
+        return isinstance(other, WaveletBasis) and other.n == self.n
 
     def __hash__(self):
-        return hash((self.n, self.levels))
+        return hash(self.n)
 
 
 @dataclass(frozen=True)

@@ -173,10 +173,10 @@ def check_restricted_injectivity(a, basis, omega):
     omega = tuple(int(i) for i in omega)
     if len(omega) == 0:
         return InjectivityReport(omega, float("inf"), 0.0, True)
+    if len(omega) > a.codomain_dim:
+        return InjectivityReport(omega, 0.0, float("inf"), False)
     cols = materialize(restrict(a, omega, basis=basis))
     sigma_min = float(np.linalg.svd(cols, compute_uv=False)[-1])
-    if len(omega) > a.codomain_dim:
-        sigma_min = 0.0
     a_norm = operator_norm(a)
     injective = sigma_min > INJECTIVITY_RTOL * max(a_norm, 1e-300)
     inv_norm = 1.0 / sigma_min if injective else float("inf")
@@ -201,7 +201,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     w_mat = materialize(w)
     a_mat = materialize(a)
     aw_t = (a_mat @ w_mat).T  # N x m, columns span ran(W* A*)
-    synth = basis.reconstruct(np.eye(basis.n))
+    synth = np.ascontiguousarray(basis.matrix.T)
     b_mat = w_mat.T @ synth  # maps coefficients of eta to W* eta
     off = np.ones(basis.n, dtype=bool)
     off[support] = False

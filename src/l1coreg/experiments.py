@@ -116,13 +116,15 @@ class SweepConfig:
         deltas = tuple(float(d) for d in self.deltas)
         if not deltas:
             raise ValueError("deltas must be nonempty")
-        if any(d <= 0 for d in deltas):
-            raise ValueError("all noise levels must be positive")
+        if not all(0 < d < math.inf for d in deltas):
+            raise ValueError("all noise levels must be positive and finite")
         if any(a <= b for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be sorted in descending order")
         if len(deltas) > 9000:
             raise ValueError("at most 9000 noise levels per sweep")
         object.__setattr__(self, "deltas", deltas)
+        if self.m < 1:
+            raise ValueError(f"need at least one measurement, got m={self.m}")
         if self.model not in ("relaxed", "strict"):
             raise ValueError(f"model must be 'relaxed' or 'strict', got {self.model!r}")
         if self.trials < 1:
@@ -236,6 +238,8 @@ def add_noise(y_star, delta, seed):
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return y_star.copy()
+    if y_star.shape[0] == 0:
+        raise ValueError("cannot add noise of positive norm to empty data")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     g = rng.standard_normal(y_star.shape[0])
     norm = float(np.linalg.norm(g))

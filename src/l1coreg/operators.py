@@ -363,7 +363,7 @@ class RestrictedMap(LinearMap):
     def descriptor(self):
         basis_desc = None
         if self.basis is not None:
-            basis_desc = {"n": self.basis.n, "levels": self.basis.levels}
+            basis_desc = {"n": self.basis.n}
         return {
             "kind": "restricted",
             "base": self.base.descriptor(),
@@ -485,7 +485,7 @@ def _from_descriptor_dict(data):
         if data.get("basis") is not None:
             from .basis import WaveletBasis
 
-            basis = WaveletBasis(data["basis"]["n"], levels=data["basis"]["levels"])
+            basis = WaveletBasis(data["basis"]["n"])
         return RestrictedMap(
             _from_descriptor_dict(data["base"]), data["omega"], basis=basis
         )

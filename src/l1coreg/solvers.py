@@ -290,8 +290,8 @@ def _coupling(p, rho):
     transposed view of ``F``, for the dual residual.  ``x_of`` solves with
     the Cholesky factor of ``G`` and runs only after the loop or for a trace
     row.  ``G`` is factored in its own storage and ``Q`` is filled in column
-    blocks, so while the basis caches ``Phi`` (n <= 1024) neither model's
-    build keeps more than four n-by-n arrays alive.
+    blocks, so neither model's build keeps more than four n-by-n arrays
+    alive besides the basis's ``Phi``.
     """
     system = _relaxed_system if p.model == "relaxed" else _strict_system
     g, rhs0, f, read_x = system(p, rho)

@@ -8,6 +8,7 @@ from l1coreg.basis import (
     _db2_filters,
     project,
 )
+from l1coreg.operators import MaterializeBudgetError
 
 
 def test_filter_orthonormality_conditions():
@@ -29,24 +30,6 @@ def test_reconstruction_and_isometry(n):
             1.0, np.linalg.norm(h)
         )
         assert abs(np.linalg.norm(c) - np.linalg.norm(h)) <= 1e-10
-
-
-@pytest.mark.parametrize("levels", [None, 2])
-@pytest.mark.parametrize("n", [8, 256])
-def test_filter_bank_matches_matrix_path(monkeypatch, n, levels):
-    matrix_path = WaveletBasis(n, levels)
-    monkeypatch.setattr(WaveletBasis, "_MATRIX_CACHE_LIMIT", n // 2)
-    filter_bank = WaveletBasis(n, levels)
-    assert matrix_path._matrix is not None
-    assert filter_bank._matrix is None
-    rng = np.random.default_rng(n)
-    for v in (rng.standard_normal(n), rng.standard_normal((n, 5))):
-        for direction in ("decompose", "reconstruct"):
-            got = getattr(filter_bank, direction)(v)
-            assert got.shape == v.shape
-            np.testing.assert_allclose(
-                got, getattr(matrix_path, direction)(v), rtol=0, atol=1e-12
-            )
 
 
 def test_parseval_inner_products():
@@ -76,9 +59,9 @@ def test_basis_vector_roundtrip(basis8):
         np.testing.assert_allclose(coeffs, expected, atol=1e-10)
 
 
-def test_affine_signals_have_vanishing_details_single_level():
+def test_affine_signals_have_vanishing_finest_details():
     n = 64
-    basis = WaveletBasis(n, levels=1)
+    basis = WaveletBasis(n)
     for slope, offset in [(0.0, 1.0), (2.5, -0.3), (-1.0, 4.0)]:
         x = slope * np.arange(n) + offset
         details = basis.decompose(x)[n // 2 :]
@@ -91,11 +74,9 @@ def test_non_power_of_two_rejected():
         WaveletBasis(12)
 
 
-def test_levels_validation():
-    WaveletBasis(8, levels=0)
-    WaveletBasis(8, levels=3)
-    with pytest.raises(ValueError):
-        WaveletBasis(8, levels=4)
+def test_size_beyond_materialize_budget_rejected():
+    with pytest.raises(MaterializeBudgetError):
+        WaveletBasis(8192)
 
 
 def test_trivial_size_one():

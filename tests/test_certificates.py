@@ -58,6 +58,11 @@ class TestRestrictedInjectivity:
         rep = check_restricted_injectivity(a, basis8, [0, 1, 2])
         assert not rep.injective
 
+    def test_no_measurements(self, basis8):
+        rep = check_restricted_injectivity(BernoulliSensing(0, 8, seed=0), basis8, [0])
+        assert not rep.injective
+        assert rep.a_omega_inv_norm == float("inf")
+
     def test_no_basis_uses_standard_columns(self):
         a = DenseMap(np.diag([2.0, 3.0, 4.0]))
         rep = check_restricted_injectivity(a, None, [1, 2])

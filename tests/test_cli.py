@@ -57,6 +57,33 @@ class TestUsageErrors:
             assert rc == EXIT_USAGE, command
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--model", "relaxed"],
+        ["certify"],
+        ["sweep", "--model", "relaxed", "--deltas", "1e-2,1e-3", "--trials", "1"],
+    ], ids=["solve", "certify", "sweep"])
+    def test_zero_measurements_is_usage_error(self, tmp_path, capsys, command):
+        args = command + ["--n", "16", "--m", "0", "--sparsity", "2"]
+        if command[0] != "certify":
+            args += ["--out", str(tmp_path / "out")]
+        rc, _, err = run_cli(args, capsys)
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("noise", [
+        ["--deltas", "nan,1e-3"],
+        ["--deltas", "inf,1e-3"],
+        ["--delta-max", "nan"],
+    ], ids=["nan", "inf", "delta-max-nan"])
+    def test_non_finite_noise_level_is_usage_error(self, tmp_path, capsys, noise):
+        rc, _, err = run_cli(
+            ["sweep", "--model", "relaxed", *SMALL, "--trials", "1", *noise,
+             "--out", str(tmp_path / "s.csv")],
+            capsys,
+        )
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSolve:
     def test_writes_solutions(self, tmp_path, capsys):

@@ -106,6 +106,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(3), -1.0, 0)
 
+    def test_empty_data_rejected(self):
+        np.testing.assert_array_equal(add_noise(np.zeros(0), 0.0, 0), [])
+        with pytest.raises(ValueError):
+            add_noise(np.zeros(0), 0.1, 0)
+
 
 class TestFitRate:
     def test_perfect_line(self):
@@ -135,6 +140,20 @@ class TestSweepConfig:
     def test_deltas_positive(self):
         with pytest.raises(ValueError):
             SweepConfig(n=8, m=4, sparsity=1, deltas=(1e-2, 0.0))
+
+    @pytest.mark.parametrize("deltas", [
+        (float("nan"), 1e-3),
+        (1e-2, float("nan")),
+        (float("inf"), 1e-3),
+        (float("nan"),),
+    ])
+    def test_deltas_finite(self, deltas):
+        with pytest.raises(ValueError):
+            SweepConfig(n=8, m=4, sparsity=1, deltas=deltas)
+
+    def test_measurements_validated(self):
+        with pytest.raises(ValueError):
+            SweepConfig(n=8, m=0, sparsity=1, deltas=(1e-2,))
 
     def test_model_validated(self):
         with pytest.raises(ValueError):

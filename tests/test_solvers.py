@@ -390,6 +390,8 @@ class TestDenseCoupling:
             pytest.param("relaxed", 512, id="relaxed"),
             pytest.param("strict", 512, id="strict"),
             pytest.param("relaxed", 1024, id="relaxed-1024"),
+            pytest.param("relaxed", 2048, id="relaxed-2048"),
+            pytest.param("strict", 2048, id="strict-2048"),
         ],
     )
     def test_build_memory(self, model, n):
