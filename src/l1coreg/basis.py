@@ -32,6 +32,10 @@ __all__ = [
 #: Coefficients with magnitude <= SUPPORT_TOL_FACTOR * ||c||_2 count as zero.
 SUPPORT_TOL_FACTOR = 1e-12
 
+#: Columns of the identity the filter bank transforms at a time while
+#: ``Phi`` is built, so its temporaries stay small next to ``Phi`` itself.
+_BUILD_COLUMNS = 128
+
 
 def _db2_filters():
     """4-tap orthonormal scaling/wavelet filter pair with two vanishing moments.
@@ -114,7 +118,12 @@ class WaveletBasis:
             )
         self.n = n
         self.levels = n.bit_length() - 1
-        matrix = self._decompose_filter_bank(np.eye(n))
+        matrix = np.empty((n, n))
+        for j in range(0, n, _BUILD_COLUMNS):
+            k = min(j + _BUILD_COLUMNS, n)
+            slab = np.zeros((n, k - j))
+            slab[j:k] = np.eye(k - j)
+            matrix[:, j:k] = self._decompose_filter_bank(slab)
         matrix.setflags(write=False)
         self.matrix = matrix
 

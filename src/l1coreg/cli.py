@@ -282,7 +282,6 @@ def _cmd_sweep(args):
                 np.log10(args.delta_max), np.log10(args.delta_min), args.delta_count
             )
         )
-    basis, l1, w, a, phantom, _ = _build_instance(args)
     cfg = SweepConfig(
         n=args.n,
         m=args.m,
@@ -293,6 +292,7 @@ def _cmd_sweep(args):
         trials=args.trials,
         seed=args.seed,
     )
+    basis, l1, w, a, phantom, _ = _build_instance(args)
     solver_cfg = _solver_config(args)
 
     constants = None

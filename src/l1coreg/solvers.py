@@ -26,7 +26,14 @@ symmetric positive definite system ``G v = rhs0 + rho F* d`` with
 v-step enters the loop only through the affine map ``d -> c0 + Q d`` with
 ``Q = rho F G^{-1} F*``.  That map is a dense matrix formed once per solve
 from a Cholesky factor of ``G``, so an iteration costs two matvecs and no
-operator apply, wavelet transform or linear solve.  The build materializes
+operator apply, wavelet transform or linear solve.
+
+The factor and its triangular solves are blocked numpy: LAPACK sees only
+diagonal blocks of :data:`_FACTOR_BLOCK` rows, and everything wider is a
+matrix product.  Threaded LAPACK factorizations round differently under
+different BLAS thread counts from about side 128 on, while products, and
+LAPACK calls this narrow, give the same bits; so solve outputs do not
+depend on the BLAS thread count.  The build materializes
 ``W`` and ``A`` within the budget of :func:`~l1coreg.operators.materialize`
 and raises :class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
 ``x`` is read off ``v`` after the loop.
@@ -43,7 +50,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .operators import compose, materialize
 from .regularizers import WeightedL1, soft_threshold
@@ -61,9 +67,9 @@ __all__ = [
     "reference_solve",
 ]
 
-#: Columns of ``F*`` per ``cho_solve`` while ``F G^{-1} F*`` is built, so
-#: ``G^{-1} F*`` is never held whole.
-_COUPLING_BLOCK = 128
+#: Side of the diagonal blocks of the blocked Cholesky factor, the widest
+#: matrix any LAPACK call of a solve sees.
+_FACTOR_BLOCK = 64
 _REFERENCE_MAX_DIM = 256
 
 
@@ -185,28 +191,77 @@ def objective_strict(p, x):
 
 
 def _cho_factor_in_place(mat):
-    """Cholesky factor of the C-ordered symmetric positive definite ``mat``.
+    """Blocked Cholesky factor of the symmetric positive definite ``mat``.
 
-    The factor overwrites ``mat``: the transposed view is Fortran-ordered, so
-    LAPACK factors it in place, and by symmetry it is the same matrix.  The
-    caller should drop its own name for ``mat``.
+    Right-looking: each diagonal block of :data:`_FACTOR_BLOCK` rows is
+    factored by ``np.linalg.cholesky`` and inverted once, the panel below it
+    is ``A21 L11^{-T}``, and the trailing matrix is updated by one product.
+    ``mat`` is overwritten by the lower factor ``L`` (its strict upper
+    triangle zeroed), so the caller should drop its own name for it.
+
+    Returns ``(L, inverses)``, where ``inverses`` holds the inverse of each
+    diagonal block of ``L`` for :func:`_forward_solve` and
+    :func:`_back_solve`.
     """
-    return scipy.linalg.cho_factor(mat.T, overwrite_a=True)
+    n = mat.shape[0]
+    inverses = []
+    for j in range(0, n, _FACTOR_BLOCK):
+        k = min(j + _FACTOR_BLOCK, n)
+        l11 = np.linalg.cholesky(mat[j:k, j:k])
+        mat[j:k, j:k] = l11
+        inv11 = np.tril(np.linalg.inv(l11))
+        inverses.append(inv11)
+        mat[j:k, k:] = 0.0
+        if k < n:
+            panel = mat[k:, j:k] @ inv11.T
+            mat[k:, j:k] = panel
+            mat[k:, k:] -= panel @ panel.T
+    return mat, inverses
+
+
+def _forward_solve(factor, b):
+    """``L^{-1} b`` for a vector or matrix ``b``, by blocked forward substitution."""
+    l_mat, inverses = factor
+    y = np.array(b, dtype=float, order="C")
+    j = 0
+    for inv11 in inverses:
+        k = j + inv11.shape[0]
+        if j:
+            y[j:k] -= l_mat[j:k, :j] @ y[:j]
+        y[j:k] = inv11 @ y[j:k]
+        j = k
+    return y
+
+
+def _back_solve(factor, y):
+    """``L^{-T} y`` for a vector or matrix ``y``, by blocked back substitution."""
+    l_mat, inverses = factor
+    x = np.array(y, dtype=float, order="C")
+    k = l_mat.shape[0]
+    for inv11 in reversed(inverses):
+        j = k - inv11.shape[0]
+        if k < l_mat.shape[0]:
+            x[j:k] -= l_mat[k:, j:k].T @ x[k:]
+        x[j:k] = inv11.T @ x[j:k]
+        k = j
+    return x
+
+
+def _cho_solve(factor, b):
+    """``G^{-1} b`` from the blocked Cholesky ``factor`` of ``G``."""
+    return _back_solve(factor, _forward_solve(factor, b))
 
 
 def _sandwich(factor, f_mat, scale):
-    """``scale F G^{-1} F*`` from the Cholesky ``factor`` of ``G``.
+    """``scale F G^{-1} F*`` from the Cholesky ``factor`` ``L`` of ``G``.
 
-    Filled in column blocks of :data:`_COUPLING_BLOCK`, so ``G^{-1} F*`` is
-    never held whole.
+    ``M = L^{-1} F*`` is one forward substitution, and the result is
+    ``scale M* M``, a product of ``M`` with its own transpose, which numpy
+    hands to ``syrk``; it is symmetric to the bit.
     """
-    ft_mat = f_mat.T
-    out = np.empty((f_mat.shape[0], f_mat.shape[0]))
-    for j in range(0, out.shape[1], _COUPLING_BLOCK):
-        cols = slice(j, j + _COUPLING_BLOCK)
-        blk = scipy.linalg.cho_solve(factor, ft_mat[:, cols], check_finite=False)
-        blk *= scale
-        out[:, cols] = f_mat @ blk
+    m_mat = _forward_solve(factor, f_mat.T)
+    out = m_mat.T @ m_mat
+    out *= scale
     return out
 
 
@@ -275,9 +330,7 @@ def _relaxed_system(p, rho):
         schur,
         a_ty,
         p.l1.basis.matrix,
-        lambda h: scipy.linalg.cho_solve(
-            factor11, p.w.adjoint_apply(h), check_finite=False
-        ),
+        lambda h: _cho_solve(factor11, p.w.adjoint_apply(h)),
     )
 
 
@@ -288,10 +341,11 @@ def _coupling(p, rho):
     ``d = c - u``; ``fv_of(d) = F v``, one matvec with the dense
     ``Q = rho F G^{-1} F*``; and ``ft_of(c) = F* c``, one matvec with the
     transposed view of ``F``, for the dual residual.  ``x_of`` solves with
-    the Cholesky factor of ``G`` and runs only after the loop or for a trace
-    row.  ``G`` is factored in its own storage and ``Q`` is filled in column
-    blocks, so neither model's build keeps more than four n-by-n arrays
-    alive besides the basis's ``Phi``.
+    the blocked Cholesky factor of ``G`` and runs only after the loop or for
+    a trace row.  ``G`` is factored in its own storage and ``Q`` is
+    ``rho M* M`` with ``M = L^{-1} F*``, so neither model's build keeps more
+    than four n-by-n arrays (``L``, ``F``, ``M`` and ``Q``) alive besides the
+    basis's ``Phi``.
     """
     system = _relaxed_system if p.model == "relaxed" else _strict_system
     g, rhs0, f, read_x = system(p, rho)
@@ -299,13 +353,10 @@ def _coupling(p, rho):
     del g
     ft_mat = f.T
     q_mat = _sandwich(factor, f, rho)
-    c0 = f @ scipy.linalg.cho_solve(factor, rhs0, check_finite=False)
+    c0 = f @ _cho_solve(factor, rhs0)
 
     def x_of(d):
-        v = scipy.linalg.cho_solve(
-            factor, rhs0 + rho * (ft_mat @ d), check_finite=False
-        )
-        return read_x(v)
+        return read_x(_cho_solve(factor, rhs0 + rho * (ft_mat @ d)))
 
     def fv_of(d):
         return c0 + q_mat @ d

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ def test_reconstruction_and_isometry(n):
             1.0, np.linalg.norm(h)
         )
         assert abs(np.linalg.norm(c) - np.linalg.norm(h)) <= 1e-10
+
+
+def test_build_memory():
+    # Phi is filled from slabs of the identity, not from all of it at once
+    n = 1024
+    tracemalloc.start()
+    try:
+        WaveletBasis(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n
 
 
 def test_parseval_inner_products():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import l1coreg
+from l1coreg import cli
 from l1coreg.certificates import parse_report
 from l1coreg.cli import (
     EXIT_CERT_INVALID,
@@ -79,6 +80,20 @@ class TestUsageErrors:
         rc, _, err = run_cli(
             ["sweep", "--model", "relaxed", *SMALL, "--trials", "1", *noise,
              "--out", str(tmp_path / "s.csv")],
+            capsys,
+        )
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sweep_config_checked_before_instance(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_build(args):
+            pytest.fail("instance built before the sweep config was checked")
+
+        monkeypatch.setattr(cli, "_build_instance", no_build)
+        rc, _, err = run_cli(
+            ["sweep", "--model", "relaxed", *SMALL, "--trials", "1",
+             "--deltas", "nan,1e-3", "--out", str(tmp_path / "s.csv")],
             capsys,
         )
         assert rc == EXIT_USAGE
@@ -377,13 +392,13 @@ def test_solve_at_reference_noise_level(tmp_path, capsys):
     assert err_h <= 1e-3
 
 
-def run_python(*args):
+def run_python(*args, **env):
     src = os.path.dirname(os.path.dirname(os.path.abspath(l1coreg.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -391,6 +406,16 @@ def test_python_dash_m_runs_cli():
     proc = run_python("-m", "l1coreg", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == l1coreg.__version__
+
+
+def test_import_loads_no_scipy():
+    proc = run_python(
+        "-c",
+        "import sys, l1coreg; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_import_loads_no_scipy_sparse():
@@ -401,3 +426,19 @@ def test_import_loads_no_scipy_sparse():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("model", ["strict", "relaxed"])
+def test_sweep_hash_independent_of_blas_threads(tmp_path, model):
+    hashes = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        proc = run_python(
+            "-m", "l1coreg", "sweep", "--model", model, "--n", "128",
+            "--m", "64", "--sparsity", "4", "--seed", "3", "--trials", "1",
+            "--delta-count", "2", "--jobs", "1", "--out", str(out),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        hashes.append(determinism_hash(out))
+    assert hashes[0] == hashes[1]

@@ -359,24 +359,59 @@ def integration_problem(model, n):
     return Problem(model, IntegrationOp(n), a, np.ones(n // 2), 0.1, l1)
 
 
+class TestBlockedCholesky:
+    # one block, an exact multiple of the block side, and ragged last blocks
+    SIZES = [1, 63, 64, 65, 200]
+
+    @staticmethod
+    def spd(n):
+        b = np.random.default_rng(n).standard_normal((n, n))
+        return b @ b.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_factor_matches_numpy(self, n):
+        a = self.spd(n)
+        l_mat, inverses = solvers._cho_factor_in_place(a.copy())
+        ref = np.linalg.cholesky(a)
+        assert np.linalg.norm(l_mat - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.all(np.triu(l_mat, 1) == 0.0)
+        assert sum(inv.shape[0] for inv in inverses) == n
+
+    @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_solves_match_numpy(self, n, cols):
+        a = self.spd(n)
+        shape = (n,) if cols is None else (n, cols)
+        b = np.random.default_rng(n + 1).standard_normal(shape)
+        factor = solvers._cho_factor_in_place(a.copy())
+        ref_l = np.linalg.cholesky(a)
+        for got, want in [
+            (solvers._forward_solve(factor, b), np.linalg.solve(ref_l, b)),
+            (solvers._back_solve(factor, b), np.linalg.solve(ref_l.T, b)),
+            (solvers._cho_solve(factor, b), np.linalg.solve(a, b)),
+        ]:
+            assert got.shape == shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestDenseCoupling:
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     @pytest.mark.parametrize("n, block", [(16, 3), (256, None)])
     def test_blocked_build_matches_one_block(
         self, rng, monkeypatch, n, block, model
     ):
-        # the coupling is filled in column blocks: several blocks with a
+        # the factor is built in diagonal blocks: several blocks with a
         # short last one (n=16 by 3), or the default width (n=256); the
-        # iterates must follow a build in one block, and a scale dropped
+        # iterates must follow a factor in one block, and a scale dropped
         # from both builds still fails the optimality check (rho far from 1;
         # strict n=256 needs about 8000 iterations at rho=100)
         if block is not None:
-            monkeypatch.setattr(solvers, "_COUPLING_BLOCK", block)
-        assert n > solvers._COUPLING_BLOCK
+            monkeypatch.setattr(solvers, "_FACTOR_BLOCK", block)
+        assert n > solvers._FACTOR_BLOCK
         p = random_small_problem(rng, n=n, m=n // 2, model=model)
         cfg = SolverConfig(rho=100.0)
         blocked = solve(p, cfg)
-        monkeypatch.setattr(solvers, "_COUPLING_BLOCK", n)
+        monkeypatch.setattr(solvers, "_FACTOR_BLOCK", n)
         one_block = solve(p, cfg)
         assert blocked.converged
         assert natural_residual(p, blocked) <= 1e-8
