@@ -11,14 +11,9 @@ from .operators import (
     DenseMap,
     IntegrationOp,
     LinearMap,
-    ProductMap,
-    compose,
-    from_descriptor,
     identity,
     materialize,
     operator_norm,
-    restrict,
-    to_descriptor,
 )
 from .regularizers import (
     Subgradient,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import materialize, operator_norm, restrict
+from .operators import materialize, operator_norm
 from .regularizers import (
     Subgradient,
     SubgradientError,
@@ -165,17 +165,31 @@ class NormBoundReport:
 def check_restricted_injectivity(a, basis, omega):
     """Injectivity of ``A`` on the span of the basis elements in ``omega``.
 
-    Materializes the restricted operator column by column and takes a dense
-    SVD.  Empty ``omega`` is vacuously injective with inverse norm 0;
-    ``|omega| > codomain_dim`` can never be injective and is reported as
-    such (not an error).
+    Column ``i`` is ``A phi_{omega[i]}``, with ``phi`` the rows of the
+    basis matrix, or the standard basis when ``basis`` is None; a dense SVD
+    gives the smallest singular value.  Empty ``omega`` is vacuously
+    injective with inverse norm 0; ``|omega| > codomain_dim`` can never be
+    injective and is reported as such (not an error).
+
+    Raises
+    ------
+    ValueError
+        If ``omega`` holds an index outside ``[0, domain_dim)`` or a
+        duplicate.
     """
     omega = tuple(int(i) for i in omega)
+    n = a.domain_dim
+    if len(set(omega)) != len(omega):
+        raise ValueError("omega contains duplicate indices")
+    for i in omega:
+        if not 0 <= i < n:
+            raise ValueError(f"omega index {i} out of range [0, {n})")
     if len(omega) == 0:
         return InjectivityReport(omega, float("inf"), 0.0, True)
     if len(omega) > a.codomain_dim:
         return InjectivityReport(omega, 0.0, float("inf"), False)
-    cols = materialize(restrict(a, omega, basis=basis))
+    rows = np.eye(n) if basis is None else basis.matrix
+    cols = np.column_stack([a.apply(rows[i]) for i in omega])
     sigma_min = float(np.linalg.svd(cols, compute_uv=False)[-1])
     a_norm = operator_norm(a)
     injective = sigma_min > INJECTIVITY_RTOL * max(a_norm, 1e-300)

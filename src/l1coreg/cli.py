@@ -306,7 +306,7 @@ def _cmd_sweep(args):
     result = run_sweep(
         cfg, phantom, w, a, l1=l1, constants=constants, solver_cfg=solver_cfg
     )
-    meta = sweep_metadata(cfg, w, a, l1, solver_cfg, args.forward,
+    meta = sweep_metadata(cfg, l1, solver_cfg, args.forward,
                           sensing=args.sensing, kappa_scalar=args.kappa)
     meta["converged"] = str(result.all_converged).lower()
     for line in cert_lines:

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .operators import (
-    BernoulliSensing,
-    DenseMap,
-    IntegrationOp,
-    ProductMap,
-    identity,
-    to_descriptor,
-)
+from .operators import BernoulliSensing, DenseMap, IntegrationOp, identity
 from .regularizers import WeightedL1, bregman_quadratic
 from .solvers import Problem, SolverConfig, solve
 
@@ -206,7 +199,7 @@ def make_phantom(n, sparsity, seed, basis, w):
     h_star = basis.reconstruct(coeffs)
 
     if isinstance(w, IntegrationOp):
-        x_star = w.inverse().apply(h_star)
+        x_star = w.inverse_apply(h_star)
     elif isinstance(w, DenseMap) and np.array_equal(w.matrix, np.eye(n)):
         x_star = h_star.copy()
     else:
@@ -272,11 +265,9 @@ def fit_rate(deltas, errors):
 def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg):
     res = solve(Problem(model, w, a, y_delta, alpha, l1), solver_cfg)
     if model == "relaxed":
-        m_op = ProductMap(w, a)
-        stacked = m_op.stack_domain(res.x, res.h)
-        target = np.concatenate([np.zeros(m_op.dim_h), y_delta])
-        residual = float(np.linalg.norm(m_op.apply(stacked) - target))
-        return res, res.h, residual
+        # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
+        stacked = np.concatenate([w.apply(res.x) - res.h, a.apply(res.h) - y_delta])
+        return res, res.h, float(np.linalg.norm(stacked))
     wx = res.diagnostics["wx"]
     residual = float(np.linalg.norm(a.apply(wx) - y_delta))
     return res, wx, residual
@@ -290,7 +281,8 @@ def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
     cfg : SweepConfig
     phantom : Phantom
     w, a : LinearMap
-        Forward and sensing operators (dimensions must match ``cfg``).
+        Forward and sensing operators (dimensions must match ``cfg``), as
+        built by :func:`default_operators` for a replayable sweep.
     l1 : WeightedL1, optional
         Defaults to unit weights on a full-depth basis of size ``cfg.n``.
     constants : RateConstants, optional
@@ -402,8 +394,9 @@ def emit_csv(records, fit, path, metadata=None):
     """Write sweep records with a ``#``-prefixed metadata header.
 
     The metadata block carries everything needed to replay the sweep
-    (descriptors, seeds, solver settings) plus the rate fit.  Lines starting
-    with ``# walltime`` are excluded from :func:`determinism_hash`.
+    (operator names, sizes, seeds, solver settings) plus the rate fit.
+    Lines starting with ``# walltime`` are excluded from
+    :func:`determinism_hash`.
     """
     if not records:
         raise ValueError("refusing to emit an empty record list")
@@ -585,9 +578,13 @@ def default_operators(cfg, forward="integration", sensing="bernoulli"):
     return w, a
 
 
-def sweep_metadata(cfg, w, a, l1, solver_cfg, forward, sensing="bernoulli",
+def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli",
                    kappa_scalar=None):
-    """Metadata block for CSV emission; everything needed for bit-exact replay."""
+    """Metadata block for CSV emission; everything needed for bit-exact replay.
+
+    ``forward``, ``sensing``, ``n``, ``m`` and ``matrix_seed`` are the inputs
+    of :func:`default_operators`, so they rebuild ``W`` and ``A`` exactly.
+    """
     meta = {
         "model": cfg.model,
         "n": str(cfg.n),
@@ -599,8 +596,6 @@ def sweep_metadata(cfg, w, a, l1, solver_cfg, forward, sensing="bernoulli",
         "deltas": ",".join(repr(d) for d in cfg.deltas),
         "forward": forward,
         "sensing": sensing,
-        "w_descriptor": to_descriptor(w),
-        "a_descriptor": to_descriptor(a),
         "basis_n": str(l1.basis.n),
         "basis_levels": str(l1.basis.levels),
         "kappa": (

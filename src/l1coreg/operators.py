@@ -1,14 +1,11 @@
-"""Linear operators with matrix-free forward and adjoint application.
+"""Linear operators: the forward map ``W`` and the sensing map ``A``.
 
-Every operator is immutable after construction, so the same instance can be
-applied concurrently from several threads.  Operators can be serialized to a
-one-line plain-text descriptor (kind + parameters + seed) and rebuilt from it
-bit-exactly, which is what makes sweep runs replayable.
+Every operator applies itself and its adjoint without forming a matrix, and
+turns into a dense matrix through :func:`materialize`, which is what solves
+and certificates use.  Operators are immutable after construction.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -16,18 +13,10 @@ __all__ = [
     "LinearMap",
     "DenseMap",
     "IntegrationOp",
-    "InverseIntegrationOp",
     "BernoulliSensing",
-    "ComposedMap",
-    "ProductMap",
-    "RestrictedMap",
     "identity",
-    "compose",
-    "restrict",
     "materialize",
     "operator_norm",
-    "to_descriptor",
-    "from_descriptor",
     "DimensionMismatchError",
     "MaterializeBudgetError",
 ]
@@ -52,6 +41,15 @@ class MaterializeBudgetError(RuntimeError):
     """Dense materialization would exceed the configured entry budget."""
 
 
+def _check_budget(rows, cols, budget):
+    entries = rows * cols
+    if entries > budget:
+        raise MaterializeBudgetError(
+            f"materializing {rows}x{cols} "
+            f"({entries} entries) exceeds budget {budget}"
+        )
+
+
 def _as_vector(x, length, what):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.shape[0] != length:
@@ -63,20 +61,16 @@ def _as_vector(x, length, what):
 class LinearMap:
     """A bounded linear map between finite-dimensional real spaces.
 
-    Concrete operators implement ``_apply`` and ``_adjoint``; callers go
-    through :meth:`apply` and :meth:`adjoint_apply`, which validate vector
-    lengths and always return float arrays.
+    Concrete operators implement ``_apply``, ``_adjoint`` and
+    ``_materialize``; callers go through :meth:`apply`,
+    :meth:`adjoint_apply` and :func:`materialize`, which validate sizes and
+    always return float arrays.
 
     Attributes
     ----------
     domain_dim, codomain_dim : int
         Lengths of input and output vectors of the forward map.
-    kind : str
-        One of ``dense``, ``integration``, ``bernoulli``, ``composed``,
-        ``product``, ``restricted``.
     """
-
-    kind = "dense"
 
     def __init__(self, domain_dim, codomain_dim):
         domain_dim = int(domain_dim)
@@ -88,12 +82,12 @@ class LinearMap:
 
     def apply(self, x):
         """Forward application; ``len(x)`` must equal ``domain_dim``."""
-        x = _as_vector(x, self.domain_dim, f"{self.kind}.apply")
+        x = _as_vector(x, self.domain_dim, f"{type(self).__name__}.apply")
         return self._apply(x)
 
     def adjoint_apply(self, y):
         """Adjoint application; ``len(y)`` must equal ``codomain_dim``."""
-        y = _as_vector(y, self.codomain_dim, f"{self.kind}.adjoint_apply")
+        y = _as_vector(y, self.codomain_dim, f"{type(self).__name__}.adjoint_apply")
         return self._adjoint(y)
 
     def _apply(self, x):
@@ -102,8 +96,7 @@ class LinearMap:
     def _adjoint(self, y):
         raise NotImplementedError
 
-    def descriptor(self):
-        """Plain-data dict describing this operator (see :func:`to_descriptor`)."""
+    def _materialize(self):
         raise NotImplementedError
 
     def __repr__(self):
@@ -115,8 +108,6 @@ class LinearMap:
 
 class DenseMap(LinearMap):
     """Linear map backed by an explicit dense matrix."""
-
-    kind = "dense"
 
     def __init__(self, matrix):
         matrix = np.array(matrix, dtype=float)
@@ -135,9 +126,6 @@ class DenseMap(LinearMap):
     def _materialize(self):
         return self.matrix.copy()
 
-    def descriptor(self):
-        return {"kind": "dense", "matrix": self.matrix.tolist()}
-
 
 def identity(n):
     """Identity map on ``R^n`` as a :class:`DenseMap`."""
@@ -149,10 +137,8 @@ class IntegrationOp(LinearMap):
 
     Materializes to the lower-triangular all-ones matrix scaled by ``1/n``
     (left-endpoint quadrature of the running integral).  Invertible; the
-    inverse is the scaled first difference, see :meth:`inverse`.
+    inverse is the scaled first difference, see :meth:`inverse_apply`.
     """
-
-    kind = "integration"
 
     def __init__(self, n):
         super().__init__(n, n)
@@ -172,41 +158,13 @@ class IntegrationOp(LinearMap):
         mat *= self.scale
         return mat
 
-    def inverse(self):
-        """Exact inverse (scaled first difference)."""
-        return InverseIntegrationOp(self.n)
-
-    def descriptor(self):
-        return {"kind": "integration", "n": self.n, "inverse": False}
-
-
-class InverseIntegrationOp(LinearMap):
-    """Scaled first-difference map, the exact inverse of :class:`IntegrationOp`."""
-
-    kind = "integration"
-
-    def __init__(self, n):
-        super().__init__(n, n)
-        self.n = int(n)
-        self.scale = float(n)
-
-    def _apply(self, h):
+    def inverse_apply(self, h):
+        """Exact inverse ``x`` with ``apply(x) == h``: the scaled first difference."""
+        h = _as_vector(h, self.n, "IntegrationOp.inverse_apply")
         x = np.empty_like(h)
         x[0] = h[0]
         x[1:] = h[1:] - h[:-1]
-        return x * self.scale
-
-    def _adjoint(self, y):
-        z = np.empty_like(y)
-        z[:-1] = y[:-1] - y[1:]
-        z[-1] = y[-1]
-        return z * self.scale
-
-    def inverse(self):
-        return IntegrationOp(self.n)
-
-    def descriptor(self):
-        return {"kind": "integration", "n": self.n, "inverse": True}
+        return x * float(self.n)
 
 
 class BernoulliSensing(LinearMap):
@@ -214,16 +172,16 @@ class BernoulliSensing(LinearMap):
 
     Entries come from the counter-based Philox generator keyed by ``seed``,
     so the matrix is identical across platforms and runs for the same
-    ``(m, n, seed)``.
+    ``(m, n, seed)``.  The matrix is drawn whole, so ``m * n`` must fit the
+    materialization budget, which every solve and certificate needs anyway.
     """
-
-    kind = "bernoulli"
 
     def __init__(self, m, n, seed):
         super().__init__(n, m)
         self.m = int(m)
         self.n = int(n)
         self.seed = int(seed)
+        _check_budget(self.m, self.n, DEFAULT_MATERIALIZE_BUDGET)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         entries = rng.integers(0, 2, size=(self.m, self.n)).astype(float)
         entries.setflags(write=False)
@@ -238,155 +196,6 @@ class BernoulliSensing(LinearMap):
     def _materialize(self):
         return self.entries.copy()
 
-    def descriptor(self):
-        return {"kind": "bernoulli", "m": self.m, "n": self.n, "seed": self.seed}
-
-
-class ComposedMap(LinearMap):
-    """Composition ``outer @ inner`` applied as ``outer(inner(x))``."""
-
-    kind = "composed"
-
-    def __init__(self, outer, inner):
-        if inner.codomain_dim != outer.domain_dim:
-            raise ValueError(
-                "cannot compose: inner codomain "
-                f"{inner.codomain_dim} != outer domain {outer.domain_dim}"
-            )
-        super().__init__(inner.domain_dim, outer.codomain_dim)
-        self.outer = outer
-        self.inner = inner
-
-    def _apply(self, x):
-        return self.outer.apply(self.inner.apply(x))
-
-    def _adjoint(self, y):
-        return self.inner.adjoint_apply(self.outer.adjoint_apply(y))
-
-    def descriptor(self):
-        return {
-            "kind": "composed",
-            "outer": self.outer.descriptor(),
-            "inner": self.inner.descriptor(),
-        }
-
-
-def compose(outer, inner):
-    """Composition ``x -> outer(inner(x))``."""
-    return ComposedMap(outer, inner)
-
-
-class ProductMap(LinearMap):
-    """Coupling operator ``(x, h) -> (W x - h, A h)`` on stacked vectors.
-
-    The domain is ``R^(dim X + dim H)`` with ``x`` stacked before ``h``; the
-    codomain is ``R^(dim H + dim Y)``.  The adjoint is
-    ``(r, s) -> (W* r, A* s - r)``.
-    """
-
-    kind = "product"
-
-    def __init__(self, w, a):
-        if w.codomain_dim != a.domain_dim:
-            raise ValueError(
-                f"W codomain {w.codomain_dim} must match A domain {a.domain_dim}"
-            )
-        self.w = w
-        self.a = a
-        self.dim_x = w.domain_dim
-        self.dim_h = w.codomain_dim
-        self.dim_y = a.codomain_dim
-        super().__init__(self.dim_x + self.dim_h, self.dim_h + self.dim_y)
-
-    def stack_domain(self, x, h):
-        return np.concatenate([np.asarray(x, dtype=float), np.asarray(h, dtype=float)])
-
-    def _apply(self, z):
-        x, h = z[: self.dim_x], z[self.dim_x :]
-        return np.concatenate([self.w.apply(x) - h, self.a.apply(h)])
-
-    def _adjoint(self, rs):
-        r, s = rs[: self.dim_h], rs[self.dim_h :]
-        return np.concatenate([self.w.adjoint_apply(r), self.a.adjoint_apply(s) - r])
-
-    def descriptor(self):
-        return {
-            "kind": "product",
-            "w": self.w.descriptor(),
-            "a": self.a.descriptor(),
-        }
-
-
-class RestrictedMap(LinearMap):
-    """Restriction of a map to the span of selected basis elements.
-
-    Acts on coefficient vectors indexed by ``omega``; column ``i`` of the
-    materialization is ``base(phi_{omega[i]})``.  Without a basis, ``phi``
-    is the standard basis of the base map's domain.
-    """
-
-    kind = "restricted"
-
-    def __init__(self, base, omega, basis=None):
-        omega = tuple(int(i) for i in omega)
-        n = base.domain_dim
-        if basis is not None and basis.n != n:
-            raise ValueError(f"basis size {basis.n} != operator domain {n}")
-        if len(set(omega)) != len(omega):
-            raise ValueError("omega contains duplicate indices")
-        for i in omega:
-            if not 0 <= i < n:
-                raise ValueError(f"omega index {i} out of range [0, {n})")
-        super().__init__(len(omega), base.codomain_dim)
-        self.base = base
-        self.omega = omega
-        self.basis = basis
-
-    def _embed(self, c):
-        full = np.zeros(self.base.domain_dim)
-        full[list(self.omega)] = c
-        if self.basis is not None:
-            return self.basis.reconstruct(full)
-        return full
-
-    def _apply(self, c):
-        if len(self.omega) == 0:
-            return np.zeros(self.codomain_dim)
-        return self.base.apply(self._embed(c))
-
-    def _adjoint(self, y):
-        back = self.base.adjoint_apply(y)
-        if self.basis is not None:
-            back = self.basis.decompose(back)
-        return back[list(self.omega)]
-
-    def descriptor(self):
-        basis_desc = None
-        if self.basis is not None:
-            basis_desc = {"n": self.basis.n}
-        return {
-            "kind": "restricted",
-            "base": self.base.descriptor(),
-            "omega": list(self.omega),
-            "basis": basis_desc,
-        }
-
-
-def restrict(a, omega, basis=None):
-    """Restrict ``a`` to the span of basis elements indexed by ``omega``.
-
-    Parameters
-    ----------
-    a : LinearMap
-    omega : iterable of int
-        Indices into the (coefficient) domain of ``a``; may be empty.
-    basis : WaveletBasis, optional
-        When given, the restricted map acts on wavelet coefficients and its
-        columns are ``a(synthesize(e_lambda))``; otherwise standard basis
-        columns of ``a`` are used.
-    """
-    return RestrictedMap(a, omega, basis=basis)
-
 
 def materialize(op, budget=DEFAULT_MATERIALIZE_BUDGET):
     """Dense matrix ``D`` with ``D @ x == op.apply(x)`` for all ``x``.
@@ -397,22 +206,8 @@ def materialize(op, budget=DEFAULT_MATERIALIZE_BUDGET):
         If ``domain_dim * codomain_dim`` exceeds ``budget``.  There is no
         silent truncation.
     """
-    entries = op.domain_dim * op.codomain_dim
-    if entries > budget:
-        raise MaterializeBudgetError(
-            f"materializing {op.codomain_dim}x{op.domain_dim} "
-            f"({entries} entries) exceeds budget {budget}"
-        )
-    own = getattr(op, "_materialize", None)
-    if own is not None:
-        return own()
-    out = np.zeros((op.codomain_dim, op.domain_dim))
-    probe = np.zeros(op.domain_dim)
-    for j in range(op.domain_dim):
-        probe[j] = 1.0
-        out[:, j] = op.apply(probe)
-        probe[j] = 0.0
-    return out
+    _check_budget(op.codomain_dim, op.domain_dim, budget)
+    return op._materialize()
 
 
 def operator_norm(op, tol=1e-8, max_iters=_POWER_ITER_MAX):
@@ -446,47 +241,3 @@ def operator_norm(op, tol=1e-8, max_iters=_POWER_ITER_MAX):
     except MaterializeBudgetError:
         return float(np.sqrt(max(lam, 0.0)))
     return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def to_descriptor(op):
-    """One-line JSON descriptor of ``op``; see :func:`from_descriptor`."""
-    return json.dumps(op.descriptor(), separators=(",", ":"), sort_keys=True)
-
-
-def from_descriptor(text):
-    """Rebuild an operator from :func:`to_descriptor` output."""
-    if isinstance(text, str):
-        data = json.loads(text)
-    else:
-        data = text
-    return _from_descriptor_dict(data)
-
-
-def _from_descriptor_dict(data):
-    kind = data["kind"]
-    if kind == "dense":
-        return DenseMap(np.array(data["matrix"], dtype=float))
-    if kind == "integration":
-        if data.get("inverse", False):
-            return InverseIntegrationOp(data["n"])
-        return IntegrationOp(data["n"])
-    if kind == "bernoulli":
-        return BernoulliSensing(data["m"], data["n"], data["seed"])
-    if kind == "composed":
-        return ComposedMap(
-            _from_descriptor_dict(data["outer"]), _from_descriptor_dict(data["inner"])
-        )
-    if kind == "product":
-        return ProductMap(
-            _from_descriptor_dict(data["w"]), _from_descriptor_dict(data["a"])
-        )
-    if kind == "restricted":
-        basis = None
-        if data.get("basis") is not None:
-            from .basis import WaveletBasis
-
-            basis = WaveletBasis(data["basis"]["n"])
-        return RestrictedMap(
-            _from_descriptor_dict(data["base"]), data["omega"], basis=basis
-        )
-    raise ValueError(f"unknown operator kind {kind!r}")

@@ -42,8 +42,8 @@ class SubgradientError(ValueError):
 class WeightedL1:
     """Weighted l1 norm ``sum_lambda kappa_lambda |<phi_lambda, h>|``.
 
-    Weights must be bounded below by a positive constant; the bound is
-    exposed as :attr:`lower_bound`.
+    Weights must be finite and bounded below by a positive constant; the
+    bound is exposed as :attr:`lower_bound`.
     """
 
     basis: WaveletBasis
@@ -58,8 +58,8 @@ class WeightedL1:
             kappa = np.full(self.basis.n, kappa[0])
         if kappa.shape != (self.basis.n,):
             raise ValueError(f"kappa must have length {self.basis.n}")
-        if not np.all(kappa > 0.0):
-            raise ValueError("all weights kappa must be positive")
+        if not np.all((kappa > 0.0) & np.isfinite(kappa)):
+            raise ValueError("all weights kappa must be positive and finite")
         kappa = kappa.copy()
         kappa.setflags(write=False)
         object.__setattr__(self, "kappa", kappa)

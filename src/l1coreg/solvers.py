@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .operators import compose, materialize
+from .operators import materialize
 from .regularizers import WeightedL1, soft_threshold
 
 __all__ = [
@@ -292,7 +292,7 @@ def _strict_system(p, rho):
     matrix.
     """
     basis = p.l1.basis
-    rhs0 = compose(p.a, p.w).adjoint_apply(p.y_delta)
+    rhs0 = p.w.adjoint_apply(p.a.adjoint_apply(p.y_delta))
     w_mat = materialize(p.w)
     aw_mat = materialize(p.a) @ w_mat
     k_mat = aw_mat.T @ aw_mat

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l1coreg.basis import WaveletBasis
-from l1coreg.operators import BernoulliSensing, identity
+from l1coreg.operators import BernoulliSensing, DenseMap, identity, materialize
 from l1coreg.regularizers import WeightedL1
 
 
@@ -44,3 +44,14 @@ def certified_identity_instance(n, m, sparsity, seed):
     a = BernoulliSensing(m, n, seed=cfg.matrix_seed())
     phantom = make_phantom(n, sparsity, cfg.phantom_seed(), basis, w)
     return basis, l1, w, a, phantom.x_star, phantom.h_star
+
+
+def coupling_map(w, a):
+    """Relaxed coupling ``(x, h) -> (W x - h, A h)`` as the dense block matrix
+    ``[[W, -I], [0, A]]`` acting on ``x`` stacked before ``h``."""
+    w_mat = materialize(w)
+    a_mat = materialize(a)
+    return DenseMap(np.block([
+        [w_mat, -np.eye(w.codomain_dim)],
+        [np.zeros((a.codomain_dim, w.domain_dim)), a_mat],
+    ]))

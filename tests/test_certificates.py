@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import certified_identity_instance, make_sparse_signal
+from conftest import certified_identity_instance, coupling_map, make_sparse_signal
 from l1coreg.basis import WaveletBasis
 from l1coreg.certificates import (
     CERTIFICATE_RTOL,
@@ -23,7 +23,6 @@ from l1coreg.operators import (
     BernoulliSensing,
     DenseMap,
     IntegrationOp,
-    ProductMap,
     identity,
     materialize,
     operator_norm,
@@ -67,6 +66,24 @@ class TestRestrictedInjectivity:
         a = DenseMap(np.diag([2.0, 3.0, 4.0]))
         rep = check_restricted_injectivity(a, None, [1, 2])
         assert rep.sigma_min == pytest.approx(3.0, abs=1e-10)
+
+    def test_columns_are_basis_images(self):
+        basis = WaveletBasis(8)
+        a = BernoulliSensing(4, 8, seed=9)
+        omega = [1, 3, 5]
+        cols = np.column_stack([a.apply(basis.basis_vector(lam)) for lam in omega])
+        rep = check_restricted_injectivity(a, basis, omega)
+        assert rep.sigma_min == pytest.approx(
+            np.linalg.svd(cols, compute_uv=False)[-1], abs=1e-13
+        )
+
+    def test_omega_out_of_range(self, basis8):
+        with pytest.raises(ValueError):
+            check_restricted_injectivity(identity(8), basis8, [8])
+
+    def test_omega_duplicates(self, basis8):
+        with pytest.raises(ValueError):
+            check_restricted_injectivity(identity(8), basis8, [1, 1])
 
 
 class TestFindCertificateRelaxed:
@@ -114,7 +131,7 @@ class TestFindCertificateRelaxed:
         w = IntegrationOp(n)
         a = BernoulliSensing(32, n, seed=5)
         h_star = make_sparse_signal(basis, [0, 3, 7, 11], [1.0, -0.8, 1.2, 0.6])
-        x_star = w.inverse().apply(h_star)
+        x_star = w.inverse_apply(h_star)
         cert = find_certificate_relaxed(w, a, basis, l1, x_star)
         assert not cert.valid
         assert cert.eta is None
@@ -278,7 +295,7 @@ class TestVariationalBounds:
         # 1-D effective problem in the phi_0 coordinate, solved in closed form
         w = identity(8)
         a = identity(8)
-        m_op = ProductMap(w, a)
+        m_op = coupling_map(w, a)
         x_star = basis8.basis_vector(0)
         h_star = x_star.copy()
         y_star = np.concatenate([np.zeros(8), h_star])
@@ -316,7 +333,7 @@ class TestVariationalBounds:
         assert report.all_ok
 
     def test_report_only_never_raises(self, basis8, l1_unit8):
-        m_op = ProductMap(identity(8), identity(8))
+        m_op = coupling_map(identity(8), identity(8))
         report = check_variational_bounds(
             m_op,
             np.zeros(16),

@@ -16,7 +16,14 @@ from l1coreg.cli import (
     main,
     parse_config_text,
 )
-from l1coreg.experiments import determinism_hash, parse_csv
+from l1coreg.experiments import (
+    SweepConfig,
+    default_operators,
+    determinism_hash,
+    parse_csv,
+    run_sweep,
+)
+from l1coreg.operators import materialize
 
 
 SMALL = ["--n", "32", "--m", "24", "--sparsity", "2", "--seed", "1",
@@ -55,6 +62,21 @@ class TestUsageErrors:
         for command in (["certify"], ["solve", "--model", "strict"],
                         ["solve", "--model", "relaxed"]):
             rc, _, err = run_cli(command + size, capsys)
+            assert rc == EXIT_USAGE, command
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sensing_budget_checked_before_draw(self, capsys):
+        # 262145 x 64 entries is just over the budget; the sensing matrix
+        # is refused before it is drawn
+        rc, _, err = run_cli(["certify", "--n", "64", "--m", "262145"], capsys)
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infinite_kappa_is_usage_error(self, tmp_path, capsys):
+        args = ["--n", "16", "--m", "8", "--sparsity", "1", "--kappa", "inf"]
+        for command in (["solve", "--model", "strict", "--out",
+                         str(tmp_path / "out")], ["certify"]):
+            rc, _, err = run_cli(command + args, capsys)
             assert rc == EXIT_USAGE, command
             assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -268,6 +290,37 @@ class TestSweep:
         records, meta, _ = parse_csv(tmp_path / "s.csv")
         assert "cert_valid" not in meta
         assert all(r.pass_c is None for r in records)
+
+    def test_replays_from_csv_header(self, tmp_path, capsys, monkeypatch):
+        # the header's forward/sensing/n/m/matrix_seed rebuild W and A exactly
+        used = {}
+
+        def recording_sweep(cfg, phantom, w, a, **kwargs):
+            used["w"], used["a"] = w, a
+            return run_sweep(cfg, phantom, w, a, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", recording_sweep)
+        path = tmp_path / "r.csv"
+        rc, _, _ = run_cli(
+            ["sweep", "--model", "relaxed", "--n", "128", "--m", "64",
+             "--sparsity", "4", "--seed", "3", "--forward", "identity",
+             "--trials", "1", "--delta-count", "2", "--max-iters", "50",
+             "--no-certify", "--out", str(path)],
+            capsys,
+        )
+        assert rc in (EXIT_OK, EXIT_NOT_CONVERGED)
+        assert path.stat().st_size < 4096
+        _, meta, _ = parse_csv(path)
+        cfg = SweepConfig(
+            n=int(meta["n"]), m=int(meta["m"]), sparsity=int(meta["sparsity"]),
+            deltas=tuple(float(d) for d in meta["deltas"].split(",")),
+            big_c=float(meta["big_c"]), model=meta["model"],
+            trials=int(meta["trials"]), seed=int(meta["seed"]),
+        )
+        assert meta["matrix_seed"] == str(cfg.matrix_seed())
+        w, a = default_operators(cfg, forward=meta["forward"], sensing=meta["sensing"])
+        np.testing.assert_array_equal(materialize(w), materialize(used["w"]))
+        np.testing.assert_array_equal(materialize(a), materialize(used["a"]))
 
 
 class TestCertify:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import coupling_map
 from l1coreg.basis import WaveletBasis
 from l1coreg.experiments import (
     CSV_COLUMNS,
@@ -16,6 +17,7 @@ from l1coreg.experiments import (
     fit_rate,
     make_phantom,
     parse_csv,
+    _solve_record,
     run_sweep,
     sweep_metadata,
 )
@@ -203,6 +205,20 @@ class TestRunSweep:
             run_sweep(cfg, phantom, w, a, l1=bad_l1)
         assert "delta=" in str(err.value)
 
+    def test_relaxed_residual_formula(self, small_sweep):
+        # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
+        cfg, phantom, _, a, l1 = small_sweep
+        w = IntegrationOp(cfg.n)
+        y_delta = add_noise(a.apply(phantom.h_star), 1e-2, 5)
+        res, h, residual = _solve_record(
+            "relaxed", w, a, l1, y_delta, 1e-2, SolverConfig()
+        )
+        target = np.concatenate([np.zeros(cfg.n), y_delta])
+        stacked = np.concatenate([res.x, res.h])
+        expected = np.linalg.norm(coupling_map(w, a).apply(stacked) - target)
+        assert h is res.h
+        assert residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     def test_dimension_guard(self, small_sweep):
         cfg, phantom, w, a, l1 = small_sweep
         with pytest.raises(ValueError):
@@ -214,8 +230,7 @@ class TestCsvRoundTrip:
         cfg, phantom, w, a, l1 = small_sweep
         result = run_sweep(cfg, phantom, w, a, l1=l1)
         path = tmp_path / "sweep.csv"
-        meta = sweep_metadata(cfg, w, a, l1, SolverConfig(), "identity",
-                              kappa_scalar=1.0)
+        meta = sweep_metadata(cfg, l1, SolverConfig(), "identity", kappa_scalar=1.0)
         emit_csv(result.records, result.fit, path, metadata=meta)
         records, parsed_meta, fit = parse_csv(path)
         assert len(records) == len(result.records)
@@ -255,7 +270,7 @@ class TestDeterminism:
         texts = []
         for k in range(2):
             result = run_sweep(cfg, phantom, w, a, l1=l1)
-            meta = sweep_metadata(cfg, w, a, l1, SolverConfig(), "identity")
+            meta = sweep_metadata(cfg, l1, SolverConfig(), "identity")
             meta["walltime_s"] = f"{result.wall_time:.3f}"  # differs per run
             texts.append(
                 emit_csv(result.records, result.fit, tmp_path / f"s{k}.csv", meta)

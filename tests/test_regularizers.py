@@ -43,6 +43,11 @@ class TestEval:
         with pytest.raises(ValueError):
             WeightedL1(basis8, np.array([1.0] * 7 + [0.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_finite_weights_required(self, basis8, bad):
+        with pytest.raises(ValueError):
+            WeightedL1(basis8, np.array([1.0] * 7 + [bad]))
+
     def test_lower_bound(self, basis8):
         f = WeightedL1(basis8, np.linspace(0.5, 2.0, 8))
         assert f.lower_bound == pytest.approx(0.5)
