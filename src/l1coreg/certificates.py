@@ -69,12 +69,18 @@ _ALTERNATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    """Smallest singular value of the restricted sensing operator ``A_Omega``."""
+    """Smallest singular value of the restricted sensing operator ``A_Omega``.
+
+    ``a_norm`` is ``||A||``, the scale of the test, kept so that the rate
+    constants of :func:`certify` need not compute it again; ``None`` on a
+    report built by hand.
+    """
 
     omega: tuple
     sigma_min: float
     a_omega_inv_norm: float
     injective: bool
+    a_norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,8 @@ def check_restricted_injectivity(a, basis, omega):
 
     Column ``i`` is ``A phi_{omega[i]}``, with ``phi`` the rows of the
     basis matrix, or the standard basis when ``basis`` is None; a dense SVD
-    gives the smallest singular value.  Empty ``omega`` is vacuously
+    gives the smallest singular value, which must exceed
+    ``INJECTIVITY_RTOL ||A||``.  Empty ``omega`` is vacuously
     injective with inverse norm 0; ``|omega| > codomain_dim`` can never be
     injective and is reported as such (not an error).
 
@@ -184,17 +191,17 @@ def check_restricted_injectivity(a, basis, omega):
     for i in omega:
         if not 0 <= i < n:
             raise ValueError(f"omega index {i} out of range [0, {n})")
+    a_norm = operator_norm(a)
     if len(omega) == 0:
-        return InjectivityReport(omega, float("inf"), 0.0, True)
+        return InjectivityReport(omega, float("inf"), 0.0, True, a_norm)
     if len(omega) > a.codomain_dim:
-        return InjectivityReport(omega, 0.0, float("inf"), False)
+        return InjectivityReport(omega, 0.0, float("inf"), False, a_norm)
     rows = np.eye(n) if basis is None else basis.matrix
     cols = np.column_stack([a.apply(rows[i]) for i in omega])
     sigma_min = float(np.linalg.svd(cols, compute_uv=False)[-1])
-    a_norm = operator_norm(a)
     injective = sigma_min > INJECTIVITY_RTOL * max(a_norm, 1e-300)
     inv_norm = 1.0 / sigma_min if injective else float("inf")
-    return InjectivityReport(omega, sigma_min, inv_norm, injective)
+    return InjectivityReport(omega, sigma_min, inv_norm, injective, a_norm)
 
 
 def _find_certificate(model, w, a, basis, l1, x_star):
@@ -339,7 +346,7 @@ def certify(model, w, a, basis, l1, x_star, big_c):
     inj = check_restricted_injectivity(a, basis, omega)
     constants = None
     if cert.valid and inj.injective:
-        constants = rate_constants(cert, inj, big_c, operator_norm(a))
+        constants = rate_constants(cert, inj, big_c, inj.a_norm)
     return cert, inj, constants
 
 

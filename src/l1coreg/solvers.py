@@ -25,8 +25,11 @@ symmetric positive definite system ``G v = rhs0 + rho F* d`` with
 ``Phi`` is orthonormal, so the c-step is a weighted soft-threshold, and the
 v-step enters the loop only through the affine map ``d -> c0 + Q d`` with
 ``Q = rho F G^{-1} F*``.  That map is a dense matrix formed once per solve
-from a Cholesky factor of ``G``, so an iteration costs two matvecs and no
-operator apply, wavelet transform or linear solve.
+from a Cholesky factor of ``G``, so an iteration costs one matvec and no
+operator apply, wavelet transform or linear solve.  The dual residual of the
+stopping rule (one more matvec, with ``F*``, on the strict model) can stop the
+loop only together with the primal one, so it is computed only on iterations
+whose primal residual is within ``tol``, or on every iteration when tracing.
 
 The factor and its triangular solves are blocked numpy: LAPACK sees only
 diagonal blocks of :data:`_FACTOR_BLOCK` rows, and everything wider is a
@@ -46,6 +49,7 @@ stopping rule.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -339,8 +343,10 @@ def _coupling(p, rho):
 
     Returns three maps: ``x_of(d)``, the ``x`` of the v-step for
     ``d = c - u``; ``fv_of(d) = F v``, one matvec with the dense
-    ``Q = rho F G^{-1} F*``; and ``ft_of(c) = F* c``, one matvec with the
-    transposed view of ``F``, for the dual residual.  ``x_of`` solves with
+    ``Q = rho F G^{-1} F*``, the one matvec of every iteration; and
+    ``ft_of(c) = F* c``, one matvec with the transposed view of ``F``, for
+    the strict model's dual residual, which the loop computes only on
+    iterations whose primal residual is within ``tol``.  ``x_of`` solves with
     the blocked Cholesky factor of ``G`` and runs only after the loop or for
     a trace row.  ``G`` is factored in its own storage and ``Q`` is
     ``rho M* M`` with ``M = L^{-1} F*``, so neither model's build keeps more
@@ -374,7 +380,11 @@ def _admm(p, cfg, trace):
     affine map of :func:`_coupling`; a c-step soft-thresholding ``F v + u``
     at level ``alpha/rho`` per weight; and the dual ascent
     ``u <- u + F v - c``.  ``x`` itself is formed after the loop and for
-    trace rows only.
+    trace rows only.  The dual residual is computed only when the primal one
+    is within ``tol``, since it cannot stop the loop otherwise, or when a
+    trace row prints it; a solve that reaches ``max_iters`` computes it for
+    the last iteration after the loop, so traced and untraced solves return
+    the same bits.
     """
     start = time.perf_counter()
     x_of, fv_of, ft_of = _coupling(p, cfg.rho)
@@ -389,9 +399,9 @@ def _admm(p, cfg, trace):
 
     def dual_norm(dc):
         if p.model == "strict":
-            return float(np.linalg.norm(ft_of(dc)))
+            dc = ft_of(dc)
         # relaxed: F* = (0, Phi*) keeps the norm, since Phi is orthonormal
-        return float(np.linalg.norm(dc))
+        return math.sqrt(dc.dot(dc))
 
     c = basis.decompose(_init_vector(n_h, cfg.seed))
     u = (
@@ -415,11 +425,14 @@ def _admm(p, cfg, trace):
             c_prev = c
             c = soft_threshold(fv + u, thresholds)
             u = u + fv - c
-            primal = float(np.linalg.norm(fv - c))
-            if not np.isfinite(primal):
+            r = fv - c
+            primal = math.sqrt(r.dot(r))
+            if not math.isfinite(primal):
                 raise SolverError(f"non-finite iterate at iteration {k}")
-            dual = cfg.rho * dual_norm(c - c_prev)
             iterations = k
+            if primal > cfg.tol and handle is None:
+                continue
+            dual = cfg.rho * dual_norm(c - c_prev)
             if handle is not None:
                 _trace_row(
                     handle,
@@ -432,6 +445,9 @@ def _admm(p, cfg, trace):
             if primal <= cfg.tol and dual <= cfg.tol:
                 converged = True
                 break
+        else:
+            # max_iters reached: the last dual residual may not have been needed
+            dual = cfg.rho * dual_norm(c - c_prev)
     finally:
         if own:
             handle.close()
@@ -471,6 +487,9 @@ def solve(problem, cfg=None, trace=None):
 
     Converged when the primal residual ``||F v - c||`` and the dual
     residual ``rho ||F*(c_k - c_{k-1})||`` are both at most ``cfg.tol``.
+    An iteration costs one n-by-n matvec; the dual residual (one more on
+    the strict model) is computed only on iterations whose primal residual
+    is within ``cfg.tol``, or on every iteration when ``trace`` is given.
 
     Parameters
     ----------

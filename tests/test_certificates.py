@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import certified_identity_instance, coupling_map, make_sparse_signal
+from l1coreg import certificates
 from l1coreg.basis import WaveletBasis
 from l1coreg.certificates import (
     CERTIFICATE_RTOL,
@@ -272,6 +273,22 @@ class TestRateConstants:
         d = 2.0 * k.a_inv_norm * growth + (1.0 + k.a_inv_norm * k.a_norm) / k.m_eta * c
         assert k.c == pytest.approx(c, abs=1e-12 * max(1.0, c))
         assert k.d == pytest.approx(d, abs=1e-12 * max(1.0, d))
+
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_certify_computes_operator_norm_once(self, monkeypatch, model):
+        # the injectivity test and the rate constants share one ||A||
+        basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
+        calls = []
+
+        def counted(op):
+            calls.append(op)
+            return operator_norm(op)
+
+        monkeypatch.setattr(certificates, "operator_norm", counted)
+        cert, inj, constants = certify(model, w, a, basis, l1, x_star, 1.0)
+        assert constants is not None
+        assert calls == [a]
+        assert constants.a_norm == inj.a_norm == operator_norm(a)
 
     def test_invalid_inputs_raise(self, basis8, l1_unit8):
         cert = synthetic_unit_certificate(basis8, l1_unit8)

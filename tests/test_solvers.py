@@ -353,10 +353,11 @@ class TestReferenceSolve:
             reference_solve(object())
 
 
-def integration_problem(model, n):
+def fixed_problem(model, n, forward="integration"):
+    w = IntegrationOp(n) if forward == "integration" else identity(n)
     a = BernoulliSensing(n // 2, n, seed=1)
     l1 = WeightedL1(WaveletBasis(n))
-    return Problem(model, IntegrationOp(n), a, np.ones(n // 2), 0.1, l1)
+    return Problem(model, w, a, np.ones(n // 2), 0.1, l1)
 
 
 class TestBlockedCholesky:
@@ -431,7 +432,7 @@ class TestDenseCoupling:
     )
     def test_build_memory(self, model, n):
         # the build keeps at most four n-by-n arrays alive
-        p = integration_problem(model, n)
+        p = fixed_problem(model, n)
         tracemalloc.start()
         try:
             solve(p, SolverConfig(max_iters=1))
@@ -469,3 +470,62 @@ class TestNonFiniteGuard:
         monkeypatch.setattr(solvers, "soft_threshold", nan_at_third)
         with pytest.raises(solvers.SolverError, match="at iteration 3$"):
             solve(p, SolverConfig(max_iters=10, tol=1e-300))
+
+
+def trace_rows(buf):
+    lines = buf.getvalue().strip().splitlines()[1:]
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+class TestDualResidualOnDemand:
+    # an untraced solve computes the dual residual only on iterations whose
+    # primal residual is within tol; a traced one computes it on every
+    # iteration, so it is the reference
+
+    @pytest.mark.parametrize("max_iters", [20_000, 50], ids=["converged", "capped"])
+    @pytest.mark.parametrize("forward", ["identity", "integration"])
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_untraced_matches_traced(self, model, forward, max_iters):
+        p = fixed_problem(model, 64, forward)
+        cfg = SolverConfig(rho=10.0, max_iters=max_iters)
+        buf = io.StringIO()
+        traced = solve(p, cfg, trace=buf)
+        untraced = solve(p, cfg)
+        assert untraced.converged == traced.converged == (max_iters > 50)
+        assert untraced.iterations == traced.iterations
+        assert np.array_equal(untraced.x, traced.x)
+        assert np.array_equal(untraced.h, traced.h)
+        assert untraced.objective == traced.objective
+        assert untraced.fixed_point_residual == traced.fixed_point_residual
+        for key in ("primal_residual", "dual_residual"):
+            assert untraced.diagnostics[key] == traced.diagnostics[key]
+        if not untraced.converged:
+            # the last iteration's primal residual did not call for the
+            # dual one, so the loop filled it in after stopping
+            assert untraced.diagnostics["primal_residual"] > cfg.tol
+            dual = untraced.diagnostics["dual_residual"]
+            assert np.isfinite(dual)
+            assert dual == trace_rows(buf)[-1][4]
+
+    def test_adjoint_matvec_only_where_primal_passes(self, monkeypatch):
+        p = fixed_problem("strict", 64)
+        cfg = SolverConfig(rho=10.0)
+        buf = io.StringIO()
+        traced = solve(p, cfg, trace=buf)
+        calls = []
+        coupling = solvers._coupling
+
+        def counting_coupling(problem, rho):
+            x_of, fv_of, ft_of = coupling(problem, rho)
+
+            def counted_ft_of(c):
+                calls.append(1)
+                return ft_of(c)
+
+            return x_of, fv_of, counted_ft_of
+
+        monkeypatch.setattr(solvers, "_coupling", counting_coupling)
+        untraced = solve(p, cfg)
+        assert untraced.converged
+        passing = sum(row[3] <= cfg.tol for row in trace_rows(buf))
+        assert 0 < len(calls) == passing < traced.iterations
