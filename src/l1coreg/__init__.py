@@ -5,7 +5,7 @@ certificate engine for the linear error bounds."""
 __version__ = "0.1.0"
 
 from . import basis, certificates, cli, experiments, operators, regularizers, solvers
-from .basis import CoefficientVector, WaveletBasis, project
+from .basis import CoefficientVector, WaveletBasis
 from .operators import (
     BernoulliSensing,
     DenseMap,

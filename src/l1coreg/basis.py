@@ -25,7 +25,6 @@ from .operators import DEFAULT_MATERIALIZE_BUDGET, MaterializeBudgetError
 __all__ = [
     "WaveletBasis",
     "CoefficientVector",
-    "project",
     "SUPPORT_TOL_FACTOR",
 ]
 
@@ -98,8 +97,8 @@ class WaveletBasis:
 
     Notes
     -----
-    ``decompose``/``reconstruct`` work on plain arrays; ``analyze`` and
-    ``synthesize`` are the typed counterparts using
+    ``decompose``/``reconstruct`` work on plain arrays; ``analyze`` is the
+    typed counterpart of ``decompose``, returning a
     :class:`CoefficientVector`.  Both directions are exact inverses and
     preserve the Euclidean norm to machine precision.
     """
@@ -163,15 +162,6 @@ class WaveletBasis:
         """Coefficients ``c_lambda = <phi_lambda, h>`` as a :class:`CoefficientVector`."""
         return CoefficientVector(self.decompose(h), self)
 
-    def synthesize(self, c):
-        """Signal ``sum_lambda c_lambda phi_lambda`` from coefficients.
-
-        Accepts a :class:`CoefficientVector` or a plain length-``n`` array.
-        """
-        if isinstance(c, CoefficientVector):
-            c = c.coeffs
-        return self.reconstruct(c)
-
     def basis_vector(self, lam):
         """The basis element ``phi_lambda`` as a signal-domain array."""
         e = np.zeros(self.n)
@@ -222,15 +212,3 @@ class CoefficientVector:
 
     def __len__(self):
         return self.basis.n
-
-
-def project(c, omega):
-    """Zero all coefficients outside ``omega`` (the projection onto ``H_Omega``)."""
-    omega = set(int(i) for i in omega)
-    mask = np.zeros(c.basis.n, dtype=bool)
-    for i in omega:
-        if not 0 <= i < c.basis.n:
-            raise ValueError(f"omega index {i} out of range [0, {c.basis.n})")
-        mask[i] = True
-    out = np.where(mask, c.coeffs, 0.0)
-    return CoefficientVector(out, c.basis)

@@ -161,7 +161,7 @@ def canonical_config(args, keys):
 
 
 _COMMON_KEYS = ("n", "m", "sparsity", "seed", "big_c", "kappa", "forward", "sensing")
-_SOLVER_KEYS = ("max_iters", "tol", "gamma", "lambda_relax", "rho", "solver_seed")
+_SOLVER_KEYS = ("max_iters", "tol", "rho", "solver_seed")
 
 
 def _config_keys(args):
@@ -169,7 +169,7 @@ def _config_keys(args):
     if hasattr(args, "max_iters"):
         keys += list(_SOLVER_KEYS)
     for extra in ("model", "delta", "alpha", "deltas", "delta_max", "delta_min",
-                  "delta_count", "trials", "jobs"):
+                  "delta_count", "trials"):
         if hasattr(args, extra):
             keys.append(extra)
     return keys

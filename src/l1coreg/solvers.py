@@ -8,28 +8,28 @@ and the strict functional
 
     A(x) = ||A W x - y||^2/2 + alpha (||x||^2/2 + ||W x||_{1,kappa})
 
-are both a quadratic in one variable ``v`` plus ``alpha`` times a weighted
-l1 norm of the wavelet coefficients ``c = F v``:
+differ only in how the indirect data ``h`` is tied to ``x``.  Eliminating
+``x`` leaves, for both, one problem in ``h``
 
-* strict: ``v = x`` and ``F = Phi W``;
-* relaxed: ``v = (x, h)`` and ``F = [0 Phi]``.
+    ||A h - y||^2/2 + (alpha/2) h* G^{-1} h + alpha ||Phi h||_{1,kappa}
 
-One ADMM loop on the split ``F v = c`` serves both.  Its v-step solves one
-symmetric positive definite system ``G v = rhs0 + rho F* d`` with
-``d = c - u``:
+with ``G = W W* + eps I``: ``eps = alpha`` for the relaxed model (minimizing
+over ``x`` gives ``x = (W*W + alpha I)^{-1} W* h``) and ``eps = 0`` for the
+strict one (``h = W x`` with ``x = W* G^{-1} h`` the least-norm preimage,
+which needs ``W`` of full row rank).
 
-* strict: ``G = (AW)*(AW) + rho W*W + alpha I`` and ``rhs0 = (AW)* y``;
-* relaxed: ``G = [[W*W + alpha I, -W*], [-W, (1 + rho) I + A*A]]`` and
-  ``rhs0 = (0, A* y)``.
-
-``Phi`` is orthonormal, so the c-step is a weighted soft-threshold, and the
-v-step enters the loop only through the affine map ``d -> c0 + Q d`` with
-``Q = rho F G^{-1} F*``.  That map is a dense matrix formed once per solve
-from a Cholesky factor of ``G``, so an iteration costs one matvec and no
-operator apply, wavelet transform or linear solve.  The dual residual of the
-stopping rule (one more matvec, with ``F*``, on the strict model) can stop the
-loop only together with the primal one, so it is computed only on iterations
-whose primal residual is within ``tol``, or on every iteration when tracing.
+One ADMM loop on the split ``Phi h = c`` solves it.  Its v-step solves one
+symmetric positive definite system ``S h = A* y + rho Phi* d`` with
+``S = A*A + rho I + alpha G^{-1}`` and ``d = c - u``.  ``Phi`` is
+orthonormal, so the c-step is a weighted soft-threshold, and the v-step
+enters the loop only through the affine map ``d -> c0 + Q d`` with
+``Q = rho Phi S^{-1} Phi*``.  That map is a dense matrix formed once per
+solve from Cholesky factors of ``G`` and ``S``, so an iteration costs one
+matvec and no operator apply, wavelet transform or linear solve.  The dual
+residual of the stopping rule, ``rho ||c_k - c_{k-1}||`` for both models,
+can stop the loop only together with the primal one, so it is computed only
+on iterations whose primal residual is within ``tol``, or on every iteration
+when tracing.
 
 The factor and its triangular solves are blocked numpy: LAPACK sees only
 diagonal blocks of :data:`_FACTOR_BLOCK` rows, and everything wider is a
@@ -39,7 +39,6 @@ LAPACK calls this narrow, give the same bits; so solve outputs do not
 depend on the BLAS thread count.  The build materializes
 ``W`` and ``A`` within the budget of :func:`~l1coreg.operators.materialize`
 and raises :class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
-``x`` is read off ``v`` after the loop.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
 zero initialization by default, a seeded random start when
@@ -104,7 +103,9 @@ class Problem:
 
     ``model`` is ``"relaxed"`` or ``"strict"``; both models penalize the
     signal by ``||x||^2 / 2`` and its indirect data ``W x`` (or ``h``) by
-    the weighted l1 norm ``l1``.
+    the weighted l1 norm ``l1``.  The strict model needs ``W`` of full row
+    rank (onto), so that ``W W*`` is positive definite; :func:`solve`
+    raises ``ValueError`` otherwise.  The relaxed model takes any ``W``.
     """
 
     model: str
@@ -137,11 +138,11 @@ def _require_model(p, model):
 class SolverConfig:
     """Iteration limit, stopping tolerance, ADMM penalty and start.
 
-    ``tol`` bounds both the absolute primal residual ``||F v - c||`` and the
-    absolute dual residual ``rho ||F*(c_k - c_{k-1})||``.  ``rho`` is the
-    ADMM penalty of both models.  ``seed`` switches from the deterministic
-    zero start to a seeded random start; by convexity the reachable
-    objective value does not depend on it.
+    ``tol`` bounds both the absolute primal residual ``||Phi h - c||`` and
+    the absolute dual residual ``rho ||c_k - c_{k-1}||`` of either model.
+    ``rho`` is the ADMM penalty of both models.  ``seed`` switches from the
+    deterministic zero start to a seeded random start; by convexity the
+    reachable objective value does not depend on it.
     """
 
     max_iters: int = 20_000
@@ -289,105 +290,64 @@ def _trace_row(handle, it, objective, fpr, primal, dual):
     handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r}\n")
 
 
-def _strict_system(p, rho):
-    """``(G, rhs0, F, read_x)`` of the strict v-step, ``v = x``.
-
-    ``G = K`` is summed through one temporary, and ``F = Phi W`` is a
-    matrix.
-    """
-    basis = p.l1.basis
-    rhs0 = p.w.adjoint_apply(p.a.adjoint_apply(p.y_delta))
-    w_mat = materialize(p.w)
-    aw_mat = materialize(p.a) @ w_mat
-    k_mat = aw_mat.T @ aw_mat
-    del aw_mat
-    tmp = w_mat.T @ w_mat
-    tmp *= rho
-    k_mat += tmp
-    del tmp
-    k_mat.flat[:: k_mat.shape[0] + 1] += p.alpha
-    return k_mat, rhs0, basis.decompose(w_mat), lambda x: x
-
-
-def _relaxed_system(p, rho):
-    """``(G, rhs0, F, read_x)`` of the relaxed v-step, ``v = (x, h)``.
-
-    ``F`` vanishes on ``x``, so ``x`` is eliminated.  The factor of
-    ``G11 = W*W + alpha I`` gives the Schur complement
-    ``S = (1 + rho) I + A*A - W G11^{-1} W*``, which is returned as ``G`` of
-    the system in ``v = h`` alone, with ``F = Phi``; ``read_x`` solves
-    ``G11 x = W* h``.
-    """
-    a_ty = p.a.adjoint_apply(p.y_delta)
-    w_mat = materialize(p.w)
-    g11 = w_mat.T @ w_mat
-    g11.flat[:: g11.shape[0] + 1] += p.alpha
-    factor11 = _cho_factor_in_place(g11)
-    del g11
-    schur = _sandwich(factor11, w_mat, -1.0)
-    del w_mat
-    a_mat = materialize(p.a)
-    schur += a_mat.T @ a_mat
-    del a_mat
-    schur.flat[:: schur.shape[0] + 1] += 1.0 + rho
-    return (
-        schur,
-        a_ty,
-        p.l1.basis.matrix,
-        lambda h: _cho_solve(factor11, p.w.adjoint_apply(h)),
-    )
-
-
 def _coupling(p, rho):
-    """The v-step seen from coefficient space.
+    """The v-step ``S h = A* y + rho Phi* d`` of either model, as two maps.
 
-    Returns three maps: ``x_of(d)``, the ``x`` of the v-step for
-    ``d = c - u``; ``fv_of(d) = F v``, one matvec with the dense
-    ``Q = rho F G^{-1} F*``, the one matvec of every iteration; and
-    ``ft_of(c) = F* c``, one matvec with the transposed view of ``F``, for
-    the strict model's dual residual, which the loop computes only on
-    iterations whose primal residual is within ``tol``.  ``x_of`` solves with
-    the blocked Cholesky factor of ``G`` and runs only after the loop or for
-    a trace row.  ``G`` is factored in its own storage and ``Q`` is
-    ``rho M* M`` with ``M = L^{-1} F*``, so neither model's build keeps more
-    than four n-by-n arrays (``L``, ``F``, ``M`` and ``Q``) alive besides the
-    basis's ``Phi``.
+    ``fv_of(d) = Phi h = c0 + Q d`` is one matvec with the dense
+    ``Q = rho Phi S^{-1} Phi*``, the one matvec of every iteration.
+    ``x_of(d) = W* G^{-1} h`` solves with the kept factor of ``G`` and runs
+    only after the loop or for a trace row.  ``W`` is dropped once ``G`` is
+    formed, ``G`` and ``S`` are each factored in their own storage, and the
+    factor of ``S`` is dropped on return, so the build keeps at most four
+    n-by-n arrays alive besides the basis's ``Phi``.
+    Raises ``ValueError`` when the strict ``G = W W*`` does not factor.
     """
-    system = _relaxed_system if p.model == "relaxed" else _strict_system
-    g, rhs0, f, read_x = system(p, rho)
-    factor = _cho_factor_in_place(g)
-    del g
-    ft_mat = f.T
-    q_mat = _sandwich(factor, f, rho)
-    c0 = f @ _cho_solve(factor, rhs0)
-
-    def x_of(d):
-        return read_x(_cho_solve(factor, rhs0 + rho * (ft_mat @ d)))
+    phi = p.l1.basis.matrix
+    w_mat = materialize(p.w)
+    g_mat = w_mat @ w_mat.T
+    del w_mat
+    n = g_mat.shape[0]
+    if p.model == "relaxed":
+        g_mat.flat[:: n + 1] += p.alpha
+    try:
+        factor_g = _cho_factor_in_place(g_mat)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "the strict model needs W of full row rank (W W* must factor)"
+        ) from None
+    s_mat = _sandwich(factor_g, np.eye(n), p.alpha)
+    a_mat = materialize(p.a)
+    s_mat += a_mat.T @ a_mat
+    del a_mat
+    s_mat.flat[:: n + 1] += rho
+    factor_s = _cho_factor_in_place(s_mat)
+    q_mat = _sandwich(factor_s, phi, rho)
+    c0 = phi @ _cho_solve(factor_s, p.a.adjoint_apply(p.y_delta))
 
     def fv_of(d):
         return c0 + q_mat @ d
 
-    def ft_of(c):
-        return ft_mat @ c
+    def x_of(d):
+        return p.w.adjoint_apply(_cho_solve(factor_g, phi.T @ fv_of(d)))
 
-    return x_of, fv_of, ft_of
+    return x_of, fv_of
 
 
 def _admm(p, cfg, trace):
-    """Scaled ADMM on the split ``F v = c`` of either model.
+    """Scaled ADMM on the split ``Phi h = c`` of either model.
 
-    Per iteration: the v-step, which enters only through ``F v``, the
-    affine map of :func:`_coupling`; a c-step soft-thresholding ``F v + u``
-    at level ``alpha/rho`` per weight; and the dual ascent
-    ``u <- u + F v - c``.  ``x`` itself is formed after the loop and for
-    trace rows only.  The dual residual is computed only when the primal one
-    is within ``tol``, since it cannot stop the loop otherwise, or when a
-    trace row prints it; a solve that reaches ``max_iters`` computes it for
-    the last iteration after the loop, so traced and untraced solves return
-    the same bits.
+    Per iteration: the v-step, which enters only through ``Phi h``, the
+    affine map of :func:`_coupling`; a c-step soft-thresholding
+    ``Phi h + u`` at level ``alpha/rho`` per weight; and the dual ascent
+    ``u <- u + Phi h - c``.  ``x`` itself is formed after the loop and for
+    trace rows only.  The dual residual ``rho ||c_k - c_{k-1}||`` is
+    computed only when the primal one is within ``tol``, since it cannot
+    stop the loop otherwise, or when a trace row prints it; a solve that
+    reaches ``max_iters`` computes it for the last iteration after the loop,
+    so traced and untraced solves return the same bits.
     """
     start = time.perf_counter()
-    x_of, fv_of, ft_of = _coupling(p, cfg.rho)
+    x_of, fv_of = _coupling(p, cfg.rho)
     thresholds = (p.alpha / cfg.rho) * p.l1.kappa
     basis = p.l1.basis
     n_h = p.w.codomain_dim
@@ -397,11 +357,8 @@ def _admm(p, cfg, trace):
             return objective_strict(p, x)
         return objective_relaxed(p, x, basis.reconstruct(c))
 
-    def dual_norm(dc):
-        if p.model == "strict":
-            dc = ft_of(dc)
-        # relaxed: F* = (0, Phi*) keeps the norm, since Phi is orthonormal
-        return math.sqrt(dc.dot(dc))
+    def dual_residual(dc):
+        return cfg.rho * math.sqrt(dc.dot(dc))
 
     c = basis.decompose(_init_vector(n_h, cfg.seed))
     u = (
@@ -432,7 +389,7 @@ def _admm(p, cfg, trace):
             iterations = k
             if primal > cfg.tol and handle is None:
                 continue
-            dual = cfg.rho * dual_norm(c - c_prev)
+            dual = dual_residual(c - c_prev)
             if handle is not None:
                 _trace_row(
                     handle,
@@ -447,7 +404,7 @@ def _admm(p, cfg, trace):
                 break
         else:
             # max_iters reached: the last dual residual may not have been needed
-            dual = cfg.rho * dual_norm(c - c_prev)
+            dual = dual_residual(c - c_prev)
     finally:
         if own:
             handle.close()
@@ -483,13 +440,14 @@ def solve_strict(p, cfg=None, trace=None):
 
 
 def solve(problem, cfg=None, trace=None):
-    """Minimize ``problem`` by ADMM on the split ``F v = c``.
+    """Minimize ``problem`` by ADMM on the split ``Phi h = c``.
 
-    Converged when the primal residual ``||F v - c||`` and the dual
-    residual ``rho ||F*(c_k - c_{k-1})||`` are both at most ``cfg.tol``.
-    An iteration costs one n-by-n matvec; the dual residual (one more on
-    the strict model) is computed only on iterations whose primal residual
-    is within ``cfg.tol``, or on every iteration when ``trace`` is given.
+    Converged when the primal residual ``||Phi h - c||`` and the dual
+    residual ``rho ||c_k - c_{k-1}||`` are both at most ``cfg.tol``.  An
+    iteration costs one n-by-n matvec; the dual residual is computed only
+    on iterations whose primal residual is within ``cfg.tol``, or on every
+    iteration when ``trace`` is given.  A strict ``problem`` whose ``W`` is
+    not of full row rank raises ``ValueError``.
 
     Parameters
     ----------
@@ -504,7 +462,7 @@ def solve(problem, cfg=None, trace=None):
     SolveResult
         ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
         ``x`` is read off the last v-step.  ``diagnostics`` holds the
-        residuals, the constraint gap ``||F v - c||`` and ``wx = W x``.  The
+        residuals, the constraint gap ``||Phi h - c||`` and ``wx = W x``.  The
         error bounds concern ``result.h`` for the relaxed model and
         ``result.diagnostics['wx']`` for the strict one.
     """

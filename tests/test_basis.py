@@ -8,7 +8,6 @@ from l1coreg.basis import (
     CoefficientVector,
     WaveletBasis,
     _db2_filters,
-    project,
 )
 from l1coreg.operators import MaterializeBudgetError
 
@@ -58,10 +57,6 @@ def test_parseval_inner_products():
 
 def test_analyze_zero(basis8):
     assert np.all(basis8.analyze(np.zeros(8)).coeffs == 0.0)
-
-
-def test_synthesize_zero(basis8):
-    assert np.all(basis8.synthesize(np.zeros(8)) == 0.0)
 
 
 def test_basis_vector_roundtrip(basis8):
@@ -126,30 +121,3 @@ class TestCoefficientVector:
     def test_length_mismatch(self, basis8):
         with pytest.raises(ValueError):
             CoefficientVector(np.zeros(4), basis8)
-
-
-class TestProject:
-    def test_full_index_set_is_identity(self, basis8, rng):
-        c = basis8.analyze(rng.standard_normal(8))
-        np.testing.assert_array_equal(project(c, range(8)).coeffs, c.coeffs)
-
-    def test_empty_set_is_zero(self, basis8, rng):
-        c = basis8.analyze(rng.standard_normal(8))
-        assert np.all(project(c, []).coeffs == 0.0)
-
-    def test_pythagoras(self, basis8, rng):
-        for _ in range(20):
-            c = basis8.analyze(rng.standard_normal(8))
-            omega = [0, 3, 5]
-            inside = project(c, omega)
-            outside = project(c, [i for i in range(8) if i not in omega])
-            total = np.linalg.norm(c.coeffs) ** 2
-            split = np.linalg.norm(inside.coeffs) ** 2 + np.linalg.norm(
-                outside.coeffs
-            ) ** 2
-            assert abs(total - split) <= 1e-12 * max(1.0, total)
-
-    def test_out_of_range(self, basis8, rng):
-        c = basis8.analyze(rng.standard_normal(8))
-        with pytest.raises(ValueError):
-            project(c, [8])

@@ -258,6 +258,26 @@ class TestSweep:
             run_cli(self.sweep_args(tmp_path, extra=extra), capsys)
             assert determinism_hash(tmp_path / "s.csv") == base, extra
 
+    def test_retired_config_keys_replay(self, tmp_path, capsys):
+        # the config block no longer prints the retired flags, and an old
+        # config file that still holds them replays to the same sweep
+        rc, stdout, _ = run_cli(self.sweep_args(tmp_path), capsys)
+        assert rc == EXIT_OK
+        block = stdout.split("records = ")[0].splitlines()
+        retired = {"gamma": "10.0", "lambda_relax": "1.5", "jobs": "3"}
+        assert not [l for l in block if l.split(" = ")[0] in retired]
+        cfg = tmp_path / "old.cfg"
+        old = [f"{key} = {value}" for key, value in retired.items()]
+        cfg.write_text("\n".join(block + old) + "\n")
+        rc, _, _ = run_cli(
+            ["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
+            capsys,
+        )
+        assert rc == EXIT_OK
+        assert determinism_hash(tmp_path / "r.csv") == determinism_hash(
+            tmp_path / "s.csv"
+        )
+
     def test_bound_columns_present_when_certified(self, tmp_path, capsys):
         rc, _, _ = run_cli(self.sweep_args(tmp_path), capsys)
         records, meta, _ = parse_csv(tmp_path / "s.csv")
@@ -400,8 +420,8 @@ class TestConfigFile:
             line for line in stdout.splitlines()
             if " = " in line and line.split(" = ")[0] in (
                 "n", "m", "sparsity", "seed", "big_c", "kappa", "forward",
-                "sensing", "model", "delta", "max_iters", "tol", "gamma",
-                "lambda_relax", "rho", "trials",
+                "sensing", "model", "delta", "max_iters", "tol", "rho",
+                "trials",
             )
         ]
         text = "\n".join(config_lines)

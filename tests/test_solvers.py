@@ -41,9 +41,9 @@ def natural_residual(p, res):
 
     In the coefficients ``c = Phi h`` the point is optimal exactly when
     ``c - S_{alpha kappa}(c - Phi grad_h f)`` vanishes (``S`` is the
-    soft-threshold), and for the relaxed model also ``grad_x f``.  The value
-    is scaled by ``||Phi A* y||_inf``, the smallest alpha with ``h = 0``
-    optimal.
+    soft-threshold), and for the relaxed model also ``grad_x f``.  For the
+    strict model ``x`` must lie in the range of ``W*``.  The value is scaled
+    by ``||Phi A* y||_inf``, the smallest alpha with ``h = 0`` optimal.
     """
     phi = p.l1.basis.decompose(np.eye(p.l1.basis.n))
     w = materialize(p.w)
@@ -55,9 +55,11 @@ def natural_residual(p, res):
         grad_x = w.T @ coupling + p.alpha * res.x
         grad_h = -coupling + a.T @ (a @ h - y)
     else:
+        # x = W* z must be the least-norm preimage of h = W x
         h = w @ res.x
-        grad_x = np.zeros(1)
-        grad_h = a.T @ (a @ h - y) + p.alpha * np.linalg.solve(w.T, res.x)
+        z = np.linalg.lstsq(w.T, res.x, rcond=None)[0]
+        grad_x = w.T @ z - res.x
+        grad_h = a.T @ (a @ h - y) + p.alpha * z
     c = phi @ h
     g = c - phi @ grad_h
     r_c = c - np.sign(g) * np.maximum(np.abs(g) - p.alpha * p.l1.kappa, 0.0)
@@ -442,6 +444,62 @@ class TestDenseCoupling:
         assert peak <= 4.5 * 8 * n * n
 
 
+class TestUnifiedVStep:
+    @pytest.mark.parametrize("forward", ["identity", "integration"])
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_matches_model_normal_equations(self, rng, model, forward):
+        # the v-step in h alone solves each model's own v-step system
+        n, rho = 64, 3.0
+        p = fixed_problem(model, n, forward)
+        x_of, fv_of = solvers._coupling(p, rho)
+        d = rng.standard_normal(n)
+        phi = p.l1.basis.matrix
+        w = materialize(p.w)
+        a = materialize(p.a)
+        eye = np.eye(n)
+        if model == "strict":
+            aw = a @ w
+            k = aw.T @ aw + rho * w.T @ w + p.alpha * eye
+            x = np.linalg.solve(k, aw.T @ p.y_delta + rho * (phi @ w).T @ d)
+            h = w @ x
+        else:
+            g = np.block([
+                [w.T @ w + p.alpha * eye, -w.T],
+                [-w, (1.0 + rho) * eye + a.T @ a],
+            ])
+            rhs = np.concatenate([np.zeros(n), a.T @ p.y_delta + rho * phi.T @ d])
+            x, h = np.split(np.linalg.solve(g, rhs), 2)
+        for got, want in ((fv_of(d), phi @ h), (x_of(d), x)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestStrictNeedsOntoW:
+    @staticmethod
+    def problem(model, w_mat):
+        l1 = WeightedL1(WaveletBasis(16))
+        a = BernoulliSensing(8, 16, seed=1)
+        return Problem(model, DenseMap(w_mat), a, np.ones(8), 0.1, l1)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 8)], ids=["zero-row", "tall"])
+    def test_rank_deficient_w(self, shape):
+        w = np.random.default_rng(3).standard_normal(shape)
+        if shape[1] == shape[0]:
+            w[5] = 0.0
+        with pytest.raises(ValueError, match="full row rank"):
+            solve(self.problem("strict", w))
+        p = self.problem("relaxed", w)
+        res = solve(p)
+        assert res.converged
+        assert natural_residual(p, res) <= 1e-8
+
+    def test_wide_w_of_full_row_rank(self):
+        w = np.random.default_rng(3).standard_normal((16, 24))
+        p = self.problem("strict", w)
+        res = solve(p)
+        assert res.converged
+        assert natural_residual(p, res) <= 1e-8
+
+
 class TestOptimality:
     @pytest.mark.parametrize("seed", [None, 7])
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
@@ -507,25 +565,24 @@ class TestDualResidualOnDemand:
             assert np.isfinite(dual)
             assert dual == trace_rows(buf)[-1][4]
 
-    def test_adjoint_matvec_only_where_primal_passes(self, monkeypatch):
-        p = fixed_problem("strict", 64)
-        cfg = SolverConfig(rho=10.0)
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_dual_residual_is_coefficient_step(self, monkeypatch, model):
+        # both models split Phi h = c, so the dual residual is the step of c
+        p = fixed_problem(model, 64)
+        cfg = SolverConfig(rho=10.0, max_iters=200)
+        iterates = [np.zeros(64)]
+        threshold = solvers.soft_threshold
+
+        def recording(v, t):
+            out = threshold(v, t)
+            iterates.append(out)
+            return out
+
+        monkeypatch.setattr(solvers, "soft_threshold", recording)
         buf = io.StringIO()
-        traced = solve(p, cfg, trace=buf)
-        calls = []
-        coupling = solvers._coupling
-
-        def counting_coupling(problem, rho):
-            x_of, fv_of, ft_of = coupling(problem, rho)
-
-            def counted_ft_of(c):
-                calls.append(1)
-                return ft_of(c)
-
-            return x_of, fv_of, counted_ft_of
-
-        monkeypatch.setattr(solvers, "_coupling", counting_coupling)
-        untraced = solve(p, cfg)
-        assert untraced.converged
-        passing = sum(row[3] <= cfg.tol for row in trace_rows(buf))
-        assert 0 < len(calls) == passing < traced.iterations
+        solve(p, cfg, trace=buf)
+        rows = trace_rows(buf)
+        assert len(rows) == len(iterates) - 1
+        for row, c, c_prev in zip(rows, iterates[1:], iterates):
+            step = cfg.rho * np.linalg.norm(c - c_prev)
+            assert row[4] == pytest.approx(step, rel=1e-12, abs=1e-300)
