@@ -5,7 +5,7 @@ certificate engine for the linear error bounds."""
 __version__ = "0.1.0"
 
 from . import basis, certificates, cli, experiments, operators, regularizers, solvers
-from .basis import CoefficientVector, WaveletBasis
+from .basis import WaveletBasis
 from .operators import (
     BernoulliSensing,
     DenseMap,
@@ -20,9 +20,6 @@ from .regularizers import (
     WeightedL1,
     bregman_l1,
     bregman_quadratic,
-    canonical_subgradient,
-    eval_weighted_l1,
-    prox_weighted_l1,
 )
 from .solvers import (
     Problem,

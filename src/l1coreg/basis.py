@@ -16,7 +16,6 @@ therefore covers the coarse scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .operators import DEFAULT_MATERIALIZE_BUDGET, MaterializeBudgetError
 
 __all__ = [
     "WaveletBasis",
-    "CoefficientVector",
+    "support",
     "SUPPORT_TOL_FACTOR",
 ]
 
@@ -97,14 +96,10 @@ class WaveletBasis:
 
     Notes
     -----
-    ``decompose``/``reconstruct`` work on plain arrays; ``analyze`` is the
-    typed counterpart of ``decompose``, returning a
-    :class:`CoefficientVector`.  Both directions are exact inverses and
+    Coefficients are plain arrays: ``decompose`` returns them and
+    ``reconstruct`` takes them.  Both directions are exact inverses and
     preserve the Euclidean norm to machine precision.
     """
-
-    vanishing_moments = 2
-    boundary = "periodic"
 
     def __init__(self, n):
         n = int(n)
@@ -158,10 +153,6 @@ class WaveletBasis:
         """Inverse ``Phi.T @ c`` of :meth:`decompose`, also column by column."""
         return self.matrix.T @ self._checked(c)
 
-    def analyze(self, h):
-        """Coefficients ``c_lambda = <phi_lambda, h>`` as a :class:`CoefficientVector`."""
-        return CoefficientVector(self.decompose(h), self)
-
     def basis_vector(self, lam):
         """The basis element ``phi_lambda`` as a signal-domain array."""
         e = np.zeros(self.n)
@@ -178,37 +169,15 @@ class WaveletBasis:
         return hash(self.n)
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Coordinates of a signal in a :class:`WaveletBasis`."""
+def support(c):
+    """Indices with a nonzero coefficient in the coefficient array ``c``.
 
-    coeffs: np.ndarray
-    basis: WaveletBasis
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.basis.n,):
-            raise ValueError(
-                f"coefficient length {coeffs.shape} != basis size {self.basis.n}"
-            )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def support(self):
-        """Indices with a nonzero coefficient.
-
-        A coefficient counts as zero when its magnitude is at most
-        ``SUPPORT_TOL_FACTOR`` times the Euclidean norm of the whole vector.
-        """
-        norm = float(np.linalg.norm(self.coeffs))
-        if norm == 0.0:
-            return ()
-        keep = np.abs(self.coeffs) > SUPPORT_TOL_FACTOR * norm
-        return tuple(int(i) for i in np.nonzero(keep)[0])
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def __len__(self):
-        return self.basis.n
+    A coefficient counts as zero when its magnitude is at most
+    ``SUPPORT_TOL_FACTOR`` times the Euclidean norm of the whole vector.
+    """
+    c = np.asarray(c, dtype=float)
+    norm = float(np.linalg.norm(c))
+    if norm == 0.0:
+        return ()
+    keep = np.abs(c) > SUPPORT_TOL_FACTOR * norm
+    return tuple(int(i) for i in np.nonzero(keep)[0])

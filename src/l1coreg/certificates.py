@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import support as coeff_support
 from .operators import materialize, operator_norm
 from .regularizers import (
     Subgradient,
@@ -48,7 +49,6 @@ __all__ = [
     "check_variational_bounds",
     "check_norm_bound",
     "report_lines",
-    "parse_report",
 ]
 
 #: sigma_min above this multiple of ||A|| counts as injective.
@@ -72,8 +72,8 @@ class InjectivityReport:
     """Smallest singular value of the restricted sensing operator ``A_Omega``.
 
     ``a_norm`` is ``||A||``, the scale of the test, kept so that the rate
-    constants of :func:`certify` need not compute it again; ``None`` on a
-    report built by hand.
+    constants of :func:`certify` and :func:`check_norm_bound` need not
+    compute it again; ``None`` on a report built by hand.
     """
 
     omega: tuple
@@ -215,8 +215,8 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     """
     x_star = np.asarray(x_star, dtype=float)
     h_star = w.apply(x_star)
-    c_star = basis.analyze(h_star)
-    support = list(c_star.support())
+    c_star = basis.decompose(h_star)
+    support = list(coeff_support(c_star))
     kappa = l1.kappa
 
     w_mat = materialize(w)
@@ -231,7 +231,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     off_pinv = np.linalg.pinv(b_mat[:, off])
 
     eta_coeffs = np.zeros(basis.n)
-    eta_coeffs[support] = kappa[support] * np.sign(c_star.coeffs[support])
+    eta_coeffs[support] = kappa[support] * np.sign(c_star[support])
     on_part = b_mat[:, ~off] @ eta_coeffs[~off]
     prev = np.inf
     for _ in range(_MAX_ALTERNATIONS):
@@ -391,7 +391,8 @@ def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
     + (1 + ||A_Omega^-1|| ||A||) sum_{off Omega} |<phi_lambda, h>|`` and,
     when a subgradient ``eta`` (with ``Omega = Omega[eta]``) and its
     functional ``l1`` are supplied, the variant with the l1 tail replaced by
-    ``D_eta(h, h*) / m[eta]``.
+    ``D_eta(h, h*) / m[eta]``.  ``||A||`` is ``inj.a_norm``, computed here
+    only for a report built by hand.
 
     Raises
     ------
@@ -414,7 +415,7 @@ def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
     if not inj.injective:
         raise ValueError("norm bounds require an injective A_Omega")
 
-    a_norm = operator_norm(a)
+    a_norm = inj.a_norm if inj.a_norm is not None else operator_norm(a)
     lhs = float(np.linalg.norm(h - h_star))
     misfit = float(np.linalg.norm(a.apply(h) - a.apply(h_star)))
     c_h = basis.decompose(h)
@@ -472,24 +473,3 @@ def report_lines(cert, inj=None, constants=None):
         lines.append(f"a_norm = {constants.a_norm!r}")
     return lines
 
-
-def parse_report(text):
-    """Parse :func:`report_lines` output back into a flat dict."""
-    out = {}
-    for raw in text.splitlines() if isinstance(text, str) else text:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if value in ("true", "false"):
-            out[key] = value == "true"
-        elif key in ("support", "omega"):
-            out[key] = tuple(int(i) for i in value.split(",")) if value else ()
-        else:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                out[key] = value
-    return out

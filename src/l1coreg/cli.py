@@ -79,8 +79,6 @@ def _add_solver(p):
                    help="accepted for old scripts and configs; no effect")
     p.add_argument("--rho", type=float, default=1.0,
                    help="ADMM penalty (both models)")
-    p.add_argument("--solver-seed", type=int, default=None,
-                   help="random-initialization seed (default: zero start)")
 
 
 def build_parser():
@@ -161,7 +159,7 @@ def canonical_config(args, keys):
 
 
 _COMMON_KEYS = ("n", "m", "sparsity", "seed", "big_c", "kappa", "forward", "sensing")
-_SOLVER_KEYS = ("max_iters", "tol", "rho", "solver_seed")
+_SOLVER_KEYS = ("max_iters", "tol", "rho")
 
 
 def _config_keys(args):
@@ -198,12 +196,7 @@ def _inject_config(argv):
 
 
 def _solver_config(args):
-    return SolverConfig(
-        max_iters=args.max_iters,
-        tol=args.tol,
-        rho=args.rho,
-        seed=args.solver_seed,
-    )
+    return SolverConfig(max_iters=args.max_iters, tol=args.tol, rho=args.rho)
 
 
 def _build_instance(args):

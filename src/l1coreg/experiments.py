@@ -18,11 +18,12 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
+from .basis import support as coeff_support
 from .operators import BernoulliSensing, DenseMap, IntegrationOp, identity
 from .regularizers import WeightedL1, bregman_quadratic
 from .solvers import Problem, SolverConfig, solve
@@ -45,19 +46,6 @@ __all__ = [
     "determinism_hash",
     "CSV_COLUMNS",
 ]
-
-CSV_COLUMNS = (
-    "delta",
-    "alpha",
-    "bregman_x",
-    "err_h",
-    "residual",
-    "iterations",
-    "bound_c_rhs",
-    "bound_d_rhs",
-    "pass_c",
-    "pass_d",
-)
 
 #: Tolerances of the bound pass flags: err <= rhs*(1+REL) + ABS.
 BOUND_PASS_REL = 1e-6
@@ -139,7 +127,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One sweep point; exactly the ten CSV columns."""
+    """One sweep point; its fields are the CSV columns, in order."""
 
     delta: float
     alpha: float
@@ -151,6 +139,9 @@ class SweepRecord:
     bound_d_rhs: float
     pass_c: bool | None
     pass_d: bool | None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,7 @@ def make_phantom(n, sparsity, seed, basis, w):
     gap = float(np.linalg.norm(w.apply(x_star) - h_star))
     if gap > 1e-12 * max(1.0, float(np.linalg.norm(h_star))):
         raise PhantomError(f"forward-inverse round trip off by {gap:.3e}")
-    found = basis.analyze(h_star).support()
+    found = coeff_support(basis.decompose(h_star))
     if len(found) != sparsity:
         raise PhantomError(
             f"phantom support has {len(found)} coefficients, wanted {sparsity}"
@@ -375,19 +366,7 @@ def _format_cell(value):
 
 
 def _record_row(rec):
-    cells = [
-        _format_cell(rec.delta),
-        _format_cell(rec.alpha),
-        _format_cell(rec.bregman_x),
-        _format_cell(rec.err_h),
-        _format_cell(rec.residual),
-        str(int(rec.iterations)),
-        _format_cell(rec.bound_c_rhs),
-        _format_cell(rec.bound_d_rhs),
-        _format_cell(rec.pass_c),
-        _format_cell(rec.pass_d),
-    ]
-    return ",".join(cells)
+    return ",".join(_format_cell(getattr(rec, name)) for name in CSV_COLUMNS)
 
 
 def emit_csv(records, fit, path, metadata=None):
@@ -426,13 +405,17 @@ def _parse_cell(name, cell):
     return float(cell)
 
 
+def _read_text(path_or_text):
+    """CSV text itself when it holds a newline, else the file it names."""
+    if "\n" in str(path_or_text):
+        return path_or_text
+    with open(path_or_text, "r", encoding="ascii") as handle:
+        return handle.read()
+
+
 def parse_csv(path_or_text):
     """Parse :func:`emit_csv` output into ``(records, metadata, fit)``."""
-    if "\n" in str(path_or_text):
-        text = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="ascii") as handle:
-            text = handle.read()
+    text = _read_text(path_or_text)
     metadata = {}
     records = []
     saw_header = False
@@ -450,12 +433,13 @@ def parse_csv(path_or_text):
             continue
         cells = line.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(f"row has {len(cells)} columns, expected 10: {line!r}")
-        values = {
+            raise ValueError(
+                f"row has {len(cells)} columns, expected {len(CSV_COLUMNS)}: "
+                f"{line!r}"
+            )
+        records.append(SweepRecord(**{
             name: _parse_cell(name, cell) for name, cell in zip(CSV_COLUMNS, cells)
-        }
-        values["iterations"] = int(values["iterations"])
-        records.append(SweepRecord(**values))
+        }))
     fit = None
     if "fit_slope" in metadata:
         fit = RateFit(
@@ -469,11 +453,7 @@ def parse_csv(path_or_text):
 
 def determinism_hash(path_or_text):
     """SHA-256 over the CSV content, skipping wall-time metadata lines."""
-    if "\n" in str(path_or_text):
-        text = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="ascii") as handle:
-            text = handle.read()
+    text = _read_text(path_or_text)
     kept = [
         line for line in text.splitlines() if not line.startswith("# walltime")
     ]
@@ -606,7 +586,6 @@ def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli",
         "solver_max_iters": str(solver_cfg.max_iters),
         "solver_tol": repr(solver_cfg.tol),
         "solver_rho": repr(solver_cfg.rho),
-        "solver_seed": "none" if solver_cfg.seed is None else str(solver_cfg.seed),
         "phantom_seed": str(cfg.phantom_seed()),
         "matrix_seed": str(cfg.matrix_seed()),
         "noise_seed_rule": "seed*1000000 + delta_index*100 + trial",

@@ -1,9 +1,10 @@
-"""Penalty functionals, proximal maps, subgradients and Bregman distances.
+"""The weighted l1 penalty: value, soft-threshold, subgradients, Bregman distances.
 
 The weighted l1 functional acts on wavelet coefficients of signals in H and is
-a pure value object.  The signal-space penalty ``||x||^2 / 2`` needs no
-object: the solvers inline its value and prox, and :func:`bregman_quadratic`
-gives its Bregman distance.
+a pure value object.  Its proximal map is :func:`soft_threshold` on the
+coefficients, the c-step of the solvers.  The signal-space penalty
+``||x||^2 / 2`` needs no object: the solvers inline its value and prox, and
+:func:`bregman_quadratic` gives its Bregman distance.
 """
 
 from __future__ import annotations
@@ -12,16 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, WaveletBasis
+from .basis import WaveletBasis, support
 
 __all__ = [
     "WeightedL1",
     "Subgradient",
     "SubgradientError",
     "soft_threshold",
-    "eval_weighted_l1",
-    "prox_weighted_l1",
-    "canonical_subgradient",
     "subgradient_from_coefficients",
     "bregman_l1",
     "bregman_quadratic",
@@ -70,11 +68,8 @@ class WeightedL1:
         return float(self.kappa.min())
 
     def eval(self, h):
-        return eval_weighted_l1(self, h)
-
-    def eval_coeffs(self, c):
-        c = np.asarray(c, dtype=float)
-        return float(np.sum(self.kappa * np.abs(c)))
+        """Value ``sum kappa_lambda |<phi_lambda, h>|`` computed through analysis."""
+        return float(np.sum(self.kappa * np.abs(self.basis.decompose(h))))
 
 
 @dataclass(frozen=True)
@@ -83,16 +78,17 @@ class Subgradient:
 
     Attributes
     ----------
-    eta : CoefficientVector
+    eta : ndarray
         Coefficients ``eta_lambda`` with ``|eta_lambda| <= kappa_lambda``
-        and equality (with the sign of ``h*``) on the support of ``h*``.
+        and equality (with the sign of ``h*``) on the support of ``h*``;
+        read-only.
     omega : tuple of int
         Saturated set ``{lambda : |eta_lambda| = kappa_lambda}``.
     margin : float
         ``min{kappa_lambda - |eta_lambda| : lambda not in omega}``, positive.
     """
 
-    eta: CoefficientVector
+    eta: np.ndarray
     omega: tuple
     margin: float
 
@@ -101,43 +97,6 @@ def soft_threshold(c, thresholds):
     """Componentwise ``sign(c) * max(|c| - thresholds, 0)``."""
     c = np.asarray(c, dtype=float)
     return np.sign(c) * np.maximum(np.abs(c) - thresholds, 0.0)
-
-
-def eval_weighted_l1(f, h):
-    """Value ``sum kappa_lambda |<phi_lambda, h>|`` computed through analysis."""
-    return f.eval_coeffs(f.basis.decompose(h))
-
-
-def prox_weighted_l1(f, h, t):
-    """Proximal map of ``t * ||.||_{1,kappa}``.
-
-    Since the basis is orthonormal the objective separates in coefficient
-    space, so this is soft-thresholding with per-index thresholds
-    ``t * kappa_lambda`` followed by synthesis.
-    """
-    if t <= 0:
-        raise ValueError("prox step t must be positive")
-    c = f.basis.decompose(h)
-    return f.basis.reconstruct(soft_threshold(c, t * f.kappa))
-
-
-def _saturated_set(kappa, eta_coeffs):
-    gap = kappa - np.abs(eta_coeffs)
-    return gap <= SATURATION_TOL * kappa
-
-
-def _build_subgradient(f, eta_coeffs):
-    saturated = _saturated_set(f.kappa, eta_coeffs)
-    omega = tuple(int(i) for i in np.nonzero(saturated)[0])
-    off = ~saturated
-    if not off.any():
-        raise SubgradientError(
-            "every index is saturated; the margin m[eta] is undefined"
-        )
-    margin = float(np.min(f.kappa[off] - np.abs(eta_coeffs[off])))
-    if margin <= 0.0:
-        raise SubgradientError(f"margin m[eta] = {margin} must be positive")
-    return Subgradient(CoefficientVector(eta_coeffs, f.basis), omega, margin)
 
 
 def subgradient_from_coefficients(f, h_star, eta_coeffs, sign_tol=_SIGN_EQ_TOL):
@@ -153,56 +112,31 @@ def subgradient_from_coefficients(f, h_star, eta_coeffs, sign_tol=_SIGN_EQ_TOL):
         If any constraint fails or the margin is not positive.
     """
     eta_coeffs = np.asarray(eta_coeffs, dtype=float)
-    c_star = f.basis.analyze(h_star)
-    support = c_star.support()
+    c_star = f.basis.decompose(h_star)
     box_violation = np.max(np.abs(eta_coeffs) - f.kappa, initial=0.0)
     if box_violation > SATURATION_TOL * f.kappa.max():
         raise SubgradientError(
             f"|eta| exceeds kappa by {box_violation:.3e} somewhere"
         )
     eta_coeffs = np.clip(eta_coeffs, -f.kappa, f.kappa)
-    for lam in support:
-        want = f.kappa[lam] * np.sign(c_star.coeffs[lam])
+    for lam in support(c_star):
+        want = f.kappa[lam] * np.sign(c_star[lam])
         if abs(eta_coeffs[lam] - want) > sign_tol * max(1.0, f.kappa[lam]):
             raise SubgradientError(
                 f"eta[{lam}] = {eta_coeffs[lam]} != kappa*sign = {want} on support"
             )
-    return _build_subgradient(f, eta_coeffs)
-
-
-def canonical_subgradient(f, h_star, fill=None):
-    """Subgradient with prescribed off-support values.
-
-    ``eta_lambda = kappa_lambda * sign(<phi_lambda, h_star>)`` on the support
-    of ``h_star`` and ``eta_lambda = fill_lambda`` elsewhere (default zero,
-    which maximizes the margin).
-
-    Raises
-    ------
-    SubgradientError
-        If ``fill`` violates the box constraint off the support, or the
-        resulting margin is not positive (fill saturates everywhere off the
-        saturated set).
-    """
-    c_star = f.basis.analyze(h_star)
-    support = list(c_star.support())
-    n = f.basis.n
-    if fill is None:
-        eta = np.zeros(n)
-    else:
-        eta = np.asarray(fill, dtype=float).copy()
-        if eta.shape != (n,):
-            raise ValueError(f"fill must have length {n}")
-    off = np.ones(n, dtype=bool)
-    off[support] = False
-    violation = np.max(np.abs(eta[off]) - f.kappa[off], initial=0.0)
-    if violation > SATURATION_TOL * f.kappa.max():
+    saturated = f.kappa - np.abs(eta_coeffs) <= SATURATION_TOL * f.kappa
+    omega = tuple(int(i) for i in np.nonzero(saturated)[0])
+    off = ~saturated
+    if not off.any():
         raise SubgradientError(
-            f"fill exceeds the box |fill| <= kappa by {violation:.3e}"
+            "every index is saturated; the margin m[eta] is undefined"
         )
-    eta[off] = np.clip(eta[off], -f.kappa[off], f.kappa[off])
-    eta[support] = f.kappa[support] * np.sign(c_star.coeffs[support])
-    return _build_subgradient(f, eta)
+    margin = float(np.min(f.kappa[off] - np.abs(eta_coeffs[off])))
+    if margin <= 0.0:
+        raise SubgradientError(f"margin m[eta] = {margin} must be positive")
+    eta_coeffs.setflags(write=False)
+    return Subgradient(eta_coeffs, omega, margin)
 
 
 def bregman_l1(f, eta, h, h_star):
@@ -211,16 +145,16 @@ def bregman_l1(f, eta, h, h_star):
     Uses positive homogeneity (``<eta, h*> = ||h*||_{1,kappa}``) to evaluate
     it as the termwise-nonnegative sum
     ``sum_lambda (kappa_lambda |c_lambda| - eta_lambda c_lambda)`` with
-    ``c = analyze(h)``.
+    ``c = decompose(h)``.
 
     Parameters
     ----------
     eta : Subgradient
         Must be a subgradient at ``h_star`` (re-validated here).
     """
-    subgradient_from_coefficients(f, h_star, eta.eta.coeffs)
+    subgradient_from_coefficients(f, h_star, eta.eta)
     c = f.basis.decompose(h)
-    terms = f.kappa * np.abs(c) - eta.eta.coeffs * c
+    terms = f.kappa * np.abs(c) - eta.eta * c
     value = float(np.sum(terms))
     if value < 0.0:
         # mathematically >= 0; only roundoff can push it below

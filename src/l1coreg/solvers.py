@@ -41,9 +41,8 @@ depend on the BLAS thread count.  The build materializes
 and raises :class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
-zero initialization by default, a seeded random start when
-:attr:`SolverConfig.seed` is set, and no data-dependent branching beyond the
-stopping rule.
+it starts from ``c = u = 0`` and branches on the data only in the stopping
+rule.
 """
 
 from __future__ import annotations
@@ -136,19 +135,16 @@ def _require_model(p, model):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limit, stopping tolerance, ADMM penalty and start.
+    """Iteration limit, stopping tolerance and ADMM penalty.
 
     ``tol`` bounds both the absolute primal residual ``||Phi h - c||`` and
     the absolute dual residual ``rho ||c_k - c_{k-1}||`` of either model.
-    ``rho`` is the ADMM penalty of both models.  ``seed`` switches from the
-    deterministic zero start to a seeded random start; by convexity the
-    reachable objective value does not depend on it.
+    ``rho`` is the ADMM penalty of both models.
     """
 
     max_iters: int = 20_000
     tol: float = 1e-10
     rho: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -270,13 +266,6 @@ def _sandwich(factor, f_mat, scale):
     return out
 
 
-def _init_vector(dim, seed):
-    if seed is None:
-        return np.zeros(dim)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    return rng.standard_normal(dim)
-
-
 def _open_trace(trace):
     if trace is None:
         return None, False
@@ -350,7 +339,6 @@ def _admm(p, cfg, trace):
     x_of, fv_of = _coupling(p, cfg.rho)
     thresholds = (p.alpha / cfg.rho) * p.l1.kappa
     basis = p.l1.basis
-    n_h = p.w.codomain_dim
 
     def objective(x, c):
         if p.model == "strict":
@@ -360,12 +348,8 @@ def _admm(p, cfg, trace):
     def dual_residual(dc):
         return cfg.rho * math.sqrt(dc.dot(dc))
 
-    c = basis.decompose(_init_vector(n_h, cfg.seed))
-    u = (
-        np.zeros(n_h)
-        if cfg.seed is None
-        else basis.decompose(_init_vector(n_h, cfg.seed + 1))
-    )
+    c = np.zeros(p.w.codomain_dim)
+    u = np.zeros_like(c)
 
     handle, own = _open_trace(trace)
     if handle is not None:
@@ -421,7 +405,6 @@ def _admm(p, cfg, trace):
         diagnostics={
             "primal_residual": primal,
             "dual_residual": dual,
-            "constraint_gap": primal,
             "wx": p.w.apply(x),
         },
     )
@@ -461,8 +444,8 @@ def solve(problem, cfg=None, trace=None):
     -------
     SolveResult
         ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
-        ``x`` is read off the last v-step.  ``diagnostics`` holds the
-        residuals, the constraint gap ``||Phi h - c||`` and ``wx = W x``.  The
+        ``x`` is read off the last v-step.  ``diagnostics`` holds the primal
+        residual ``||Phi h - c||``, the dual residual and ``wx = W x``.  The
         error bounds concern ``result.h`` for the relaxed model and
         ``result.diagnostics['wx']`` for the strict one.
     """
@@ -475,8 +458,8 @@ def reference_solve(problem, cfg=None):
     """High-accuracy oracle: the same ADMM loop at tight settings.
 
     Runs with ``max_iters=500000`` and absolute residuals ``tol=1e-14``
-    (``rho`` and ``seed`` taken from ``cfg`` when given).  Only intended for small instances; refuses
-    dimensions above 256.  Non-convergence is flagged on the result, never
+    (``rho`` taken from ``cfg`` when given).  Only intended for small
+    instances; refuses dimensions above 256.  Non-convergence is flagged on the result, never
     hidden.
     """
     if not isinstance(problem, Problem):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from l1coreg.basis import WaveletBasis
+from l1coreg.basis import WaveletBasis, support as coeff_support
 from l1coreg.operators import BernoulliSensing, DenseMap, identity, materialize
-from l1coreg.regularizers import WeightedL1
+from l1coreg.regularizers import WeightedL1, subgradient_from_coefficients
 
 
 @pytest.fixture
@@ -27,6 +27,17 @@ def make_sparse_signal(basis, support, values):
     for lam, val in zip(support, values):
         c[lam] = val
     return basis.reconstruct(c)
+
+
+def subgradient_at(l1, h_star, fill=None):
+    """Subgradient of ``l1`` at ``h_star``: ``kappa * sign(c*)`` on the support
+    of ``c* = Phi h_star`` and ``fill`` (default zero, which maximizes the
+    margin) elsewhere, validated by ``subgradient_from_coefficients``."""
+    c_star = l1.basis.decompose(h_star)
+    on = list(coeff_support(c_star))
+    eta = np.zeros(l1.basis.n) if fill is None else np.array(fill, dtype=float)
+    eta[on] = l1.kappa[on] * np.sign(c_star[on])
+    return subgradient_from_coefficients(l1, h_star, eta)
 
 
 def certified_identity_instance(n, m, sparsity, seed):

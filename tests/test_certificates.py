@@ -3,7 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import certified_identity_instance, coupling_map, make_sparse_signal
+from conftest import (
+    certified_identity_instance,
+    coupling_map,
+    make_sparse_signal,
+    subgradient_at,
+)
 from l1coreg import certificates
 from l1coreg.basis import WaveletBasis
 from l1coreg.certificates import (
@@ -16,7 +21,6 @@ from l1coreg.certificates import (
     check_variational_bounds,
     find_certificate_relaxed,
     find_certificate_strict,
-    parse_report,
     rate_constants,
     report_lines,
 )
@@ -28,7 +32,8 @@ from l1coreg.operators import (
     materialize,
     operator_norm,
 )
-from l1coreg.regularizers import WeightedL1, bregman_l1, canonical_subgradient
+from l1coreg.cli import parse_config_text
+from l1coreg.regularizers import WeightedL1, bregman_l1
 from l1coreg.solvers import Problem, SolverConfig, solve_relaxed
 
 
@@ -207,13 +212,13 @@ class TestFindCertificateStrict:
 def synthetic_unit_certificate(basis, l1):
     """Certificate with all norm ingredients equal to one (paper example)."""
     h_star = basis.basis_vector(0)
-    sg = canonical_subgradient(l1, h_star)
+    sg = subgradient_at(l1, h_star)
     cert = SourceCertificate(
         model="relaxed",
         u=basis.basis_vector(0) * 0.0,
         v=np.zeros(basis.n),
         eta=sg,
-        eta_coeffs=sg.eta.coeffs,
+        eta_coeffs=sg.eta,
         split_residual=0.0,
         saturation_margin=1.0,
         support=(0,),
@@ -399,6 +404,34 @@ class TestNormBound:
             rep = check_norm_bound(a, basis, omega, h, h_star, inj)
             assert rep.l1_ok
 
+    def test_reuses_operator_norm_of_report(self, monkeypatch, rng):
+        # ||A|| comes from the injectivity report; only a report built by
+        # hand, without it, makes the bound compute it
+        n = 16
+        basis = WaveletBasis(n)
+        a = BernoulliSensing(12, n, seed=3)
+        omega = [0, 2]
+        inj = check_restricted_injectivity(a, basis, omega)
+        c_star = np.zeros(n)
+        c_star[omega] = [1.0, -1.0]
+        h_star = basis.reconstruct(c_star)
+        h = h_star + 0.3 * rng.standard_normal(n)
+        calls = []
+
+        def counted(op):
+            calls.append(op)
+            return operator_norm(op)
+
+        monkeypatch.setattr(certificates, "operator_norm", counted)
+        rep = check_norm_bound(a, basis, omega, h, h_star, inj)
+        assert calls == []
+        assert rep.l1_ok
+        by_hand = check_norm_bound(
+            a, basis, omega, h, h_star, replace(inj, a_norm=None)
+        )
+        assert calls == [a]
+        assert by_hand == rep
+
     def test_bregman_variant(self, rng):
         n = 16
         basis = WaveletBasis(n)
@@ -408,7 +441,7 @@ class TestNormBound:
         c_star = np.zeros(n)
         c_star[omega] = [1.0, -1.0]
         h_star = basis.reconstruct(c_star)
-        sg = canonical_subgradient(l1, h_star)
+        sg = subgradient_at(l1, h_star)
         inj = check_restricted_injectivity(a, basis, omega)
         assert inj.injective
         for _ in range(50):
@@ -424,7 +457,7 @@ class TestNormBound:
 
     def test_omega_mismatch_rejected(self, basis8, l1_unit8):
         h_star = basis8.basis_vector(0)
-        sg = canonical_subgradient(l1_unit8, h_star)
+        sg = subgradient_at(l1_unit8, h_star)
         inj = check_restricted_injectivity(identity(8), basis8, [0, 1])
         with pytest.raises(ValueError):
             check_norm_bound(
@@ -442,26 +475,26 @@ class TestReportRoundTrip:
         inj = check_restricted_injectivity(identity(8), basis8, cert.eta.omega)
         constants = rate_constants(cert, inj, 1.0, 1.0)
         lines = report_lines(cert, inj, constants)
-        parsed = parse_report("\n".join(lines))
+        parsed = parse_config_text("\n".join(lines))
         assert parsed["certificate_kind"] == "relaxed"
-        assert parsed["valid"] is True
-        assert parsed["saturation_margin"] == pytest.approx(1.0, abs=1e-10)
-        assert parsed["c"] == constants.c
-        assert parsed["d"] == constants.d
-        assert parsed["omega"] == (0,)
+        assert parsed["valid"] == "true"
+        assert float(parsed["saturation_margin"]) == pytest.approx(1.0, abs=1e-10)
+        assert float(parsed["c"]) == constants.c
+        assert float(parsed["d"]) == constants.d
+        assert parsed["omega"] == "0"
 
     def test_strict_report(self, basis8, l1_unit8):
         cert = find_certificate_strict(
             identity(8), identity(8), basis8, l1_unit8, basis8.basis_vector(0)
         )
         lines = report_lines(cert)
-        parsed = parse_report("\n".join(lines))
+        parsed = parse_config_text("\n".join(lines))
         assert parsed["certificate_kind"] == "strict"
-        assert parsed["valid"] is True
-        assert parsed["split_residual"] <= 1e-8
+        assert parsed["valid"] == "true"
+        assert float(parsed["split_residual"]) <= 1e-8
         # both source norms are printed: nu = 2 phi_0, u = phi_0
-        assert parsed["norm_nu"] == pytest.approx(2.0, abs=1e-10)
-        assert parsed["norm_uv"] == pytest.approx(np.sqrt(5.0), abs=1e-10)
+        assert float(parsed["norm_nu"]) == pytest.approx(2.0, abs=1e-10)
+        assert float(parsed["norm_uv"]) == pytest.approx(np.sqrt(5.0), abs=1e-10)
 
 
 class TestStrictBoundSuite:

@@ -7,7 +7,6 @@ import pytest
 
 import l1coreg
 from l1coreg import cli
-from l1coreg.certificates import parse_report
 from l1coreg.cli import (
     EXIT_CERT_INVALID,
     EXIT_NOT_CONVERGED,
@@ -351,8 +350,13 @@ class TestCertify:
             capsys,
         )
         assert rc == EXIT_OK
-        rep = parse_report(stdout)
-        assert rep["valid"] is True
+        kv = parse_config_text(stdout)
+        assert kv["valid"] == "true"
+        rep = {
+            key: float(kv[key])
+            for key in ("saturation_margin", "sigma_min", "big_c", "norm_uv",
+                        "a_omega_inv_norm", "a_norm", "m_eta", "c", "d")
+        }
         assert rep["saturation_margin"] == pytest.approx(1.0, abs=1e-10)
         assert rep["sigma_min"] == pytest.approx(1.0, abs=1e-10)
         # constants recompute from the reported ingredients
@@ -438,6 +442,22 @@ class TestConfigFile:
         x1 = np.loadtxt(out / "x.txt")
         x2 = np.loadtxt(tmp_path / "run2" / "x.txt")
         np.testing.assert_array_equal(x1, x2)
+
+    def test_retired_solver_seed_refused(self, tmp_path, capsys):
+        # the random solver start is gone; a config that asks for one must
+        # not replay from the zero start without notice
+        cfg = tmp_path / "seeded.cfg"
+        cfg.write_text("n = 32\nm = 24\nsparsity = 2\nseed = 1\n"
+                       "forward = identity\nsolver_seed = 5\n")
+        rc, stdout, err = run_cli(
+            ["solve", "--model", "relaxed", "--config", str(cfg),
+             "--out", str(tmp_path / "r")],
+            capsys,
+        )
+        assert rc == EXIT_USAGE
+        assert stdout == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "--solver-seed" in errors[0]
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc, _, err = run_cli(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import coupling_map
-from l1coreg.basis import WaveletBasis
+from l1coreg.basis import WaveletBasis, support
 from l1coreg.experiments import (
     CSV_COLUMNS,
     PhantomError,
@@ -60,7 +60,7 @@ class TestMakePhantom:
         basis = WaveletBasis(64)
         for seed in range(5):
             ph = make_phantom(64, 5, seed, basis, identity(64))
-            assert len(basis.analyze(ph.h_star).support()) == 5
+            assert len(support(basis.decompose(ph.h_star))) == 5
 
     def test_support_in_coarsest_quarter_with_dc(self):
         basis = WaveletBasis(64)

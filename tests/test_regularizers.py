@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_sparse_signal
+from conftest import make_sparse_signal, subgradient_at
 from l1coreg.basis import WaveletBasis
 from l1coreg.regularizers import (
     SubgradientError,
     WeightedL1,
     bregman_l1,
     bregman_quadratic,
-    canonical_subgradient,
-    eval_weighted_l1,
-    prox_weighted_l1,
     soft_threshold,
     subgradient_from_coefficients,
 )
@@ -25,17 +22,17 @@ def scalar_prox_oracle(value, threshold, step=1e-4):
 
 class TestEval:
     def test_zero(self, l1_unit8):
-        assert eval_weighted_l1(l1_unit8, np.zeros(8)) == 0.0
+        assert l1_unit8.eval(np.zeros(8)) == 0.0
 
     def test_two_spikes(self, basis8, l1_unit8):
         h = make_sparse_signal(basis8, [0, 3], [1.0, -2.0])
-        assert eval_weighted_l1(l1_unit8, h) == pytest.approx(3.0, abs=1e-12)
+        assert l1_unit8.eval(h) == pytest.approx(3.0, abs=1e-12)
 
     def test_weight_applied(self, basis8):
         kappa = np.ones(8)
         kappa[0] = 2.0
         f = WeightedL1(basis8, kappa)
-        assert eval_weighted_l1(f, basis8.basis_vector(0)) == pytest.approx(
+        assert f.eval(basis8.basis_vector(0)) == pytest.approx(
             2.0, abs=1e-12
         )
 
@@ -54,54 +51,49 @@ class TestEval:
 
 
 class TestProx:
-    def test_zero(self, l1_unit8):
-        assert np.all(prox_weighted_l1(l1_unit8, np.zeros(8), 1.0) == 0.0)
+    """The prox of ``t ||.||_{1,kappa}`` is ``soft_threshold`` at ``t kappa`` on
+    the coefficients, the c-step of the solvers."""
 
-    def test_spike_shrinks(self, basis8, l1_unit8):
-        h = 3.0 * basis8.basis_vector(0)
-        out = basis8.decompose(prox_weighted_l1(l1_unit8, h, 1.0))
-        expected = scalar_prox_oracle(3.0, 1.0)
-        assert out[0] == pytest.approx(expected, abs=1e-4)
+    def test_zero(self, l1_unit8):
+        assert np.all(soft_threshold(np.zeros(8), l1_unit8.kappa) == 0.0)
+
+    def test_spike_shrinks(self, l1_unit8):
+        c = np.zeros(8)
+        c[0] = 3.0
+        out = soft_threshold(c, l1_unit8.kappa)
+        assert out[0] == pytest.approx(scalar_prox_oracle(3.0, 1.0), abs=1e-4)
         assert np.max(np.abs(out[1:])) <= 1e-12
 
-    def test_heavy_weight_kills_spike(self, basis8):
+    def test_heavy_weight_kills_spike(self):
         kappa = np.ones(8)
         kappa[0] = 2.0
-        f = WeightedL1(basis8, kappa)
-        h = 1.5 * basis8.basis_vector(0)
-        out = prox_weighted_l1(f, h, 1.0)
-        expected = scalar_prox_oracle(1.5, 2.0)
-        assert abs(expected) <= 1e-4  # grid-resolution zero
+        c = np.zeros(8)
+        c[0] = 1.5
+        out = soft_threshold(c, kappa)
+        assert abs(scalar_prox_oracle(1.5, 2.0)) <= 1e-4  # grid-resolution zero
         assert np.linalg.norm(out) <= 1e-12
 
     def test_componentwise_grid_oracle(self, rng):
-        basis = WaveletBasis(16)
         kappa = rng.uniform(0.5, 2.0, 16)
-        f = WeightedL1(basis, kappa)
         for _ in range(50):
-            h = rng.standard_normal(16)
+            c = rng.standard_normal(16)
             t = rng.uniform(0.1, 2.0)
-            out_coeffs = basis.decompose(prox_weighted_l1(f, h, t))
-            c = basis.decompose(h)
+            out = soft_threshold(c, t * kappa)
             for lam in range(16):
-                got = out_coeffs[lam]
+                got = out[lam]
                 best = scalar_prox_oracle(c[lam], t * kappa[lam])
                 obj = lambda g: 0.5 * (g - c[lam]) ** 2 + t * kappa[lam] * abs(g)
                 assert obj(got) <= obj(best) + 1e-3
 
     def test_nonexpansive(self, rng, l1_unit8):
+        thresholds = 0.7 * l1_unit8.kappa
         for _ in range(30):
-            h1 = rng.standard_normal(8)
-            h2 = rng.standard_normal(8)
+            c1 = rng.standard_normal(8)
+            c2 = rng.standard_normal(8)
             d_out = np.linalg.norm(
-                prox_weighted_l1(l1_unit8, h1, 0.7)
-                - prox_weighted_l1(l1_unit8, h2, 0.7)
+                soft_threshold(c1, thresholds) - soft_threshold(c2, thresholds)
             )
-            assert d_out <= np.linalg.norm(h1 - h2) + 1e-12
-
-    def test_nonpositive_step(self, l1_unit8):
-        with pytest.raises(ValueError):
-            prox_weighted_l1(l1_unit8, np.zeros(8), 0.0)
+            assert d_out <= np.linalg.norm(c1 - c2) + 1e-12
 
 
 def test_soft_threshold_values():
@@ -112,12 +104,16 @@ def test_soft_threshold_values():
 
 
 class TestCanonicalSubgradient:
+    """``kappa sign(c*)`` on the support and a fill elsewhere, validated by
+    ``subgradient_from_coefficients`` (``conftest.subgradient_at``)."""
+
     def test_single_spike(self, basis8, l1_unit8):
         h_star = basis8.basis_vector(1)
-        sg = canonical_subgradient(l1_unit8, h_star)
+        sg = subgradient_at(l1_unit8, h_star)
         expected = np.zeros(8)
         expected[1] = 1.0
-        np.testing.assert_allclose(sg.eta.coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(sg.eta, expected, atol=1e-12)
+        assert not sg.eta.flags.writeable
         assert sg.omega == (1,)
         assert sg.margin == pytest.approx(1.0)
 
@@ -125,18 +121,18 @@ class TestCanonicalSubgradient:
         h_star = make_sparse_signal(basis8, [0, 2], [1.0, -1.0])
         fill = np.zeros(8)
         fill[1] = 0.3
-        sg = canonical_subgradient(l1_unit8, h_star, fill)
+        sg = subgradient_at(l1_unit8, h_star, fill)
         assert sg.omega == (0, 2)
         assert sg.margin == pytest.approx(0.7)
 
     def test_subgradient_inequality(self, rng, basis8, l1_unit8):
         h_star = make_sparse_signal(basis8, [0, 3], [2.0, -1.0])
-        sg = canonical_subgradient(l1_unit8, h_star)
-        base = eval_weighted_l1(l1_unit8, h_star)
-        eta_sig = basis8.reconstruct(sg.eta.coeffs)
+        sg = subgradient_at(l1_unit8, h_star)
+        base = l1_unit8.eval(h_star)
+        eta_sig = basis8.reconstruct(sg.eta)
         for _ in range(100):
             h = rng.standard_normal(8)
-            lhs = eval_weighted_l1(l1_unit8, h)
+            lhs = l1_unit8.eval(h)
             rhs = base + eta_sig @ (h - h_star)
             assert lhs >= rhs - 1e-10
 
@@ -145,12 +141,12 @@ class TestCanonicalSubgradient:
         fill = np.zeros(8)
         fill[5] = 1.5
         with pytest.raises(SubgradientError):
-            canonical_subgradient(l1_unit8, h_star, fill)
+            subgradient_at(l1_unit8, h_star, fill)
 
     def test_everything_saturated(self, basis8, l1_unit8):
         h_star = basis8.reconstruct(np.ones(8))
         with pytest.raises(SubgradientError):
-            canonical_subgradient(l1_unit8, h_star)
+            subgradient_at(l1_unit8, h_star)
 
     def test_positive_homogeneity_identity(self, rng):
         basis = WaveletBasis(16)
@@ -160,9 +156,9 @@ class TestCanonicalSubgradient:
             idx = rng.choice(16, size=3, replace=False)
             c[idx] = rng.uniform(0.5, 1.5, 3) * rng.choice([-1, 1], 3)
             h_star = basis.reconstruct(c)
-            sg = canonical_subgradient(f, h_star)
-            lhs = sg.eta.coeffs @ basis.decompose(h_star)
-            assert abs(lhs - eval_weighted_l1(f, h_star)) <= 1e-12 * max(1.0, lhs)
+            sg = subgradient_at(f, h_star)
+            lhs = sg.eta @ basis.decompose(h_star)
+            assert abs(lhs - f.eval(h_star)) <= 1e-12 * max(1.0, lhs)
 
 
 class TestSubgradientFromCoefficients:
@@ -194,25 +190,25 @@ class TestSubgradientFromCoefficients:
 class TestBregmanL1:
     def test_zero_at_truth(self, basis8, l1_unit8):
         h_star = basis8.basis_vector(0)
-        sg = canonical_subgradient(l1_unit8, h_star)
+        sg = subgradient_at(l1_unit8, h_star)
         assert bregman_l1(l1_unit8, sg, h_star, h_star) == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_flip_distance(self, basis8, l1_unit8):
         h_star = basis8.basis_vector(0)
-        sg = canonical_subgradient(l1_unit8, h_star)
+        sg = subgradient_at(l1_unit8, h_star)
         val = bregman_l1(l1_unit8, sg, -h_star, h_star)
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_two_formulas_agree(self, rng, basis8, l1_unit8):
         h_star = make_sparse_signal(basis8, [1, 4], [1.2, -0.8])
-        sg = canonical_subgradient(l1_unit8, h_star)
-        eta_sig = basis8.reconstruct(sg.eta.coeffs)
+        sg = subgradient_at(l1_unit8, h_star)
+        eta_sig = basis8.reconstruct(sg.eta)
         for _ in range(50):
             h = rng.standard_normal(8)
             direct = bregman_l1(l1_unit8, sg, h, h_star)
             generic = (
-                eval_weighted_l1(l1_unit8, h)
-                - eval_weighted_l1(l1_unit8, h_star)
+                l1_unit8.eval(h)
+                - l1_unit8.eval(h_star)
                 - eta_sig @ (h - h_star)
             )
             assert direct == pytest.approx(generic, abs=1e-10)
@@ -222,7 +218,7 @@ class TestBregmanL1:
         h_star = make_sparse_signal(basis8, [0, 2], [1.0, -1.0])
         fill = np.zeros(8)
         fill[1] = 0.3
-        sg = canonical_subgradient(l1_unit8, h_star, fill)
+        sg = subgradient_at(l1_unit8, h_star, fill)
         off = [i for i in range(8) if i not in sg.omega]
         for _ in range(100):
             h = rng.standard_normal(8)
@@ -232,7 +228,7 @@ class TestBregmanL1:
 
     def test_invalid_subgradient_rejected(self, basis8, l1_unit8):
         h_star = basis8.basis_vector(0)
-        sg = canonical_subgradient(l1_unit8, h_star)
+        sg = subgradient_at(l1_unit8, h_star)
         other = basis8.basis_vector(3)  # eta is not a subgradient at other
         with pytest.raises(SubgradientError):
             bregman_l1(l1_unit8, sg, h_star, other)

@@ -302,7 +302,7 @@ class TestSolveStrict:
         p = random_small_problem(rng, model="strict")
         res = solve_strict(p, SolverConfig())
         gap = np.linalg.norm(p.w.apply(res.x) - res.h)
-        assert res.diagnostics["constraint_gap"] == pytest.approx(gap, abs=1e-12)
+        assert res.diagnostics["primal_residual"] == pytest.approx(gap, abs=1e-12)
 
     def test_trace_stream(self, rng):
         p = random_small_problem(rng, model="strict")
@@ -326,20 +326,6 @@ class TestReferenceSolve:
         first = reference_solve(p)
         second = reference_solve(p)
         assert abs(first.objective - second.objective) <= 1e-12
-
-    def test_seeded_inits_agree(self, rng):
-        p = random_small_problem(rng)
-        base = reference_solve(p)
-        seeded = reference_solve(p, SolverConfig(seed=123))
-        seeded2 = reference_solve(p, SolverConfig(seed=456))
-        assert abs(base.objective - seeded.objective) <= 1e-10
-        assert abs(seeded.objective - seeded2.objective) <= 1e-10
-
-    def test_strict_seeded_inits_agree(self, rng):
-        p = random_small_problem(rng, model="strict")
-        base = reference_solve(p)
-        seeded = reference_solve(p, SolverConfig(seed=9))
-        assert abs(base.objective - seeded.objective) <= 1e-10
 
     def test_dimension_limit(self):
         basis = WaveletBasis(512)
@@ -501,12 +487,11 @@ class TestStrictNeedsOntoW:
 
 
 class TestOptimality:
-    @pytest.mark.parametrize("seed", [None, 7])
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
-    def test_natural_residual(self, rng, model, seed):
+    def test_natural_residual(self, rng, model):
         # the KKT residual shares no code with the ADMM loop
         p = random_small_problem(rng, model=model)
-        res = solve(p, SolverConfig(seed=seed))
+        res = solve(p, SolverConfig())
         assert res.converged
         assert natural_residual(p, res) <= 1e-8
 
