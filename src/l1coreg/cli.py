@@ -243,7 +243,7 @@ def _cmd_solve(args, use_reference):
     cfg = _solver_config(args)
     problem = Problem(args.model, w, a, y_delta, alpha, l1)
     result = reference_solve(problem, cfg) if use_reference else solve(problem, cfg)
-    h_out = result.h if args.model == "relaxed" else result.diagnostics["wx"]
+    h_out = result.h if args.model == "relaxed" else w.apply(result.x)
 
     config_lines = canonical_config(args, _config_keys(args))
     summary = [

@@ -259,7 +259,7 @@ def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg):
         # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
         stacked = np.concatenate([w.apply(res.x) - res.h, a.apply(res.h) - y_delta])
         return res, res.h, float(np.linalg.norm(stacked))
-    wx = res.diagnostics["wx"]
+    wx = w.apply(res.x)
     residual = float(np.linalg.norm(a.apply(wx) - y_delta))
     return res, wx, residual
 

@@ -24,21 +24,23 @@ symmetric positive definite system ``S h = A* y + rho Phi* d`` with
 orthonormal, so the c-step is a weighted soft-threshold, and the v-step
 enters the loop only through the affine map ``d -> c0 + Q d`` with
 ``Q = rho Phi S^{-1} Phi*``.  That map is a dense matrix formed once per
-solve from Cholesky factors of ``G`` and ``S``, so an iteration costs one
-matvec and no operator apply, wavelet transform or linear solve.  The dual
-residual of the stopping rule, ``rho ||c_k - c_{k-1}||`` for both models,
-can stop the loop only together with the primal one, so it is computed only
-on iterations whose primal residual is within ``tol``, or on every iteration
-when tracing.
+solve by whitening with the Cholesky factors of ``G`` and ``S``, so an
+iteration costs one matvec and no operator apply, wavelet transform or
+linear solve.  The dual residual of the stopping rule,
+``rho ||c_k - c_{k-1}||`` for both models, can stop the loop only together
+with the primal one, so it is computed only on iterations whose primal
+residual is within ``tol``, or on every iteration when tracing.
 
-The factor and its triangular solves are blocked numpy: LAPACK sees only
-diagonal blocks of :data:`_FACTOR_BLOCK` rows, and everything wider is a
-matrix product.  Threaded LAPACK factorizations round differently under
-different BLAS thread counts from about side 128 on, while products, and
-LAPACK calls this narrow, give the same bits; so solve outputs do not
-depend on the BLAS thread count.  The build materializes
-``W`` and ``A`` within the budget of :func:`~l1coreg.operators.materialize`
-and raises :class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
+Each factor is used once, to apply its inverse to a fixed right-hand side,
+so none is kept: :func:`_whiten` does the forward substitution inside a
+blocked factorization.  LAPACK sees only diagonal blocks of
+:data:`_FACTOR_BLOCK` rows, and everything wider is a matrix product.
+Threaded LAPACK factorizations round differently under different BLAS
+thread counts from about side 128 on, while products, and LAPACK calls this
+narrow, give the same bits; so solve outputs do not depend on the BLAS
+thread count.  The build materializes ``W`` and ``A`` within the budget of
+:func:`~l1coreg.operators.materialize` and raises
+:class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
 it starts from ``c = u = 0`` and branches on the data only in the stopping
@@ -69,8 +71,8 @@ __all__ = [
     "reference_solve",
 ]
 
-#: Side of the diagonal blocks of the blocked Cholesky factor, the widest
-#: matrix any LAPACK call of a solve sees.
+#: Side of the diagonal blocks of :func:`_whiten`, the widest matrix any
+#: LAPACK call of a solve sees.
 _FACTOR_BLOCK = 64
 _REFERENCE_MAX_DIM = 256
 
@@ -183,86 +185,31 @@ def objective_relaxed(p, x, h):
 
 
 def objective_strict(p, x):
-    """Value of the strict functional at ``x``."""
-    x = np.asarray(x, dtype=float)
-    wx = p.w.apply(x)
-    misfit = p.a.apply(wx) - p.y_delta
-    penalty = 0.5 * float(x @ x) + p.l1.eval(wx)
-    return 0.5 * float(misfit @ misfit) + p.alpha * penalty
+    """Value of the strict functional at ``x``: the relaxed one at ``h = W x``."""
+    return objective_relaxed(p, x, p.w.apply(x))
 
 
-def _cho_factor_in_place(mat):
-    """Blocked Cholesky factor of the symmetric positive definite ``mat``.
+def _whiten(mat, rhs):
+    """``L^{-1} rhs`` for the Cholesky factor ``L`` of the positive definite ``mat``.
 
-    Right-looking: each diagonal block of :data:`_FACTOR_BLOCK` rows is
-    factored by ``np.linalg.cholesky`` and inverted once, the panel below it
-    is ``A21 L11^{-T}``, and the trailing matrix is updated by one product.
-    ``mat`` is overwritten by the lower factor ``L`` (its strict upper
-    triangle zeroed), so the caller should drop its own name for it.
-
-    Returns ``(L, inverses)``, where ``inverses`` holds the inverse of each
-    diagonal block of ``L`` for :func:`_forward_solve` and
-    :func:`_back_solve`.
+    A right-looking blocked factorization that carries the forward
+    substitution along: each diagonal block of :data:`_FACTOR_BLOCK` rows is
+    factored by ``np.linalg.cholesky`` and inverted, which finishes that
+    block's rows of the result, and the trailing matrix and the trailing rows
+    of the result are each updated by one product.  ``rhs`` is a vector or a
+    matrix and is not changed; ``mat`` is overwritten, and no factor is kept.
+    Raises ``np.linalg.LinAlgError`` when ``mat`` is not positive definite.
     """
     n = mat.shape[0]
-    inverses = []
+    out = np.array(rhs, dtype=float, order="C")
     for j in range(0, n, _FACTOR_BLOCK):
         k = min(j + _FACTOR_BLOCK, n)
-        l11 = np.linalg.cholesky(mat[j:k, j:k])
-        mat[j:k, j:k] = l11
-        inv11 = np.tril(np.linalg.inv(l11))
-        inverses.append(inv11)
-        mat[j:k, k:] = 0.0
+        inv11 = np.tril(np.linalg.inv(np.linalg.cholesky(mat[j:k, j:k])))
+        out[j:k] = inv11 @ out[j:k]
         if k < n:
             panel = mat[k:, j:k] @ inv11.T
-            mat[k:, j:k] = panel
             mat[k:, k:] -= panel @ panel.T
-    return mat, inverses
-
-
-def _forward_solve(factor, b):
-    """``L^{-1} b`` for a vector or matrix ``b``, by blocked forward substitution."""
-    l_mat, inverses = factor
-    y = np.array(b, dtype=float, order="C")
-    j = 0
-    for inv11 in inverses:
-        k = j + inv11.shape[0]
-        if j:
-            y[j:k] -= l_mat[j:k, :j] @ y[:j]
-        y[j:k] = inv11 @ y[j:k]
-        j = k
-    return y
-
-
-def _back_solve(factor, y):
-    """``L^{-T} y`` for a vector or matrix ``y``, by blocked back substitution."""
-    l_mat, inverses = factor
-    x = np.array(y, dtype=float, order="C")
-    k = l_mat.shape[0]
-    for inv11 in reversed(inverses):
-        j = k - inv11.shape[0]
-        if k < l_mat.shape[0]:
-            x[j:k] -= l_mat[k:, j:k].T @ x[k:]
-        x[j:k] = inv11.T @ x[j:k]
-        k = j
-    return x
-
-
-def _cho_solve(factor, b):
-    """``G^{-1} b`` from the blocked Cholesky ``factor`` of ``G``."""
-    return _back_solve(factor, _forward_solve(factor, b))
-
-
-def _sandwich(factor, f_mat, scale):
-    """``scale F G^{-1} F*`` from the Cholesky ``factor`` ``L`` of ``G``.
-
-    ``M = L^{-1} F*`` is one forward substitution, and the result is
-    ``scale M* M``, a product of ``M`` with its own transpose, which numpy
-    hands to ``syrk``; it is symmetric to the bit.
-    """
-    m_mat = _forward_solve(factor, f_mat.T)
-    out = m_mat.T @ m_mat
-    out *= scale
+            out[k:] -= panel @ out[j:k]
     return out
 
 
@@ -282,13 +229,16 @@ def _trace_row(handle, it, objective, fpr, primal, dual):
 def _coupling(p, rho):
     """The v-step ``S h = A* y + rho Phi* d`` of either model, as two maps.
 
-    ``fv_of(d) = Phi h = c0 + Q d`` is one matvec with the dense
-    ``Q = rho Phi S^{-1} Phi*``, the one matvec of every iteration.
-    ``x_of(d) = W* G^{-1} h`` solves with the kept factor of ``G`` and runs
-    only after the loop or for a trace row.  ``W`` is dropped once ``G`` is
-    formed, ``G`` and ``S`` are each factored in their own storage, and the
-    factor of ``S`` is dropped on return, so the build keeps at most four
-    n-by-n arrays alive besides the basis's ``Phi``.
+    With ``L_G`` and ``L_S`` the Cholesky factors of ``G`` and ``S``, the
+    build keeps ``g_white = L_G^{-1}``, so ``alpha G^{-1}`` is
+    ``alpha g_white* g_white``, and whitens ``Phi*`` by ``S`` into
+    ``M = L_S^{-1} Phi*``.  ``fv_of(d) = Phi h = c0 + Q d`` is one matvec
+    with the dense ``Q = rho M* M = rho Phi S^{-1} Phi*``, the one matvec of
+    every iteration; ``Phi* Phi = I`` gives ``c0 = M* M Phi A* y``.
+    ``x_of(d) = W* G^{-1} h`` is two triangular matvecs with ``g_white`` and
+    runs only after the loop or for a trace row.  ``W``, ``S`` and ``M`` are
+    dropped once used, so the build keeps at most four n-by-n arrays alive
+    besides the basis's ``Phi``.
     Raises ``ValueError`` when the strict ``G = W W*`` does not factor.
     """
     phi = p.l1.basis.matrix
@@ -299,25 +249,30 @@ def _coupling(p, rho):
     if p.model == "relaxed":
         g_mat.flat[:: n + 1] += p.alpha
     try:
-        factor_g = _cho_factor_in_place(g_mat)
+        g_white = _whiten(g_mat, np.eye(n))
     except np.linalg.LinAlgError:
         raise ValueError(
             "the strict model needs W of full row rank (W W* must factor)"
         ) from None
-    s_mat = _sandwich(factor_g, np.eye(n), p.alpha)
+    del g_mat
+    s_mat = g_white.T @ g_white
+    s_mat *= p.alpha
     a_mat = materialize(p.a)
     s_mat += a_mat.T @ a_mat
     del a_mat
     s_mat.flat[:: n + 1] += rho
-    factor_s = _cho_factor_in_place(s_mat)
-    q_mat = _sandwich(factor_s, phi, rho)
-    c0 = phi @ _cho_solve(factor_s, p.a.adjoint_apply(p.y_delta))
+    m_mat = _whiten(s_mat, phi.T)
+    del s_mat
+    q_mat = m_mat.T @ m_mat
+    del m_mat
+    c0 = q_mat @ (phi @ p.a.adjoint_apply(p.y_delta))
+    q_mat *= rho
 
     def fv_of(d):
         return c0 + q_mat @ d
 
     def x_of(d):
-        return p.w.adjoint_apply(_cho_solve(factor_g, phi.T @ fv_of(d)))
+        return p.w.adjoint_apply(g_white.T @ (g_white @ (phi.T @ fv_of(d))))
 
     return x_of, fv_of
 
@@ -402,11 +357,7 @@ def _admm(p, cfg, trace):
         fixed_point_residual=max(primal, dual),
         converged=converged,
         wall_time=time.perf_counter() - start,
-        diagnostics={
-            "primal_residual": primal,
-            "dual_residual": dual,
-            "wx": p.w.apply(x),
-        },
+        diagnostics={"primal_residual": primal, "dual_residual": dual},
     )
 
 
@@ -445,9 +396,9 @@ def solve(problem, cfg=None, trace=None):
     SolveResult
         ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
         ``x`` is read off the last v-step.  ``diagnostics`` holds the primal
-        residual ``||Phi h - c||``, the dual residual and ``wx = W x``.  The
-        error bounds concern ``result.h`` for the relaxed model and
-        ``result.diagnostics['wx']`` for the strict one.
+        residual ``||Phi h - c||`` and the dual residual.  The error bounds
+        concern ``result.h`` for the relaxed model and ``W x`` for the
+        strict one.
     """
     if problem.model == "relaxed":
         return solve_relaxed(problem, cfg, trace)

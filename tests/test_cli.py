@@ -521,15 +521,31 @@ def test_import_loads_no_scipy_sparse():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("model", ["strict", "relaxed"])
-def test_sweep_hash_independent_of_blas_threads(tmp_path, model):
+# two factor blocks, certificate included
+_N128 = ("--n", "128", "--m", "64", "--sparsity", "4", "--seed", "3",
+         "--trials", "1", "--delta-count", "2")
+# eight factor blocks; the certificate's SVDs are not claimed to be
+# thread-invariant at this size, so it is skipped
+_N512 = ("--n", "512", "--m", "256", "--sparsity", "16", "--seed", "7",
+         "--deltas", "1e-2,1e-3", "--no-certify")
+
+
+@pytest.mark.parametrize(
+    "model, instance",
+    [
+        pytest.param("strict", _N128, id="strict"),
+        pytest.param("relaxed", _N128, id="relaxed"),
+        pytest.param("strict", _N512, id="strict-n512"),
+        pytest.param("relaxed", _N512, id="relaxed-n512"),
+    ],
+)
+def test_sweep_hash_independent_of_blas_threads(tmp_path, model, instance):
     hashes = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}.csv"
         proc = run_python(
-            "-m", "l1coreg", "sweep", "--model", model, "--n", "128",
-            "--m", "64", "--sparsity", "4", "--seed", "3", "--trials", "1",
-            "--delta-count", "2", "--jobs", "1", "--out", str(out),
+            "-m", "l1coreg", "sweep", "--model", model, *instance,
+            "--jobs", "1", "--out", str(out),
             OPENBLAS_NUM_THREADS=threads,
         )
         assert proc.returncode == EXIT_OK, proc.stderr

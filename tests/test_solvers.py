@@ -349,7 +349,8 @@ def fixed_problem(model, n, forward="integration"):
 
 
 class TestBlockedCholesky:
-    # one block, an exact multiple of the block side, and ragged last blocks
+    # _whiten's blocked factorization: one block, an exact multiple of the
+    # block side, and ragged last blocks
     SIZES = [1, 63, 64, 65, 200]
 
     @staticmethod
@@ -359,12 +360,13 @@ class TestBlockedCholesky:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_factor_matches_numpy(self, n):
+        # whitening the identity gives the inverse factor itself
         a = self.spd(n)
-        l_mat, inverses = solvers._cho_factor_in_place(a.copy())
-        ref = np.linalg.cholesky(a)
-        assert np.linalg.norm(l_mat - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.all(np.triu(l_mat, 1) == 0.0)
-        assert sum(inv.shape[0] for inv in inverses) == n
+        inv_l = solvers._whiten(a.copy(), np.eye(n))
+        eye = np.eye(n)
+        assert np.all(np.triu(inv_l, 1) == 0.0)
+        assert np.linalg.norm(inv_l @ np.linalg.cholesky(a) - eye) <= 1e-12 * n
+        assert np.linalg.norm(inv_l.T @ inv_l @ a - eye) <= 1e-12 * n
 
     @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
     @pytest.mark.parametrize("n", SIZES)
@@ -372,15 +374,40 @@ class TestBlockedCholesky:
         a = self.spd(n)
         shape = (n,) if cols is None else (n, cols)
         b = np.random.default_rng(n + 1).standard_normal(shape)
-        factor = solvers._cho_factor_in_place(a.copy())
-        ref_l = np.linalg.cholesky(a)
-        for got, want in [
-            (solvers._forward_solve(factor, b), np.linalg.solve(ref_l, b)),
-            (solvers._back_solve(factor, b), np.linalg.solve(ref_l.T, b)),
-            (solvers._cho_solve(factor, b), np.linalg.solve(a, b)),
-        ]:
-            assert got.shape == shape
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        got = solvers._whiten(a.copy(), b)
+        want = np.linalg.solve(np.linalg.cholesky(a), b)
+        assert got.shape == shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_indefinite_in_later_block_raises(self):
+        # the leading block is positive definite, the trailing one is not
+        n = 2 * solvers._FACTOR_BLOCK + 8
+        a = self.spd(n)
+        a[-1, -1] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers._whiten(a, np.eye(n))
+
+    def test_lapack_sees_only_narrow_blocks(self, monkeypatch):
+        # a strict n=256 solve factors G and S, four blocks each, and LAPACK
+        # never sees more than _FACTOR_BLOCK rows
+        n = 256
+        rows = {"cholesky": [], "inv": []}
+
+        def spy(name):
+            call = getattr(np.linalg, name)
+
+            def wrapped(mat):
+                rows[name].append(mat.shape[0])
+                return call(mat)
+
+            return wrapped
+
+        for name in rows:
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        solve(fixed_problem("strict", n), SolverConfig(max_iters=1))
+        for seen in rows.values():
+            assert len(seen) == 2 * n // solvers._FACTOR_BLOCK
+            assert max(seen) <= solvers._FACTOR_BLOCK
 
 
 class TestDenseCoupling:
@@ -427,7 +454,7 @@ class TestDenseCoupling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * n * n
+        assert peak <= 4.1 * 8 * n * n
 
 
 class TestUnifiedVStep:
