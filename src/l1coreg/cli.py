@@ -94,6 +94,8 @@ def build_parser():
     p_solve.add_argument("--alpha", type=float, default=None,
                          help="override alpha (default C*delta)")
     p_solve.add_argument("--out", default="l1coreg_out", help="output directory")
+    p_solve.add_argument("--trace", default=None,
+                         help="CSV path for one row per ADMM iteration")
 
     p_oracle = sub.add_parser("oracle", help="reference-accuracy solve (small n)")
     _add_common(p_oracle)
@@ -242,7 +244,10 @@ def _cmd_solve(args, use_reference):
         alpha = NOISELESS_ALPHA
     cfg = _solver_config(args)
     problem = Problem(args.model, w, a, y_delta, alpha, l1)
-    result = reference_solve(problem, cfg) if use_reference else solve(problem, cfg)
+    if use_reference:
+        result = reference_solve(problem, cfg)
+    else:
+        result = solve(problem, cfg, trace=args.trace)
     h_out = result.h if args.model == "relaxed" else w.apply(result.x)
 
     config_lines = canonical_config(args, _config_keys(args))

@@ -11,6 +11,12 @@ reproduce the emitted CSV bit for bit (wall-time metadata excluded), which
 Derived seed streams (all Philox keys): the phantom uses
 ``seed*10**6 + 900001``, the sensing matrix ``seed*10**6 + 900002``, and the
 noise for delta index ``i``, trial ``t`` uses ``seed*10**6 + i*100 + t``.
+
+Each trial's records form one chain along the descending noise levels: the
+solve of delta index ``i > 0`` starts ADMM from the final state of the same
+trial's record at ``i - 1`` when that one converged, and from zero
+otherwise.  The chain runs from large to small ``alpha`` and is fixed by the
+configuration, so replay stays bit-exact.
 """
 
 from __future__ import annotations
@@ -253,8 +259,8 @@ def fit_rate(deltas, errors):
     return RateFit(float(coef[0]), float(coef[1]), r2, points)
 
 
-def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg):
-    res = solve(Problem(model, w, a, y_delta, alpha, l1), solver_cfg)
+def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg, warm=None):
+    res = solve(Problem(model, w, a, y_delta, alpha, l1), solver_cfg, warm=warm)
     if model == "relaxed":
         # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
         stacked = np.concatenate([w.apply(res.x) - res.h, a.apply(res.h) - y_delta])
@@ -266,6 +272,13 @@ def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg):
 
 def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
     """Run the noise-level sweep and fit the rate on per-delta medians.
+
+    Records run delta by delta, trials innermost.  The first delta's solves
+    start cold; every later one warm-starts from the same trial's record at
+    the previous delta when that solve converged, and cold otherwise (see
+    :func:`~l1coreg.solvers.solve`).  Replaying one record with a cold
+    :func:`~l1coreg.solvers.solve` therefore reaches the same optimum to
+    within ``solver_cfg.tol``, not the same bits.
 
     Parameters
     ----------
@@ -302,13 +315,15 @@ def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
 
     records = []
     all_converged = True
+    # the converged solve each trial's next record starts from, else None
+    warm = [None] * cfg.trials
     for i, delta in enumerate(cfg.deltas):
         for t in range(cfg.trials):
             alpha = cfg.big_c * delta
             y_delta = add_noise(y_star, delta, cfg.noise_seed(i, t))
             try:
                 res, err_vec, residual = _solve_record(
-                    cfg.model, w, a, l1, y_delta, alpha, solver_cfg
+                    cfg.model, w, a, l1, y_delta, alpha, solver_cfg, warm[t]
                 )
             except Exception as exc:
                 raise SweepError(
@@ -341,6 +356,7 @@ def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
             )
             records.append(record)
             all_converged = all_converged and res.converged
+            warm[t] = res if res.converged else None
 
     medians = []
     for i, delta in enumerate(cfg.deltas):
@@ -589,6 +605,10 @@ def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli",
         "phantom_seed": str(cfg.phantom_seed()),
         "matrix_seed": str(cfg.matrix_seed()),
         "noise_seed_rule": "seed*1000000 + delta_index*100 + trial",
+        "solver_start_rule": (
+            "cold at delta_index 0, else the same trial's previous record "
+            "when it converged"
+        ),
         "phantom_support_rule": "index 0 plus draws from coarsest quarter",
     }
     return meta

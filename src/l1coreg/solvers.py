@@ -43,8 +43,9 @@ thread count.  The build materializes ``W`` and ``A`` within the budget of
 :class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
-it starts from ``c = u = 0`` and branches on the data only in the stopping
-rule.
+it starts from ``c = u = 0``, or from the final ``(c, rho u)`` of an earlier
+:class:`SolveResult` passed as ``warm``, and branches on the data only in the
+stopping rule.
 """
 
 from __future__ import annotations
@@ -159,10 +160,19 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Output of a solve: iterates, objective and convergence diagnostics."""
+    """Output of a solve: iterates, objective and convergence diagnostics.
+
+    ``c`` and ``multiplier`` are the final ADMM state: the exactly sparse
+    coefficients with ``h = Phi* c``, and the unscaled multiplier
+    ``rho u`` of the split ``Phi h = c``, whose optimal value does not
+    depend on ``rho``.  Passing the result as ``warm`` to :func:`solve`
+    restarts ADMM there.
+    """
 
     x: np.ndarray
     h: np.ndarray
+    c: np.ndarray
+    multiplier: np.ndarray
     objective: float
     iterations: int
     fixed_point_residual: float
@@ -277,7 +287,22 @@ def _coupling(p, rho):
     return x_of, fv_of
 
 
-def _admm(p, cfg, trace):
+def _start(warm, n, rho):
+    """The ADMM start ``(c, u)``: zero, or the final state of ``warm``."""
+    if warm is None:
+        return np.zeros(n), np.zeros(n)
+    c = np.array(warm.c, dtype=float)
+    u = np.array(warm.multiplier, dtype=float) / rho
+    if c.shape != (n,) or u.shape != (n,):
+        raise ValueError(
+            f"warm start has shapes {c.shape} and {u.shape}, expected ({n},)"
+        )
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(u))):
+        raise ValueError("warm start must be finite")
+    return c, u
+
+
+def _admm(p, cfg, trace, warm):
     """Scaled ADMM on the split ``Phi h = c`` of either model.
 
     Per iteration: the v-step, which enters only through ``Phi h``, the
@@ -291,6 +316,7 @@ def _admm(p, cfg, trace):
     so traced and untraced solves return the same bits.
     """
     start = time.perf_counter()
+    c, u = _start(warm, p.w.codomain_dim, cfg.rho)
     x_of, fv_of = _coupling(p, cfg.rho)
     thresholds = (p.alpha / cfg.rho) * p.l1.kappa
     basis = p.l1.basis
@@ -302,9 +328,6 @@ def _admm(p, cfg, trace):
 
     def dual_residual(dc):
         return cfg.rho * math.sqrt(dc.dot(dc))
-
-    c = np.zeros(p.w.codomain_dim)
-    u = np.zeros_like(c)
 
     handle, own = _open_trace(trace)
     if handle is not None:
@@ -352,6 +375,8 @@ def _admm(p, cfg, trace):
     return SolveResult(
         x=x,
         h=basis.reconstruct(c),
+        c=c,
+        multiplier=cfg.rho * u,
         objective=objective(x, c),
         iterations=iterations,
         fixed_point_residual=max(primal, dual),
@@ -361,19 +386,19 @@ def _admm(p, cfg, trace):
     )
 
 
-def solve_relaxed(p, cfg=None, trace=None):
+def solve_relaxed(p, cfg=None, trace=None, warm=None):
     """:func:`solve` for a problem with ``model == "relaxed"``."""
     _require_model(p, "relaxed")
-    return _admm(p, cfg or SolverConfig(), trace)
+    return _admm(p, cfg or SolverConfig(), trace, warm)
 
 
-def solve_strict(p, cfg=None, trace=None):
+def solve_strict(p, cfg=None, trace=None, warm=None):
     """:func:`solve` for a problem with ``model == "strict"``."""
     _require_model(p, "strict")
-    return _admm(p, cfg or SolverConfig(), trace)
+    return _admm(p, cfg or SolverConfig(), trace, warm)
 
 
-def solve(problem, cfg=None, trace=None):
+def solve(problem, cfg=None, trace=None, warm=None):
     """Minimize ``problem`` by ADMM on the split ``Phi h = c``.
 
     Converged when the primal residual ``||Phi h - c||`` and the dual
@@ -381,7 +406,9 @@ def solve(problem, cfg=None, trace=None):
     iteration costs one n-by-n matvec; the dual residual is computed only
     on iterations whose primal residual is within ``cfg.tol``, or on every
     iteration when ``trace`` is given.  A strict ``problem`` whose ``W`` is
-    not of full row rank raises ``ValueError``.
+    not of full row rank raises ``ValueError``.  ADMM starts from
+    ``c = u = 0``, or from the final state of ``warm``; a solve restarted
+    from its own converged result stops within an iteration or two.
 
     Parameters
     ----------
@@ -390,19 +417,25 @@ def solve(problem, cfg=None, trace=None):
     trace : path or file-like, optional
         When given, iteration rows ``iter,objective,fpr,primal_res,dual_res``
         are streamed as CSV; ``fpr`` is the larger of the two residuals.
+    warm : SolveResult, optional
+        Start from ``c = warm.c`` and ``u = warm.multiplier / cfg.rho``,
+        typically the result of a nearby problem of the same size.  Raises
+        ``ValueError`` when that state has the wrong length or is not
+        finite.
 
     Returns
     -------
     SolveResult
         ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
-        ``x`` is read off the last v-step.  ``diagnostics`` holds the primal
+        ``x`` is read off the last v-step; ``c`` and ``multiplier`` are the
+        final ADMM state.  ``diagnostics`` holds the primal
         residual ``||Phi h - c||`` and the dual residual.  The error bounds
         concern ``result.h`` for the relaxed model and ``W x`` for the
         strict one.
     """
     if problem.model == "relaxed":
-        return solve_relaxed(problem, cfg, trace)
-    return solve_strict(problem, cfg, trace)
+        return solve_relaxed(problem, cfg, trace, warm)
+    return solve_strict(problem, cfg, trace, warm)
 
 
 def reference_solve(problem, cfg=None):

@@ -178,6 +178,30 @@ class TestSolve:
         assert rc == EXIT_OK
         assert "converged = true" in stdout
 
+    def test_trace_file(self, tmp_path, capsys):
+        # the trace is an output like --out: it changes no other output
+        args = ["solve", "--model", "relaxed", *SMALL, "--delta", "1e-4"]
+        rc, stdout, _ = run_cli(args + ["--out", str(tmp_path / "plain")], capsys)
+        assert rc == EXIT_OK
+        trace = tmp_path / "trace.csv"
+        rc2, stdout2, _ = run_cli(
+            args + ["--out", str(tmp_path / "traced"), "--trace", str(trace)],
+            capsys,
+        )
+        assert rc2 == EXIT_OK
+        lines = trace.read_text().splitlines()
+        iterations = int(parse_config_text(stdout)["iterations"])
+        assert lines[0] == "iter,objective,fpr,primal_res,dual_res"
+        assert len(lines) == 1 + iterations
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(
+            range(1, iterations + 1)
+        )
+        assert "trace" not in parse_config_text(stdout2)
+        for name in ("x.txt", "h.txt"):
+            assert (tmp_path / "plain" / name).read_bytes() == (
+                tmp_path / "traced" / name
+            ).read_bytes()
+
     def test_metadata_header_in_outputs(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli(

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import coupling_map
+from l1coreg import experiments
 from l1coreg.basis import WaveletBasis, support
+from l1coreg.certificates import certify
 from l1coreg.experiments import (
     CSV_COLUMNS,
     PhantomError,
@@ -23,7 +27,7 @@ from l1coreg.experiments import (
 )
 from l1coreg.operators import BernoulliSensing, DenseMap, IntegrationOp, identity
 from l1coreg.regularizers import WeightedL1
-from l1coreg.solvers import SolverConfig
+from l1coreg.solvers import SolverConfig, solve
 
 
 @pytest.fixture
@@ -223,6 +227,57 @@ class TestRunSweep:
         cfg, phantom, w, a, l1 = small_sweep
         with pytest.raises(ValueError):
             run_sweep(cfg, phantom, identity(32), a, l1=l1)
+
+    def test_chain_matches_cold_solves(self, monkeypatch):
+        # each trial's records start from its previous converged solve; the
+        # chain reaches the cold optimum in a fraction of the iterations
+        cfg = SweepConfig(n=64, m=48, sparsity=4, deltas=np.logspace(-2, -5, 7),
+                          model="relaxed", trials=1, seed=198)
+        basis = WaveletBasis(cfg.n)
+        l1 = WeightedL1(basis)
+        w, a = default_operators(cfg, forward="identity")
+        phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(), basis, w)
+        _, _, constants = certify("relaxed", w, a, basis, l1, phantom.x_star, 1.0)
+        assert constants is not None
+        solver_cfg = SolverConfig(rho=1.0, max_iters=30_000)
+        chained = run_sweep(cfg, phantom, w, a, l1=l1, constants=constants,
+                            solver_cfg=solver_cfg)
+        monkeypatch.setattr(
+            experiments, "solve", lambda p, scfg, warm=None: solve(p, scfg)
+        )
+        cold = run_sweep(cfg, phantom, w, a, l1=l1, constants=constants,
+                         solver_cfg=solver_cfg)
+        assert chained.all_converged and cold.all_converged
+        for got, want in zip(chained.records, cold.records):
+            for name in ("err_h", "bregman_x"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-4
+                )
+            assert (got.pass_c, got.pass_d) == (want.pass_c, want.pass_d)
+        total = sum(r.iterations for r in chained.records)
+        assert total <= sum(r.iterations for r in cold.records) / 5
+
+    def test_chain_restarts_cold_after_unconverged(self, small_sweep, monkeypatch):
+        cfg, phantom, w, a, l1 = small_sweep
+        calls = []
+
+        def spy(p, scfg, warm=None):
+            res = solve(p, scfg, warm=warm)
+            if len(calls) == 2:  # delta index 1, trial 0
+                res = replace(res, converged=False)
+            calls.append((warm, res))
+            return res
+
+        monkeypatch.setattr(experiments, "solve", spy)
+        result = run_sweep(cfg, phantom, w, a, l1=l1)
+        assert not result.all_converged
+        warms = [warm for warm, _ in calls]
+        results = [res for _, res in calls]
+        # records run delta by delta, trials 0 and 1 innermost
+        assert warms[0] is None and warms[1] is None
+        assert warms[2] is results[0] and warms[3] is results[1]
+        assert warms[4] is None
+        assert warms[5] is results[3]
 
 
 class TestCsvRoundTrip:

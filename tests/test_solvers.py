@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -598,3 +599,73 @@ class TestDualResidualOnDemand:
         for row, c, c_prev in zip(rows, iterates[1:], iterates):
             step = cfg.rho * np.linalg.norm(c - c_prev)
             assert row[4] == pytest.approx(step, rel=1e-12, abs=1e-300)
+
+
+class TestWarmStart:
+    MODELS = pytest.mark.parametrize("model", ["relaxed", "strict"])
+    FORWARDS = pytest.mark.parametrize("forward", ["identity", "integration"])
+
+    @FORWARDS
+    @MODELS
+    def test_restart_from_own_result(self, model, forward):
+        p = fixed_problem(model, 64, forward)
+        cfg = SolverConfig()
+        first = solve(p, cfg)
+        again = solve(p, cfg, warm=first)
+        assert first.converged and again.converged
+        assert again.iterations <= 2
+        assert np.max(np.abs(again.h - first.h)) <= 1e-9
+        assert np.array_equal(again.h, p.l1.basis.reconstruct(again.c))
+
+    @FORWARDS
+    @MODELS
+    def test_multiplier_does_not_depend_on_rho(self, model, forward):
+        # the state carries rho u, so a start from a solve at another rho
+        # is still near the end
+        p = fixed_problem(model, 64, forward)
+        first = solve(p, SolverConfig(rho=1.0))
+        cfg = SolverConfig(rho=10.0)
+        warm = solve(p, cfg, warm=first)
+        cold = solve(p, cfg)
+        assert warm.converged and cold.converged
+        assert warm.iterations < cold.iterations / 10
+
+    @MODELS
+    def test_bad_state_raises(self, model):
+        p = fixed_problem(model, 64)
+        res = solve(p, SolverConfig(max_iters=20))
+        nan_c = res.c.copy()
+        nan_c[3] = np.nan
+        inf_m = res.multiplier.copy()
+        inf_m[0] = np.inf
+        for bad in (
+            replace(res, c=res.c[:32]),
+            replace(res, multiplier=np.zeros(65)),
+            replace(res, c=nan_c),
+            replace(res, multiplier=inf_m),
+        ):
+            with pytest.raises(ValueError, match="warm start"):
+                solve(p, SolverConfig(), warm=bad)
+
+    @MODELS
+    def test_none_is_the_cold_start(self, model):
+        p = fixed_problem(model, 64, "identity")
+        cfg = SolverConfig(rho=10.0)
+        plain = solve(p, cfg)
+        cold = solve(p, cfg, warm=None)
+        for name in ("x", "h", "c", "multiplier"):
+            assert np.array_equal(getattr(plain, name), getattr(cold, name))
+        for name in ("objective", "iterations", "fixed_point_residual",
+                     "converged", "diagnostics"):
+            assert getattr(plain, name) == getattr(cold, name)
+
+    @MODELS
+    def test_trace_counts_from_one(self, model):
+        p = fixed_problem(model, 64, "identity")
+        cfg = SolverConfig()
+        nearby = solve(replace(p, alpha=0.2), cfg)
+        buf = io.StringIO()
+        res = solve(p, cfg, trace=buf, warm=nearby)
+        rows = trace_rows(buf)
+        assert [row[0] for row in rows] == list(range(1, res.iterations + 1))
+        assert 1 < res.iterations < solve(p, cfg).iterations
