@@ -27,7 +27,6 @@ from .solvers import (
     SolverConfig,
     objective_relaxed,
     objective_strict,
-    reference_solve,
     solve,
     solve_relaxed,
     solve_strict,

@@ -1,4 +1,4 @@
-"""Command-line front end: solve, sweep, certify and oracle workflows.
+"""Command-line front end: solve, sweep and certify workflows.
 
 Every run prints a canonical ``key = value`` configuration block that can be
 fed back through ``--config`` to replay it bit-exactly.  Exit codes are a
@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .operators import MaterializeBudgetError
 from .regularizers import WeightedL1
-from .solvers import Problem, SolverConfig, SolverError, reference_solve, solve
+from .solvers import Problem, SolverConfig, SolverError, solve
 
 __all__ = ["main", "entry_point", "canonical_config", "parse_config_text"]
 
@@ -75,8 +75,6 @@ def _add_solver(p):
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--gamma", type=float, default=1.0,
                    help="accepted for old scripts and configs; no effect")
-    p.add_argument("--lambda-relax", type=float, default=1.0,
-                   help="accepted for old scripts and configs; no effect")
     p.add_argument("--rho", type=float, default=1.0,
                    help="ADMM penalty (both models)")
 
@@ -96,14 +94,6 @@ def build_parser():
     p_solve.add_argument("--out", default="l1coreg_out", help="output directory")
     p_solve.add_argument("--trace", default=None,
                          help="CSV path for one row per ADMM iteration")
-
-    p_oracle = sub.add_parser("oracle", help="reference-accuracy solve (small n)")
-    _add_common(p_oracle)
-    _add_solver(p_oracle)
-    p_oracle.add_argument("--model", choices=("relaxed", "strict"), required=True)
-    p_oracle.add_argument("--delta", type=float, default=1e-5)
-    p_oracle.add_argument("--alpha", type=float, default=None)
-    p_oracle.add_argument("--out", default="l1coreg_out")
 
     p_sweep = sub.add_parser("sweep", help="noise-level sweep with rate fit")
     _add_common(p_sweep)
@@ -179,13 +169,17 @@ _FLAG_ALIASES = {"big_c": "--C"}
 
 
 def _inject_config(argv):
-    """Expand ``--config FILE`` into leading flags so explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv  # parser will report the missing value
-    path = argv[idx + 1]
+    """Expand the ``--config`` file into leading flags so explicit flags win.
+
+    A parser that knows only ``--config`` finds the file, so every spelling
+    the full parser accepts (``--config=FILE``, abbreviations such as
+    ``--conf FILE``) is honoured.
+    """
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv  # no config, or no value for the parser to report
     with open(path, "r", encoding="ascii") as handle:
         values = parse_config_text(handle.read())
     injected = []
@@ -232,7 +226,7 @@ def _print_block(lines):
         print(line)
 
 
-def _cmd_solve(args, use_reference):
+def _cmd_solve(args):
     basis, l1, w, a, phantom, _ = _build_instance(args)
     y_star = a.apply(phantom.h_star)
     y_delta = add_noise(y_star, args.delta, args.seed * 1_000_000)
@@ -242,12 +236,8 @@ def _cmd_solve(args, use_reference):
         alpha = args.big_c * args.delta
     else:
         alpha = NOISELESS_ALPHA
-    cfg = _solver_config(args)
     problem = Problem(args.model, w, a, y_delta, alpha, l1)
-    if use_reference:
-        result = reference_solve(problem, cfg)
-    else:
-        result = solve(problem, cfg, trace=args.trace)
+    result = solve(problem, _solver_config(args), trace=args.trace)
     h_out = result.h if args.model == "relaxed" else w.apply(result.x)
 
     config_lines = canonical_config(args, _config_keys(args))
@@ -360,9 +350,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         if args.command == "solve":
-            return _cmd_solve(args, use_reference=False)
-        if args.command == "oracle":
-            return _cmd_solve(args, use_reference=True)
+            return _cmd_solve(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "certify":

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,13 +69,11 @@ __all__ = [
     "solve_relaxed",
     "solve_strict",
     "solve",
-    "reference_solve",
 ]
 
 #: Side of the diagonal blocks of :func:`_whiten`, the widest matrix any
 #: LAPACK call of a solve sees.
 _FACTOR_BLOCK = 64
-_REFERENCE_MAX_DIM = 256
 
 
 class SolverError(RuntimeError):
@@ -436,27 +434,3 @@ def solve(problem, cfg=None, trace=None, warm=None):
     if problem.model == "relaxed":
         return solve_relaxed(problem, cfg, trace, warm)
     return solve_strict(problem, cfg, trace, warm)
-
-
-def reference_solve(problem, cfg=None):
-    """High-accuracy oracle: the same ADMM loop at tight settings.
-
-    Runs with ``max_iters=500000`` and absolute residuals ``tol=1e-14``
-    (``rho`` taken from ``cfg`` when given).  Only intended for small
-    instances; refuses dimensions above 256.  Non-convergence is flagged on the result, never
-    hidden.
-    """
-    if not isinstance(problem, Problem):
-        raise TypeError(f"unsupported problem type {type(problem).__name__}")
-    dims = (
-        problem.w.domain_dim,
-        problem.w.codomain_dim,
-        problem.a.codomain_dim,
-    )
-    if max(dims) > _REFERENCE_MAX_DIM:
-        raise ValueError(
-            f"reference_solve is limited to dimensions <= {_REFERENCE_MAX_DIM}, "
-            f"got {dims}"
-        )
-    base = cfg or SolverConfig()
-    return solve(problem, replace(base, max_iters=500_000, tol=1e-14))

@@ -1,9 +1,15 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from l1coreg.basis import WaveletBasis, support as coeff_support
 from l1coreg.operators import BernoulliSensing, DenseMap, identity, materialize
 from l1coreg.regularizers import WeightedL1, subgradient_from_coefficients
+from l1coreg.solvers import SolverConfig
+
+#: Settings of the accurate solves the tests need: residuals at 1e-14.
+TIGHT = SolverConfig(max_iters=500_000, tol=1e-14)
 
 
 @pytest.fixture
@@ -66,3 +72,91 @@ def coupling_map(w, a):
         [w_mat, -np.eye(w.codomain_dim)],
         [np.zeros((a.codomain_dim, w.domain_dim)), a_mat],
     ]))
+
+
+def natural_residual(p, res):
+    """Relative KKT residual of ``res``, from dense matrices alone.
+
+    In the coefficients ``c = Phi h`` the point is optimal exactly when
+    ``c - S_{alpha kappa}(c - Phi grad_h f)`` vanishes (``S`` is the
+    soft-threshold), and for the relaxed model also ``grad_x f``.  For the
+    strict model ``x`` must lie in the range of ``W*``.  The value is scaled
+    by ``||Phi A* y||_inf``, the smallest alpha with ``h = 0`` optimal.
+    """
+    phi = p.l1.basis.decompose(np.eye(p.l1.basis.n))
+    w = materialize(p.w)
+    a = materialize(p.a)
+    y = p.y_delta
+    if p.model == "relaxed":
+        h = res.h
+        coupling = w @ res.x - h
+        grad_x = w.T @ coupling + p.alpha * res.x
+        grad_h = -coupling + a.T @ (a @ h - y)
+    else:
+        # x = W* z must be the least-norm preimage of h = W x
+        h = w @ res.x
+        z = np.linalg.lstsq(w.T, res.x, rcond=None)[0]
+        grad_x = w.T @ z - res.x
+        grad_h = a.T @ (a @ h - y) + p.alpha * z
+    c = phi @ h
+    g = c - phi @ grad_h
+    r_c = c - np.sign(g) * np.maximum(np.abs(g) - p.alpha * p.l1.kappa, 0.0)
+    worst = max(np.max(np.abs(r_c)), np.max(np.abs(grad_x)))
+    return worst / np.max(np.abs(phi @ (a.T @ y)))
+
+
+class ExactPoint(NamedTuple):
+    x: np.ndarray
+    h: np.ndarray
+    objective: float
+
+
+def exact_minimizer(p, seed):
+    """The exact minimizer of ``p`` on the support and signs of ``seed.c``.
+
+    Eliminating ``x`` leaves, for both models, ``min c*Hc/2 - b*c +
+    alpha sum kappa |c|`` in ``c = Phi h``, with ``G = W W* + eps I``
+    (``eps = alpha`` relaxed, 0 strict), ``H = Phi (A*A + alpha G^-1) Phi*``
+    and ``b = Phi A* y``.  One primal-dual active-set step (Hintermueller,
+    Ito & Kunisch, SIAM J. Optim. 13, 2002) solves
+    ``H_SS c_S = b_S - alpha kappa_S sigma_S`` on the support ``S`` and
+    signs ``sigma`` of ``seed.c`` and sets ``c = 0`` off ``S``; then
+    ``h = Phi* c`` and ``x = W* G^-1 h``.  The point is returned only when
+    its KKT conditions hold: ``sign(c_S) = sigma``,
+    ``|(b - Hc)_l| <= alpha kappa_l`` off ``S`` and a natural residual of
+    at most 1e-12.  Otherwise the calling test fails; there is no fallback.
+    """
+    phi = p.l1.basis.decompose(np.eye(p.l1.basis.n))
+    w = materialize(p.w)
+    a = materialize(p.a)
+    g = w @ w.T
+    if p.model == "relaxed":
+        g += p.alpha * np.eye(len(g))
+    hess = phi @ (a.T @ a + p.alpha * np.linalg.inv(g)) @ phi.T
+    b = phi @ (a.T @ p.y_delta)
+    level = p.alpha * p.l1.kappa
+    on = np.flatnonzero(seed.c)
+    off = np.flatnonzero(seed.c == 0)
+    sigma = np.sign(seed.c[on])
+    c = np.zeros(len(b))
+    c[on] = np.linalg.solve(hess[np.ix_(on, on)], b[on] - level[on] * sigma)
+    h = phi.T @ c
+    x = w.T @ np.linalg.solve(g, h)
+    wx = w @ x
+    # the strict functional depends on x alone, through h = W x
+    seen = h if p.model == "relaxed" else wx
+    fit = np.concatenate([wx - seen, a @ seen - p.y_delta])
+    penalty = 0.5 * float(x @ x) + float(p.l1.kappa @ np.abs(phi @ seen))
+    point = ExactPoint(x, h, 0.5 * float(fit @ fit) + p.alpha * penalty)
+    grad = b - hess @ c
+    checks = {
+        "sign(c_S) = sigma": np.array_equal(np.sign(c[on]), sigma),
+        "|(b - Hc)_l| <= alpha kappa_l off S": bool(
+            np.all(np.abs(grad[off]) <= level[off])
+        ),
+        "natural residual <= 1e-12": natural_residual(p, point) <= 1e-12,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        pytest.fail(f"active-set point fails its KKT check: {', '.join(failed)}")
+    return point

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    TIGHT,
     certified_identity_instance,
     coupling_map,
     make_sparse_signal,
+    natural_residual,
     subgradient_at,
 )
 from l1coreg import certificates
@@ -34,7 +36,7 @@ from l1coreg.operators import (
 )
 from l1coreg.cli import parse_config_text
 from l1coreg.regularizers import WeightedL1, bregman_l1
-from l1coreg.solvers import Problem, SolverConfig, solve_relaxed
+from l1coreg.solvers import Problem, SolverConfig, solve, solve_relaxed
 
 
 class TestRestrictedInjectivity:
@@ -500,11 +502,10 @@ class TestReportRoundTrip:
 class TestStrictBoundSuite:
     def test_strict_rate_bounds_on_certified_instance(self):
         # strict-model analogue of the relaxed bound suite: on an instance
-        # whose strict split certificate is valid, reference-accuracy solves
-        # obey D_xi <= c*delta and ||W x - W x*|| <= d*delta
+        # whose strict split certificate is valid, accurate solves obey
+        # D_xi <= c*delta and ||W x - W x*|| <= d*delta
         from l1coreg.experiments import add_noise
         from l1coreg.regularizers import bregman_quadratic
-        from l1coreg.solvers import reference_solve
 
         basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
         cert = find_certificate_strict(w, a, basis, l1, x_star)
@@ -516,8 +517,10 @@ class TestStrictBoundSuite:
         for i, delta in enumerate((1e-2, 1e-3, 1e-4)):
             for trial in range(2):
                 y_delta = add_noise(y_star, delta, 1_000 + 10 * i + trial)
-                res = reference_solve(Problem("strict", w, a, y_delta, delta, l1))
+                p = Problem("strict", w, a, y_delta, delta, l1)
+                res = solve(p, TIGHT)
                 assert res.converged
+                assert natural_residual(p, res) <= 1e-12
                 breg = bregman_quadratic(res.x, x_star, xi=x_star)
                 err_wx = np.linalg.norm(w.apply(res.x) - h_star)
                 assert breg <= constants.c * delta * (1 + 1e-6) + 1e-10

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -219,25 +221,6 @@ class TestSolve:
         assert parsed["model"] == "relaxed"
 
 
-class TestOracle:
-    def test_reference_run(self, tmp_path, capsys):
-        rc, stdout, _ = run_cli(
-            ["oracle", "--model", "strict", *SMALL, "--delta", "1e-3",
-             "--out", str(tmp_path / "r")],
-            capsys,
-        )
-        assert rc == EXIT_OK
-
-    def test_dimension_cap(self, tmp_path, capsys):
-        rc, _, err = run_cli(
-            ["oracle", "--model", "relaxed", "--n", "512", "--m", "128",
-             "--out", str(tmp_path / "r")],
-            capsys,
-        )
-        assert rc == EXIT_USAGE
-        assert "256" in err
-
-
 class TestSweep:
     def sweep_args(self, tmp_path, extra=()):
         return [
@@ -277,7 +260,7 @@ class TestSweep:
         # flags kept only for old scripts and configs leave the CSV unchanged
         run_cli(self.sweep_args(tmp_path), capsys)
         base = determinism_hash(tmp_path / "s.csv")
-        for extra in (("--jobs", "3"), ("--gamma", "10", "--lambda-relax", "1.5")):
+        for extra in (("--jobs", "3"), ("--gamma", "10")):
             run_cli(self.sweep_args(tmp_path, extra=extra), capsys)
             assert determinism_hash(tmp_path / "s.csv") == base, extra
 
@@ -287,7 +270,7 @@ class TestSweep:
         rc, stdout, _ = run_cli(self.sweep_args(tmp_path), capsys)
         assert rc == EXIT_OK
         block = stdout.split("records = ")[0].splitlines()
-        retired = {"gamma": "10.0", "lambda_relax": "1.5", "jobs": "3"}
+        retired = {"gamma": "10.0", "jobs": "3"}
         assert not [l for l in block if l.split(" = ")[0] in retired]
         cfg = tmp_path / "old.cfg"
         old = [f"{key} = {value}" for key, value in retired.items()]
@@ -414,16 +397,25 @@ class TestCertify:
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
+        # every spelling argparse accepts for --config reads the file
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 32\nm = 24\nsparsity = 2\nseed = 1\n"
                        "forward = identity\ndelta = 1e-4\n")
-        rc, stdout, _ = run_cli(
-            ["solve", "--model", "relaxed", "--config", str(cfg),
-             "--out", str(tmp_path / "r")],
-            capsys,
-        )
-        assert rc == EXIT_OK
-        assert "n = 32" in stdout
+
+        def block(args):
+            rc, stdout, _ = run_cli(
+                ["solve", "--model", "relaxed", *args,
+                 "--out", str(tmp_path / "r")],
+                capsys,
+            )
+            assert rc == EXIT_OK, args
+            return [l for l in stdout.splitlines() if "walltime" not in l]
+
+        flags = block([*SMALL, "--delta", "1e-4"])
+        assert "n = 32" in flags and "seed = 1" in flags
+        for spelling in (["--config", str(cfg)], [f"--config={cfg}"],
+                         ["--conf", str(cfg)]):
+            assert block(spelling) == flags, spelling
 
     def test_flags_win_over_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -468,20 +460,22 @@ class TestConfigFile:
         np.testing.assert_array_equal(x1, x2)
 
     def test_retired_solver_seed_refused(self, tmp_path, capsys):
-        # the random solver start is gone; a config that asks for one must
-        # not replay from the zero start without notice
-        cfg = tmp_path / "seeded.cfg"
-        cfg.write_text("n = 32\nm = 24\nsparsity = 2\nseed = 1\n"
-                       "forward = identity\nsolver_seed = 5\n")
-        rc, stdout, err = run_cli(
-            ["solve", "--model", "relaxed", "--config", str(cfg),
-             "--out", str(tmp_path / "r")],
-            capsys,
-        )
-        assert rc == EXIT_USAGE
-        assert stdout == ""
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "--solver-seed" in errors[0]
+        # the random solver start and the relaxation weight are gone; a
+        # config that asks for either must not replay without notice
+        for key in ("solver_seed", "lambda_relax"):
+            cfg = tmp_path / "retired.cfg"
+            cfg.write_text("n = 32\nm = 24\nsparsity = 2\nseed = 1\n"
+                           f"forward = identity\n{key} = 5\n")
+            rc, stdout, err = run_cli(
+                ["solve", "--model", "relaxed", "--config", str(cfg),
+                 "--out", str(tmp_path / "r")],
+                capsys,
+            )
+            assert rc == EXIT_USAGE
+            assert stdout == ""
+            errors = [l for l in err.splitlines() if l.startswith("error:")]
+            flag = "--" + key.replace("_", "-")
+            assert len(errors) == 1 and flag in errors[0], key
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc, _, err = run_cli(
@@ -517,6 +511,20 @@ def run_python(*args, **env):
         capture_output=True, text=True, timeout=120,
         env={**os.environ, **env, "PYTHONPATH": path},
     )
+
+
+def test_readme_cli_row_names_subcommands():
+    # the README's module table lists exactly the parser's commands
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        rows = [line for line in handle if line.startswith("| `l1coreg.cli` |")]
+    assert len(rows) == 1
+    listed = re.findall(r"`([^`]+)`", rows[0].split("|")[2])
+    commands = [
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(listed) == sorted(commands[0])
 
 
 def test_python_dash_m_runs_cli():

@@ -5,6 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import (
+    TIGHT,
+    certified_identity_instance,
+    exact_minimizer,
+    natural_residual,
+)
 from l1coreg import solvers
 from l1coreg.basis import WaveletBasis
 from l1coreg.operators import (
@@ -20,7 +26,6 @@ from l1coreg.solvers import (
     SolverConfig,
     objective_relaxed,
     objective_strict,
-    reference_solve,
     solve,
     solve_relaxed,
     solve_strict,
@@ -35,37 +40,6 @@ def random_small_problem(rng, n=16, m=8, model="relaxed", alpha=None):
     y = rng.standard_normal(m)
     alpha = alpha or float(rng.uniform(0.05, 0.5))
     return Problem(model, w, a, y, alpha, l1)
-
-
-def natural_residual(p, res):
-    """Relative KKT residual of ``res``, from dense matrices alone.
-
-    In the coefficients ``c = Phi h`` the point is optimal exactly when
-    ``c - S_{alpha kappa}(c - Phi grad_h f)`` vanishes (``S`` is the
-    soft-threshold), and for the relaxed model also ``grad_x f``.  For the
-    strict model ``x`` must lie in the range of ``W*``.  The value is scaled
-    by ``||Phi A* y||_inf``, the smallest alpha with ``h = 0`` optimal.
-    """
-    phi = p.l1.basis.decompose(np.eye(p.l1.basis.n))
-    w = materialize(p.w)
-    a = materialize(p.a)
-    y = p.y_delta
-    if p.model == "relaxed":
-        h = res.h
-        coupling = w @ res.x - h
-        grad_x = w.T @ coupling + p.alpha * res.x
-        grad_h = -coupling + a.T @ (a @ h - y)
-    else:
-        # x = W* z must be the least-norm preimage of h = W x
-        h = w @ res.x
-        z = np.linalg.lstsq(w.T, res.x, rcond=None)[0]
-        grad_x = w.T @ z - res.x
-        grad_h = a.T @ (a @ h - y) + p.alpha * z
-    c = phi @ h
-    g = c - phi @ grad_h
-    r_c = c - np.sign(g) * np.maximum(np.abs(g) - p.alpha * p.l1.kappa, 0.0)
-    worst = max(np.max(np.abs(r_c)), np.max(np.abs(grad_x)))
-    return worst / np.max(np.abs(phi @ (a.T @ y)))
 
 
 def last_trace_objective(buf):
@@ -203,7 +177,7 @@ class TestSolveRelaxed:
         for _ in range(5):
             p = random_small_problem(rng)
             res = solve_relaxed(p, SolverConfig())
-            ref = reference_solve(p)
+            ref = exact_minimizer(p, solve(p, TIGHT))
             assert res.objective <= ref.objective + 1e-8
 
     def test_objective_not_above_zero_start(self, rng):
@@ -271,7 +245,7 @@ class TestSolveStrict:
         for _ in range(5):
             p = random_small_problem(rng, model="strict")
             res = solve_strict(p, SolverConfig())
-            ref = reference_solve(p)
+            ref = exact_minimizer(p, solve(p, TIGHT))
             assert res.objective <= ref.objective + 1e-8
 
     def test_residuals_below_tol_at_convergence(self, rng):
@@ -319,27 +293,6 @@ class TestSolveStrict:
         res = solve_strict(p, SolverConfig(), trace=buf)
         assert res.converged
         assert last_trace_objective(buf) == pytest.approx(res.objective, rel=1e-8)
-
-
-class TestReferenceSolve:
-    def test_deterministic_rerun(self, rng):
-        p = random_small_problem(rng)
-        first = reference_solve(p)
-        second = reference_solve(p)
-        assert abs(first.objective - second.objective) <= 1e-12
-
-    def test_dimension_limit(self):
-        basis = WaveletBasis(512)
-        l1 = WeightedL1(basis)
-        p = Problem(
-            "relaxed", identity(512), identity(512), np.zeros(512), 1.0, l1
-        )
-        with pytest.raises(ValueError):
-            reference_solve(p)
-
-    def test_type_check(self):
-        with pytest.raises(TypeError):
-            reference_solve(object())
 
 
 def fixed_problem(model, n, forward="integration"):
@@ -522,6 +475,33 @@ class TestOptimality:
         res = solve(p, SolverConfig())
         assert res.converged
         assert natural_residual(p, res) <= 1e-8
+
+
+class TestExactMinimizer:
+    @pytest.fixture(scope="class")
+    def problem(self):
+        # the acceptance bound suite's record at delta = 1e-5, trial 0
+        from l1coreg.experiments import SweepConfig, add_noise
+
+        basis, l1, w, a, _, h_star = certified_identity_instance(64, 48, 4, 198)
+        delta = np.logspace(-2, -5, 7)[-1]
+        seed = SweepConfig(n=64, m=48, sparsity=4, deltas=(1.0,), seed=198)
+        y_delta = add_noise(a.apply(h_star), delta, seed.noise_seed(6, 0))
+        return Problem("relaxed", w, a, y_delta, delta, l1)
+
+    def test_refuses_unconverged_start(self, problem):
+        # the default config stops at max_iters with too large a support
+        start = solve(problem, SolverConfig())
+        assert not start.converged
+        with pytest.raises(pytest.fail.Exception, match="KKT"):
+            exact_minimizer(problem, start)
+
+    def test_verifies_tight_start(self, problem):
+        start = solve(problem, TIGHT)
+        point = exact_minimizer(problem, start)
+        assert natural_residual(problem, point) <= 1e-12
+        gap = np.linalg.norm(point.h - start.h)
+        assert gap <= 1e-12 * np.linalg.norm(start.h)
 
 
 class TestNonFiniteGuard:
