@@ -11,13 +11,13 @@ with injectivity of the sensing operator restricted to the saturated
 coefficient set, the certificate yields explicit linear error-rate
 constants, which this module computes and re-checks numerically.
 
-The search alternates two least-squares steps: ``nu`` for ``eta`` fixed to
-``kappa sign(h*)`` on the support and free off it, then the off-support
-coefficients of ``eta``, projected onto the box ``|eta_lambda| <=
-kappa_lambda``.  Both least-squares matrices are fixed, so their
-pseudo-inverses are computed once.  The search is a heuristic: a failed
-search is reported with its residual, never turned into an exception, and
-does not prove that no certificate exists.
+The search runs in wavelet coefficients, so ``W`` must be invertible.  With
+``B = Phi A*`` and ``g = Phi W^-* x*`` it alternates ``nu`` from the one
+pseudo-inverse of ``B`` with the coefficients ``e`` of ``eta`` clipped from
+``B nu - g`` to the box ``|e_lambda| <= kappa_lambda`` off the support; the
+split's own residual ``||W* u - x*||`` decides validity.  The search is a
+heuristic: a failed search is reported with its residual, never turned into
+an exception, and does not prove that no certificate exists.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ __all__ = [
     "report_lines",
 ]
 
-#: sigma_min above this multiple of ||A|| counts as injective.
+#: sigma_min above this multiple of ||A|| (or ||W||) counts as injective.
 INJECTIVITY_RTOL = 1e-10
 
 #: Relative residual below which a certificate equation counts as satisfied.
@@ -207,49 +207,49 @@ def check_restricted_injectivity(a, basis, omega):
 def _find_certificate(model, w, a, basis, l1, x_star):
     """Search for ``nu`` and ``eta`` with ``W* A* nu = x* + W* eta``.
 
-    ``eta`` equals ``kappa sign(<phi_lambda, h*>)`` on the support of
-    ``h* = W x*``.  The search alternates the least-squares ``nu`` for the
-    current ``eta`` with the least-squares off-support coefficients of
-    ``eta`` for that ``nu``, clipped to the box ``|eta_lambda| <=
-    kappa_lambda``, until the split residual stops decreasing.
+    ``e`` is ``kappa sign(c*)`` on the support of ``c* = Phi W x*``, and each
+    step of the alternation exactly minimizes ``||B nu - g - e||`` in its
+    block, until that residual stops decreasing.  Raises ``ValueError`` if
+    ``W`` is not square or ``x*`` shows it singular to ``INJECTIVITY_RTOL``.
     """
     x_star = np.asarray(x_star, dtype=float)
+    w_mat = materialize(w)
+    try:
+        w_inv_x = np.linalg.solve(w_mat.T, x_star)
+    except np.linalg.LinAlgError:  # not square, or exactly singular
+        w_inv_x = np.full_like(x_star, np.inf)
+    # sigma_min(W) <= ||x*|| / ||W^-* x*||, and ||W|| >= ||W||_F / sqrt(n)
+    floor = INJECTIVITY_RTOL * np.linalg.norm(w_mat) / np.sqrt(x_star.size)
+    if not np.linalg.norm(x_star) >= floor * np.linalg.norm(w_inv_x):
+        raise ValueError("the certificate search needs an invertible W")
+    g = basis.decompose(w_inv_x)
     h_star = w.apply(x_star)
     c_star = basis.decompose(h_star)
     support = list(coeff_support(c_star))
     kappa = l1.kappa
-
-    w_mat = materialize(w)
     a_mat = materialize(a)
-    aw_t = (a_mat @ w_mat).T  # N x m, columns span ran(W* A*)
-    synth = np.ascontiguousarray(basis.matrix.T)
-    b_mat = w_mat.T @ synth  # maps coefficients of eta to W* eta
+    b_mat = basis.decompose(a_mat.T)
+    b_pinv = np.linalg.pinv(b_mat)
     off = np.ones(basis.n, dtype=bool)
     off[support] = False
-    # minimum-norm least-squares solution operators, factored once
-    aw_pinv = np.linalg.pinv(aw_t)
-    off_pinv = np.linalg.pinv(b_mat[:, off])
 
     eta_coeffs = np.zeros(basis.n)
     eta_coeffs[support] = kappa[support] * np.sign(c_star[support])
-    on_part = b_mat[:, ~off] @ eta_coeffs[~off]
     prev = np.inf
     for _ in range(_MAX_ALTERNATIONS):
-        v = aw_pinv @ (x_star + b_mat @ eta_coeffs)
-        free = off_pinv @ (aw_t @ v - x_star - on_part)
-        eta_coeffs[off] = np.clip(free, -kappa[off], kappa[off])
-        split_residual = float(np.linalg.norm(aw_t @ v - x_star - b_mat @ eta_coeffs))
-        if prev - split_residual <= _ALTERNATION_TOL:
+        v = b_pinv @ (g + eta_coeffs)
+        split = b_mat @ v - g
+        eta_coeffs[off] = np.clip(split[off], -kappa[off], kappa[off])
+        residual = float(np.linalg.norm(split - eta_coeffs))
+        if prev - residual <= _ALTERNATION_TOL:
             break
-        prev = split_residual
+        prev = residual
 
-    if off.any():
-        saturation_margin = float(np.min(kappa[off] - np.abs(eta_coeffs[off])))
-    else:
-        saturation_margin = float("inf")
-    valid = split_residual <= CERTIFICATE_RTOL * max(
-        1.0, float(np.linalg.norm(x_star))
-    )
+    u = a_mat.T @ v - basis.reconstruct(eta_coeffs)
+    split_residual = float(np.linalg.norm(w.adjoint_apply(u) - x_star))
+    slack = kappa[off] - np.abs(eta_coeffs[off])
+    saturation_margin = float(np.min(slack, initial=np.inf))
+    valid = split_residual <= CERTIFICATE_RTOL * max(1.0, float(np.linalg.norm(x_star)))
     eta = None
     if valid:
         try:
@@ -258,7 +258,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
             valid = False
     return SourceCertificate(
         model=model,
-        u=a_mat.T @ v - synth @ eta_coeffs,
+        u=u,
         v=v,
         eta=eta,
         eta_coeffs=eta_coeffs,

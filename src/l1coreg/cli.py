@@ -159,7 +159,7 @@ def _config_keys(args):
     if hasattr(args, "max_iters"):
         keys += list(_SOLVER_KEYS)
     for extra in ("model", "delta", "alpha", "deltas", "delta_max", "delta_min",
-                  "delta_count", "trials"):
+                  "delta_count", "trials", "no_certify"):
         if hasattr(args, extra):
             keys.append(extra)
     return keys
@@ -173,7 +173,8 @@ def _inject_config(argv):
 
     A parser that knows only ``--config`` finds the file, so every spelling
     the full parser accepts (``--config=FILE``, abbreviations such as
-    ``--conf FILE``) is honoured.
+    ``--conf FILE``) is honoured.  A ``true`` value becomes the bare switch
+    and a ``false`` one adds nothing.
     """
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", nargs="?")
@@ -187,7 +188,10 @@ def _inject_config(argv):
         if key in ("command", "config"):
             continue
         flag = _FLAG_ALIASES.get(key, f"--{key.replace('_', '-')}")
-        injected.extend([flag, value])
+        if value == "true":
+            injected.append(flag)
+        elif value != "false":
+            injected.extend([flag, value])
     return [argv[0]] + injected + argv[1:]
 
 
@@ -210,7 +214,7 @@ def _build_instance(args):
     )
     w, a = default_operators(cfg, forward=args.forward, sensing=args.sensing)
     phantom = make_phantom(args.n, args.sparsity, cfg.phantom_seed(), basis, w)
-    return basis, l1, w, a, phantom, cfg
+    return basis, l1, w, a, phantom
 
 
 def _write_vector(path, vector, header_lines):
@@ -227,7 +231,7 @@ def _print_block(lines):
 
 
 def _cmd_solve(args):
-    basis, l1, w, a, phantom, _ = _build_instance(args)
+    basis, l1, w, a, phantom = _build_instance(args)
     y_star = a.apply(phantom.h_star)
     y_delta = add_noise(y_star, args.delta, args.seed * 1_000_000)
     if args.alpha is not None:
@@ -280,7 +284,7 @@ def _cmd_sweep(args):
         trials=args.trials,
         seed=args.seed,
     )
-    basis, l1, w, a, phantom, _ = _build_instance(args)
+    basis, l1, w, a, phantom = _build_instance(args)
     solver_cfg = _solver_config(args)
 
     constants = None
@@ -320,7 +324,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_certify(args):
-    basis, l1, w, a, phantom, _ = _build_instance(args)
+    basis, l1, w, a, phantom = _build_instance(args)
     cert, inj, constants = certify(
         args.model, w, a, basis, l1, phantom.x_star, args.big_c
     )

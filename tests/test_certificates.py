@@ -146,6 +146,37 @@ class TestFindCertificateRelaxed:
         assert cert.split_residual > CERTIFICATE_RTOL * max(
             1.0, np.linalg.norm(x_star)
         )
+        # the split residual is the split's own ||W* u - x*||, not the
+        # coefficient residual the search minimizes, which differs for W != I
+        w_mat = materialize(w)
+        a_mat = materialize(a)
+        split = np.linalg.norm(w_mat.T @ cert.u - x_star)
+        assert split == pytest.approx(cert.split_residual, rel=1e-12)
+        coeff = np.linalg.norm(cert.u - np.linalg.solve(w_mat.T, x_star))
+        assert coeff != pytest.approx(split, rel=1e-3)
+        np.testing.assert_allclose(
+            basis.decompose(a_mat.T @ cert.v - cert.u),
+            cert.eta_coeffs,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "w",
+        [DenseMap(np.vstack([np.eye(8)[:7], np.eye(8)[:1]])),
+         # LU finds no zero pivot here, though W (1, ..., 8) = 0
+         DenseMap(np.eye(8) - np.outer(np.arange(1.0, 9.0), np.arange(1.0, 9.0))
+                  / 204.0),
+         DenseMap(np.eye(8)[:, :6])],
+        ids=["singular", "numerically-singular", "non-square"],
+    )
+    def test_non_invertible_forward_refused(self, basis8, l1_unit8, w):
+        # the search works in coefficients through W^-*, so it needs W invertible
+        x_star = np.ones(w.domain_dim)
+        with pytest.raises(ValueError, match="invertible W"):
+            find_certificate_relaxed(w, identity(8), basis8, l1_unit8, x_star)
+        for model in ("relaxed", "strict"):
+            with pytest.raises(ValueError, match="invertible W"):
+                certify(model, w, identity(8), basis8, l1_unit8, x_star, 1.0)
 
 
 class TestFindCertificateStrict:

@@ -272,6 +272,7 @@ class TestSweep:
         block = stdout.split("records = ")[0].splitlines()
         retired = {"gamma": "10.0", "jobs": "3"}
         assert not [l for l in block if l.split(" = ")[0] in retired]
+        assert "no_certify = false" in block  # replays as no flag at all
         cfg = tmp_path / "old.cfg"
         old = [f"{key} = {value}" for key, value in retired.items()]
         cfg.write_text("\n".join(block + old) + "\n")
@@ -316,6 +317,28 @@ class TestSweep:
         records, meta, _ = parse_csv(tmp_path / "s.csv")
         assert "cert_valid" not in meta
         assert all(r.pass_c is None for r in records)
+
+    def test_no_certify_sweep_replays(self, tmp_path, capsys):
+        # the printed block carries no_certify, so feeding it back skips the
+        # certificate again and writes the same CSV
+        rc, stdout, _ = run_cli(
+            self.sweep_args(tmp_path, extra=("--no-certify",)), capsys
+        )
+        assert rc == EXIT_OK
+        block = stdout.split("records = ")[0]
+        assert "no_certify = true" in block.splitlines()
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(block)
+        rc, _, _ = run_cli(
+            ["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
+            capsys,
+        )
+        assert rc == EXIT_OK
+        _, meta, _ = parse_csv(tmp_path / "r.csv")
+        assert "cert_valid" not in meta
+        assert determinism_hash(tmp_path / "r.csv") == determinism_hash(
+            tmp_path / "s.csv"
+        )
 
     def test_replays_from_csv_header(self, tmp_path, capsys, monkeypatch):
         # the header's forward/sensing/n/m/matrix_seed rebuild W and A exactly

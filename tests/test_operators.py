@@ -140,6 +140,14 @@ class TestOperatorNorm:
         top = np.linalg.svd(materialize(w), compute_uv=False)[0]
         assert operator_norm(w, tol=1e-12) == pytest.approx(top, abs=1e-8)
 
+    def test_unconverged_power_iteration_falls_back_to_svd(self):
+        # one power step cannot settle the Rayleigh quotient, so the norm is
+        # the dense SVD's, not the one-step estimate
+        op = DenseMap(np.diag([3.0, 1.0]))
+        top = np.linalg.svd(op.matrix, compute_uv=False)[0]
+        assert top == 3.0
+        assert operator_norm(op, max_iters=1) == top
+
     def test_zero_operator(self):
         assert operator_norm(DenseMap(np.zeros((3, 4)))) == 0.0
 
