@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .operators import DEFAULT_MATERIALIZE_BUDGET, MaterializeBudgetError
+from .operators import DEFAULT_MATERIALIZE_BUDGET, _check_budget
 
 __all__ = [
     "WaveletBasis",
@@ -105,11 +105,7 @@ class WaveletBasis:
         n = int(n)
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"wavelet basis needs a power-of-two size, got {n}")
-        if n * n > DEFAULT_MATERIALIZE_BUDGET:
-            raise MaterializeBudgetError(
-                f"wavelet basis matrix {n}x{n} ({n * n} entries) exceeds "
-                f"budget {DEFAULT_MATERIALIZE_BUDGET}"
-            )
+        _check_budget(n, n, DEFAULT_MATERIALIZE_BUDGET)
         self.n = n
         self.levels = n.bit_length() - 1
         matrix = np.empty((n, n))

@@ -71,16 +71,15 @@ _ALTERNATION_TOL = 1e-10
 class InjectivityReport:
     """Smallest singular value of the restricted sensing operator ``A_Omega``.
 
-    ``a_norm`` is ``||A||``, the scale of the test, kept so that the rate
-    constants of :func:`certify` and :func:`check_norm_bound` need not
-    compute it again; ``None`` on a report built by hand.
+    ``a_norm`` is ``||A||``, the scale of the test and the ``||A||`` of
+    :func:`rate_constants` and :func:`check_norm_bound`.
     """
 
     omega: tuple
     sigma_min: float
     a_omega_inv_norm: float
     injective: bool
-    a_norm: float | None = None
+    a_norm: float
 
 
 @dataclass(frozen=True)
@@ -290,17 +289,18 @@ def find_certificate_strict(w, a, basis, l1, x_star):
     return _find_certificate("strict", w, a, basis, l1, x_star)
 
 
-def rate_constants(cert, inj, big_c, a_norm):
+def rate_constants(cert, inj, big_c):
     """Rate constants of the linear error bounds of ``cert.model``.
 
     ``c = (1 + C s)^2 / (2C)`` and
     ``d = 2 ||A_Omega^-1|| (1 + C s) + (1 + ||A_Omega^-1|| ||A||) / m[eta] * c``
-    for ``s = cert.source_norm`` and ``Omega = Omega[eta]``.
+    for ``s = cert.source_norm``, ``Omega = Omega[eta]`` and ``||A||`` the
+    ``inj.a_norm`` of the injectivity report.
     """
     if not cert.valid:
         raise ValueError("rate constants require a valid certificate")
-    if not big_c > 0:
-        raise ValueError("the parameter-choice constant C must be positive")
+    if not 0 < big_c < np.inf:
+        raise ValueError("C (alpha = C*delta) must be positive and finite")
     if not inj.injective:
         raise ValueError("rate constants are undefined without restricted injectivity")
     m_eta = cert.eta.margin
@@ -310,14 +310,14 @@ def rate_constants(cert, inj, big_c, a_norm):
     growth = 1.0 + big_c * source_norm
     c = growth**2 / (2.0 * big_c)
     d = 2.0 * inj.a_omega_inv_norm * growth
-    d += (1.0 + inj.a_omega_inv_norm * a_norm) / m_eta * c
+    d += (1.0 + inj.a_omega_inv_norm * inj.a_norm) / m_eta * c
     return RateConstants(
         c=c,
         d=d,
         big_c=float(big_c),
         norm_uv_or_nu=source_norm,
         m_eta=m_eta,
-        a_norm=float(a_norm),
+        a_norm=float(inj.a_norm),
         a_inv_norm=inj.a_omega_inv_norm,
     )
 
@@ -346,7 +346,7 @@ def certify(model, w, a, basis, l1, x_star, big_c):
     inj = check_restricted_injectivity(a, basis, omega)
     constants = None
     if cert.valid and inj.injective:
-        constants = rate_constants(cert, inj, big_c, inj.a_norm)
+        constants = rate_constants(cert, inj, big_c)
     return cert, inj, constants
 
 
@@ -391,8 +391,7 @@ def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
     + (1 + ||A_Omega^-1|| ||A||) sum_{off Omega} |<phi_lambda, h>|`` and,
     when a subgradient ``eta`` (with ``Omega = Omega[eta]``) and its
     functional ``l1`` are supplied, the variant with the l1 tail replaced by
-    ``D_eta(h, h*) / m[eta]``.  ``||A||`` is ``inj.a_norm``, computed here
-    only for a report built by hand.
+    ``D_eta(h, h*) / m[eta]``.  ``||A||`` is ``inj.a_norm``.
 
     Raises
     ------
@@ -415,12 +414,11 @@ def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
     if not inj.injective:
         raise ValueError("norm bounds require an injective A_Omega")
 
-    a_norm = inj.a_norm if inj.a_norm is not None else operator_norm(a)
     lhs = float(np.linalg.norm(h - h_star))
     misfit = float(np.linalg.norm(a.apply(h) - a.apply(h_star)))
     c_h = basis.decompose(h)
     tail_l1 = float(np.sum(np.abs(c_h[off])))
-    factor = 1.0 + inj.a_omega_inv_norm * a_norm
+    factor = 1.0 + inj.a_omega_inv_norm * inj.a_norm
     rhs_l1 = inj.a_omega_inv_norm * misfit + factor * tail_l1
     l1_ok = lhs <= rhs_l1 * (1.0 + BOUND_SLACK_REL) + _BOUND_SLACK_ABS
 

@@ -1,9 +1,13 @@
 """Command-line front end: solve, sweep and certify workflows.
 
 Every run prints a canonical ``key = value`` configuration block that can be
-fed back through ``--config`` to replay it bit-exactly.  Exit codes are a
-stable contract: 0 success, 1 usage error, 2 solver non-convergence,
-3 certificate invalid-but-computed.
+fed back through ``--config`` to replay it bit-exactly.  The block holds
+every parsed value that is set, except those named in ``_NOT_REPLAYED``
+(the subcommand, the config and output paths, flags without effect), and
+each command takes all of its seeds from one :class:`SweepConfig`.  Exit
+codes are a stable contract: 0 success, 1 usage error (non-finite
+parameters included), 2 solver non-convergence, 3 certificate
+invalid-but-computed.
 """
 
 from __future__ import annotations
@@ -133,12 +137,16 @@ def parse_config_text(text):
     return out
 
 
-def canonical_config(args, keys):
-    """Canonical ``key = value`` lines (sorted) for the given argument names."""
+#: Parsed values the configuration block leaves out: the subcommand, where
+#: the run reads and writes, and flags that no longer have an effect.
+_NOT_REPLAYED = {"command", "config", "out", "svg", "trace", "gamma", "jobs"}
+
+
+def canonical_config(args):
+    """Sorted ``key = value`` lines of every set value not in ``_NOT_REPLAYED``."""
     lines = []
-    for key in sorted(keys):
-        value = getattr(args, key)
-        if value is None:
+    for key, value in sorted(vars(args).items()):
+        if key in _NOT_REPLAYED or value is None:
             continue
         if isinstance(value, bool):
             text = "true" if value else "false"
@@ -148,21 +156,6 @@ def canonical_config(args, keys):
             text = str(value)
         lines.append(f"{key} = {text}")
     return lines
-
-
-_COMMON_KEYS = ("n", "m", "sparsity", "seed", "big_c", "kappa", "forward", "sensing")
-_SOLVER_KEYS = ("max_iters", "tol", "rho")
-
-
-def _config_keys(args):
-    keys = list(_COMMON_KEYS)
-    if hasattr(args, "max_iters"):
-        keys += list(_SOLVER_KEYS)
-    for extra in ("model", "delta", "alpha", "deltas", "delta_max", "delta_min",
-                  "delta_count", "trials", "no_certify"):
-        if hasattr(args, extra):
-            keys.append(extra)
-    return keys
 
 
 _FLAG_ALIASES = {"big_c": "--C"}
@@ -199,21 +192,18 @@ def _solver_config(args):
     return SolverConfig(max_iters=args.max_iters, tol=args.tol, rho=args.rho)
 
 
-def _build_instance(args):
-    basis = WaveletBasis(args.n)
-    l1 = WeightedL1(basis, np.full(args.n, args.kappa))
-    cfg = SweepConfig(
-        n=args.n,
-        m=args.m,
-        sparsity=args.sparsity,
-        deltas=(1.0,),
-        big_c=args.big_c,
-        model=getattr(args, "model", "relaxed") or "relaxed",
-        trials=1,
-        seed=args.seed,
-    )
+def _sweep_config(args, deltas=(1.0,), trials=1):
+    """The command's one :class:`SweepConfig`, which owns all of its seeds."""
+    return SweepConfig(n=args.n, m=args.m, sparsity=args.sparsity, deltas=deltas,
+                       big_c=args.big_c, model=args.model, trials=trials,
+                       seed=args.seed)
+
+
+def _build_instance(args, cfg):
+    basis = WaveletBasis(cfg.n)
+    l1 = WeightedL1(basis, np.full(cfg.n, args.kappa))
     w, a = default_operators(cfg, forward=args.forward, sensing=args.sensing)
-    phantom = make_phantom(args.n, args.sparsity, cfg.phantom_seed(), basis, w)
+    phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(), basis, w)
     return basis, l1, w, a, phantom
 
 
@@ -231,9 +221,10 @@ def _print_block(lines):
 
 
 def _cmd_solve(args):
-    basis, l1, w, a, phantom = _build_instance(args)
+    cfg = _sweep_config(args)
+    basis, l1, w, a, phantom = _build_instance(args, cfg)
     y_star = a.apply(phantom.h_star)
-    y_delta = add_noise(y_star, args.delta, args.seed * 1_000_000)
+    y_delta = add_noise(y_star, args.delta, cfg.noise_seed(0, 0))
     if args.alpha is not None:
         alpha = args.alpha
     elif args.delta > 0:
@@ -244,7 +235,7 @@ def _cmd_solve(args):
     result = solve(problem, _solver_config(args), trace=args.trace)
     h_out = result.h if args.model == "relaxed" else w.apply(result.x)
 
-    config_lines = canonical_config(args, _config_keys(args))
+    config_lines = canonical_config(args)
     summary = [
         f"version = {__version__}",
         f"alpha = {alpha!r}",
@@ -274,17 +265,8 @@ def _cmd_sweep(args):
                 np.log10(args.delta_max), np.log10(args.delta_min), args.delta_count
             )
         )
-    cfg = SweepConfig(
-        n=args.n,
-        m=args.m,
-        sparsity=args.sparsity,
-        deltas=deltas,
-        big_c=args.big_c,
-        model=args.model,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    basis, l1, w, a, phantom = _build_instance(args)
+    cfg = _sweep_config(args, deltas, args.trials)
+    basis, l1, w, a, phantom = _build_instance(args, cfg)
     solver_cfg = _solver_config(args)
 
     constants = None
@@ -312,7 +294,7 @@ def _cmd_sweep(args):
     svg_path = args.svg or os.path.splitext(args.out)[0] + ".svg"
     emit_svg(result.records, result.fit, svg_path)
 
-    _print_block(canonical_config(args, _config_keys(args)))
+    _print_block(canonical_config(args))
     print(f"records = {len(result.records)}")
     print(f"fit_slope = {result.fit.slope!r}")
     print(f"fit_r_squared = {result.fit.r_squared!r}")
@@ -324,11 +306,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_certify(args):
-    basis, l1, w, a, phantom = _build_instance(args)
+    basis, l1, w, a, phantom = _build_instance(args, _sweep_config(args))
     cert, inj, constants = certify(
         args.model, w, a, basis, l1, phantom.x_star, args.big_c
     )
-    _print_block(canonical_config(args, _config_keys(args)))
+    _print_block(canonical_config(args))
     _print_block(report_lines(cert, inj, constants))
     valid = cert.valid and inj.injective
     return EXIT_OK if valid else EXIT_CERT_INVALID

@@ -118,8 +118,8 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if self.trials > 100:
             raise ValueError("at most 100 trials (keeps derived seeds disjoint)")
-        if not self.big_c > 0:
-            raise ValueError("the parameter-choice constant C must be positive")
+        if not 0 < self.big_c < math.inf:
+            raise ValueError("C (alpha = C*delta) must be positive and finite")
 
     def phantom_seed(self):
         return self.seed * 1_000_000 + _PHANTOM_SEED_OFFSET

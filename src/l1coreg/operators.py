@@ -1,8 +1,11 @@
 """Linear operators: the forward map ``W`` and the sensing map ``A``.
 
-Every operator applies itself and its adjoint without forming a matrix, and
-turns into a dense matrix through :func:`materialize`, which is what solves
-and certificates use.  Operators are immutable after construction.
+A :class:`DenseMap` (the identity and the Bernoulli sensing matrix are
+dense maps) holds one read-only matrix; :class:`IntegrationOp` applies
+itself and its adjoint without forming one.  Solves and certificates take
+the dense matrix through :func:`materialize`, which returns a dense map's
+own matrix without a copy and builds a fresh read-only one for a
+matrix-free operator.  Operators are immutable after construction.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class DenseMap(LinearMap):
         return self.matrix.T @ y
 
     def _materialize(self):
-        return self.matrix.copy()
+        return self.matrix
 
 
 def identity(n):
@@ -156,6 +159,7 @@ class IntegrationOp(LinearMap):
     def _materialize(self):
         mat = np.tri(self.n)
         mat *= self.scale
+        mat.setflags(write=False)
         return mat
 
     def inverse_apply(self, h):
@@ -167,7 +171,7 @@ class IntegrationOp(LinearMap):
         return x * float(self.n)
 
 
-class BernoulliSensing(LinearMap):
+class BernoulliSensing(DenseMap):
     """Random sensing matrix with entries in ``{0, 1}``, each with probability 1/2.
 
     Entries come from the counter-based Philox generator keyed by ``seed``,
@@ -177,28 +181,19 @@ class BernoulliSensing(LinearMap):
     """
 
     def __init__(self, m, n, seed):
-        super().__init__(n, m)
         self.m = int(m)
         self.n = int(n)
         self.seed = int(seed)
         _check_budget(self.m, self.n, DEFAULT_MATERIALIZE_BUDGET)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
-        entries = rng.integers(0, 2, size=(self.m, self.n)).astype(float)
-        entries.setflags(write=False)
-        self.entries = entries
-
-    def _apply(self, x):
-        return self.entries @ x
-
-    def _adjoint(self, y):
-        return self.entries.T @ y
-
-    def _materialize(self):
-        return self.entries.copy()
+        super().__init__(rng.integers(0, 2, size=(self.m, self.n)))
 
 
 def materialize(op, budget=DEFAULT_MATERIALIZE_BUDGET):
-    """Dense matrix ``D`` with ``D @ x == op.apply(x)`` for all ``x``.
+    """Read-only dense matrix ``D`` with ``D @ x == op.apply(x)`` for all ``x``.
+
+    A :class:`DenseMap` returns the matrix it holds, without a copy; a
+    matrix-free operator builds a fresh one on each call.
 
     Raises
     ------

@@ -93,8 +93,8 @@ def _check_problem_dims(w, a, y_delta, alpha, l1):
         raise ValueError(
             f"data length {y_delta.shape} != measurement dimension {a.codomain_dim}"
         )
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
 
 
 @dataclass

@@ -89,7 +89,7 @@ def certified_instance():
     assert cert.valid and cert.strict_complementarity
     inj = check_restricted_injectivity(a, basis, cert.eta.omega)
     assert inj.injective
-    constants = rate_constants(cert, inj, big_c=1.0, a_norm=operator_norm(a))
+    constants = rate_constants(cert, inj, big_c=1.0)
     return basis, l1, w, a, phantom, cfg, cert, inj, constants
 
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -106,6 +107,25 @@ class TestUsageErrors:
             capsys,
         )
         assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--model", "strict", "--alpha", "inf"],
+        ["solve", "--model", "relaxed", "--tol", "inf"],
+        ["solve", "--model", "relaxed", "--rho", "inf"],
+        ["certify", "--C", "inf"],
+        ["sweep", "--model", "relaxed", "--C", "inf", "--trials", "1",
+         "--delta-count", "2"],
+    ], ids=["solve-alpha", "solve-tol", "solve-rho", "certify-C", "sweep-C"])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, command):
+        # each once ran to a "converged" or "valid" nan result, or died
+        # on a numpy warning
+        args = command + ["--n", "16", "--m", "8", "--sparsity", "2"]
+        if command[0] != "certify":
+            args += ["--out", str(tmp_path / "out")]
+        rc, stdout, err = run_cli(args, capsys)
+        assert rc == EXIT_USAGE
+        assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_sweep_config_checked_before_instance(self, tmp_path, capsys,
@@ -419,6 +439,25 @@ class TestCertify:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("command, first_after_block", [
+        (["solve", "--model", "relaxed", *SMALL, "--alpha", "1e-4"],
+         "version = "),
+        (["sweep", "--model", "relaxed", *SMALL, "--deltas", "1e-1,1e-2",
+          "--trials", "1"], "records = "),
+        (["certify", *SMALL], "certificate_kind = "),
+    ], ids=["solve", "sweep", "certify"])
+    def test_block_replays_every_parsed_value(self, tmp_path, capsys, command,
+                                              first_after_block):
+        # a new flag is replayed unless _NOT_REPLAYED declares otherwise
+        if command[0] != "certify":
+            command = command + ["--out", str(tmp_path / "out")]
+        parsed = set(vars(cli.build_parser().parse_args(command)))
+        rc, stdout, _ = run_cli(command, capsys)
+        assert rc == EXIT_OK
+        block = stdout.split(first_after_block)[0].splitlines()
+        keys = {line.split(" = ")[0] for line in block}
+        assert keys == parsed - cli._NOT_REPLAYED
+
     def test_config_supplies_defaults(self, tmp_path, capsys):
         # every spelling argparse accepts for --config reads the file
         cfg = tmp_path / "run.cfg"
@@ -606,3 +645,17 @@ def test_sweep_hash_independent_of_blas_threads(tmp_path, model, instance):
         assert proc.returncode == EXIT_OK, proc.stderr
         hashes.append(determinism_hash(out))
     assert hashes[0] == hashes[1]
+
+
+def test_benchmark_commands_parse(monkeypatch):
+    # the benchmark still passes --gamma and --jobs; dropping either flag
+    # would fail every sweep workload
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    workloads = importlib.import_module("workloads")
+    parser = cli.build_parser()
+    for name, make in workloads.WORKLOADS.items():
+        for cmd in make():
+            out = None if cmd.kind == "certify" else "out"
+            args = parser.parse_args(cmd.argv(out))
+            assert args.command == cmd.kind, (name, cmd.key)

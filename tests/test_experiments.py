@@ -169,6 +169,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(n=8, m=4, sparsity=1, deltas=(1e-2,), trials=0)
 
+    @pytest.mark.parametrize("big_c", [0.0, float("inf"), float("nan")])
+    def test_big_c_positive_and_finite(self, big_c):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SweepConfig(n=8, m=4, sparsity=1, deltas=(1e-2,), big_c=big_c)
+
     def test_seed_streams_distinct(self):
         cfg = SweepConfig(n=8, m=4, sparsity=1, deltas=(1e-2, 1e-3), trials=2, seed=3)
         seeds = {cfg.phantom_seed(), cfg.matrix_seed()}

@@ -63,20 +63,20 @@ class TestBernoulli:
     def test_entries_binary_and_deterministic(self):
         a1 = BernoulliSensing(6, 10, seed=5)
         a2 = BernoulliSensing(6, 10, seed=5)
-        assert set(np.unique(a1.entries)) <= {0.0, 1.0}
-        np.testing.assert_array_equal(a1.entries, a2.entries)
+        assert set(np.unique(a1.matrix)) <= {0.0, 1.0}
+        np.testing.assert_array_equal(a1.matrix, a2.matrix)
         a3 = BernoulliSensing(6, 10, seed=6)
-        assert not np.array_equal(a1.entries, a3.entries)
+        assert not np.array_equal(a1.matrix, a3.matrix)
 
     def test_frozen_example(self):
         a = BernoulliSensing(2, 3, seed=BERNOULLI_EXAMPLE_SEED)
-        np.testing.assert_array_equal(a.entries, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(a.matrix, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         # multiply the materialized rows by hand: (1+3, 2+3)
         np.testing.assert_allclose(a.apply([1.0, 2.0, 3.0]), [4.0, 5.0])
 
     def test_entry_frequency(self):
         a = BernoulliSensing(64, 64, seed=11)
-        frac = a.entries.mean()
+        frac = a.matrix.mean()
         assert 0.45 < frac < 0.55
 
     def test_budget_checked_before_draw(self):
@@ -124,6 +124,27 @@ class TestMaterialize:
     def test_needs_own_matrix(self):
         with pytest.raises(NotImplementedError):
             materialize(LinearMap(2, 3))
+
+    @pytest.mark.parametrize("op", [
+        identity(4),
+        DenseMap(np.arange(6.0).reshape(2, 3)),
+        BernoulliSensing(3, 5, seed=2),
+    ], ids=["identity", "dense", "bernoulli"])
+    def test_dense_map_returns_its_matrix(self, op):
+        # no copy per solve or certificate, and no caller can change the map
+        mat = materialize(op)
+        assert mat is op.matrix
+        with pytest.raises(ValueError):
+            mat[0, 0] = 5.0
+
+    def test_integration_matrix_is_fresh_and_read_only(self):
+        n = 16
+        w = IntegrationOp(n)
+        mat = materialize(w)
+        np.testing.assert_array_equal(mat, np.tri(n) * (1.0 / n))
+        assert materialize(w) is not mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 5.0
 
 
 class TestOperatorNorm:

@@ -104,6 +104,9 @@ class TestConfigValidation:
             {"rho": 0.0},
             {"tol": float("nan")},
             {"rho": float("nan")},
+            # tol = inf stopped a solve after one iteration as "converged"
+            {"tol": float("inf")},
+            {"rho": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):
@@ -116,6 +119,9 @@ class TestConfigValidation:
             Problem("relaxed", eye, eye, np.zeros(7), 1.0, l1_unit8)
         with pytest.raises(ValueError):
             Problem("relaxed", eye, eye, np.zeros(8), 0.0, l1_unit8)
+        # alpha = inf gave a "converged" solve with objective nan
+        with pytest.raises(ValueError):
+            Problem("strict", eye, eye, np.zeros(8), np.inf, l1_unit8)
         with pytest.raises(ValueError):
             Problem("relaxed", IntegrationOp(4), eye, np.zeros(8), 1.0, l1_unit8)
 
