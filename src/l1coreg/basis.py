@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .operators import DEFAULT_MATERIALIZE_BUDGET, _check_budget
+from .operators import _check_budget
 
 __all__ = [
     "WaveletBasis",
@@ -105,7 +105,7 @@ class WaveletBasis:
         n = int(n)
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"wavelet basis needs a power-of-two size, got {n}")
-        _check_budget(n, n, DEFAULT_MATERIALIZE_BUDGET)
+        _check_budget(n, n)
         self.n = n
         self.levels = n.bit_length() - 1
         matrix = np.empty((n, n))
@@ -157,12 +157,6 @@ class WaveletBasis:
 
     def __repr__(self):
         return f"WaveletBasis(n={self.n})"
-
-    def __eq__(self, other):
-        return isinstance(other, WaveletBasis) and other.n == self.n
-
-    def __hash__(self):
-        return hash(self.n)
 
 
 def support(c):

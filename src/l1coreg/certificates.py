@@ -171,9 +171,8 @@ def check_restricted_injectivity(a, basis, omega):
     """Injectivity of ``A`` on the span of the basis elements in ``omega``.
 
     Column ``i`` is ``A phi_{omega[i]}``, with ``phi`` the rows of the
-    basis matrix, or the standard basis when ``basis`` is None; a dense SVD
-    gives the smallest singular value, which must exceed
-    ``INJECTIVITY_RTOL ||A||``.  Empty ``omega`` is vacuously
+    basis matrix; a dense SVD gives the smallest singular value, which must
+    exceed ``INJECTIVITY_RTOL ||A||``.  Empty ``omega`` is vacuously
     injective with inverse norm 0; ``|omega| > codomain_dim`` can never be
     injective and is reported as such (not an error).
 
@@ -195,8 +194,7 @@ def check_restricted_injectivity(a, basis, omega):
         return InjectivityReport(omega, float("inf"), 0.0, True, a_norm)
     if len(omega) > a.codomain_dim:
         return InjectivityReport(omega, 0.0, float("inf"), False, a_norm)
-    rows = np.eye(n) if basis is None else basis.matrix
-    cols = np.column_stack([a.apply(rows[i]) for i in omega])
+    cols = np.column_stack([a.apply(basis.matrix[i]) for i in omega])
     sigma_min = float(np.linalg.svd(cols, compute_uv=False)[-1])
     injective = sigma_min > INJECTIVITY_RTOL * max(a_norm, 1e-300)
     inv_norm = 1.0 / sigma_min if injective else float("inf")

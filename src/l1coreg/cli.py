@@ -260,6 +260,11 @@ def _cmd_sweep(args):
     if args.deltas:
         deltas = tuple(float(tok) for tok in args.deltas.split(","))
     else:
+        # checked before the grid is built, so numpy warns about nothing
+        if not all(0 < v < np.inf for v in (args.delta_max, args.delta_min)):
+            raise ValueError("all noise levels must be positive and finite")
+        if args.delta_count < 1:
+            raise ValueError("deltas must be nonempty")
         deltas = tuple(
             np.logspace(
                 np.log10(args.delta_max), np.log10(args.delta_min), args.delta_count
@@ -280,8 +285,7 @@ def _cmd_sweep(args):
     result = run_sweep(
         cfg, phantom, w, a, l1=l1, constants=constants, solver_cfg=solver_cfg
     )
-    meta = sweep_metadata(cfg, l1, solver_cfg, args.forward,
-                          sensing=args.sensing, kappa_scalar=args.kappa)
+    meta = sweep_metadata(cfg, l1, solver_cfg, args.forward, sensing=args.sensing)
     meta["converged"] = str(result.all_converged).lower()
     for line in cert_lines:
         key, _, value = line.partition(" = ")

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .basis import support as coeff_support
 from .operators import BernoulliSensing, DenseMap, IntegrationOp, identity
-from .regularizers import WeightedL1, bregman_quadratic
+from .regularizers import bregman_quadratic
 from .solvers import Problem, SolverConfig, solve
 
 __all__ = [
@@ -75,14 +75,12 @@ class SweepError(RuntimeError):
 class Phantom:
     """Ground-truth pair with a sparse indirect signal.
 
-    ``h_star`` has exactly ``sparsity`` nonzero wavelet coefficients and
+    ``h_star`` has nonzero wavelet coefficients exactly at ``support`` and
     ``x_star`` satisfies ``W x_star = h_star`` to roundoff.
     """
 
     x_star: np.ndarray
     h_star: np.ndarray
-    sparsity: int
-    seed: int
     support: tuple
 
 
@@ -215,8 +213,6 @@ def make_phantom(n, sparsity, seed, basis, w):
     return Phantom(
         x_star=x_star,
         h_star=h_star,
-        sparsity=sparsity,
-        seed=int(seed),
         support=tuple(int(i) for i in support),
     )
 
@@ -232,11 +228,7 @@ def add_noise(y_star, delta, seed):
         raise ValueError("cannot add noise of positive norm to empty data")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     g = rng.standard_normal(y_star.shape[0])
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
-        g[0] = 1.0
-        norm = 1.0
-    return y_star + (delta / norm) * g
+    return y_star + (delta / float(np.linalg.norm(g))) * g
 
 
 def fit_rate(deltas, errors):
@@ -270,7 +262,7 @@ def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg, warm=None):
     return res, wx, residual
 
 
-def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
+def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     """Run the noise-level sweep and fit the rate on per-delta medians.
 
     Records run delta by delta, trials innermost.  The first delta's solves
@@ -287,8 +279,8 @@ def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
     w, a : LinearMap
         Forward and sensing operators (dimensions must match ``cfg``), as
         built by :func:`default_operators` for a replayable sweep.
-    l1 : WeightedL1, optional
-        Defaults to unit weights on a full-depth basis of size ``cfg.n``.
+    l1 : WeightedL1
+        The penalty, on a basis of size ``cfg.n``.
     constants : RateConstants, optional
         When given, every record carries the theoretical bound sides
         ``c*delta`` / ``d*delta`` and their pass flags.
@@ -301,10 +293,6 @@ def run_sweep(cfg, phantom, w, a, l1=None, constants=None, solver_cfg=None):
         only clears ``all_converged``.
     """
     start = time.perf_counter()
-    if l1 is None:
-        from .basis import WaveletBasis
-
-        l1 = WeightedL1(WaveletBasis(cfg.n))
     solver_cfg = solver_cfg or SolverConfig()
     if w.domain_dim != cfg.n or a.codomain_dim != cfg.m:
         raise ValueError("operator dimensions do not match the sweep config")
@@ -398,11 +386,10 @@ def emit_csv(records, fit, path, metadata=None):
     lines = ["# l1coreg_sweep_csv = 1", f"# version = {__version__}"]
     for key, value in (metadata or {}).items():
         lines.append(f"# {key} = {value}")
-    if fit is not None:
-        lines.append(f"# fit_slope = {fit.slope!r}")
-        lines.append(f"# fit_intercept = {fit.intercept!r}")
-        lines.append(f"# fit_r_squared = {fit.r_squared!r}")
-        lines.append(f"# fit_points_used = {fit.points_used}")
+    lines.append(f"# fit_slope = {fit.slope!r}")
+    lines.append(f"# fit_intercept = {fit.intercept!r}")
+    lines.append(f"# fit_r_squared = {fit.r_squared!r}")
+    lines.append(f"# fit_points_used = {fit.points_used}")
     lines.append(",".join(CSV_COLUMNS))
     lines.extend(_record_row(rec) for rec in records)
     text = "\n".join(lines) + "\n"
@@ -421,17 +408,10 @@ def _parse_cell(name, cell):
     return float(cell)
 
 
-def _read_text(path_or_text):
-    """CSV text itself when it holds a newline, else the file it names."""
-    if "\n" in str(path_or_text):
-        return path_or_text
-    with open(path_or_text, "r", encoding="ascii") as handle:
-        return handle.read()
-
-
-def parse_csv(path_or_text):
-    """Parse :func:`emit_csv` output into ``(records, metadata, fit)``."""
-    text = _read_text(path_or_text)
+def parse_csv(path):
+    """Parse the :func:`emit_csv` file ``path`` into ``(records, metadata, fit)``."""
+    with open(path, "r", encoding="ascii") as handle:
+        text = handle.read()
     metadata = {}
     records = []
     saw_header = False
@@ -467,9 +447,8 @@ def parse_csv(path_or_text):
     return records, metadata, fit
 
 
-def determinism_hash(path_or_text):
-    """SHA-256 over the CSV content, skipping wall-time metadata lines."""
-    text = _read_text(path_or_text)
+def determinism_hash(text):
+    """SHA-256 over the CSV text :func:`emit_csv` returns, skipping wall-time lines."""
     kept = [
         line for line in text.splitlines() if not line.startswith("# walltime")
     ]
@@ -477,7 +456,7 @@ def determinism_hash(path_or_text):
     return hashlib.sha256(payload).hexdigest()
 
 
-def emit_svg(records, fit, path, title="error vs noise level"):
+def emit_svg(records, fit, path):
     """Write a log-log scatter of ``err_h`` against ``delta`` with the fit line."""
     pts = [(r.delta, r.err_h) for r in records if r.err_h > _ERR_FLOOR]
     if not pts:
@@ -501,7 +480,7 @@ def emit_svg(records, fit, path, title="error vs noise level"):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{title}</text>',
+        'font-family="monospace" font-size="14">error vs noise level</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
@@ -574,12 +553,12 @@ def default_operators(cfg, forward="integration", sensing="bernoulli"):
     return w, a
 
 
-def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli",
-                   kappa_scalar=None):
+def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli"):
     """Metadata block for CSV emission; everything needed for bit-exact replay.
 
     ``forward``, ``sensing``, ``n``, ``m`` and ``matrix_seed`` are the inputs
     of :func:`default_operators`, so they rebuild ``W`` and ``A`` exactly.
+    ``kappa`` is one weight when all weights are equal, else the list.
     """
     meta = {
         "model": cfg.model,
@@ -595,8 +574,8 @@ def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli",
         "basis_n": str(l1.basis.n),
         "basis_levels": str(l1.basis.levels),
         "kappa": (
-            repr(float(kappa_scalar))
-            if kappa_scalar is not None
+            repr(float(l1.kappa[0]))
+            if np.all(l1.kappa == l1.kappa[0])
             else ",".join(repr(float(k)) for k in l1.kappa)
         ),
         "solver_max_iters": str(solver_cfg.max_iters),

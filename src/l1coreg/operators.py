@@ -5,7 +5,8 @@ dense maps) holds one read-only matrix; :class:`IntegrationOp` applies
 itself and its adjoint without forming one.  Solves and certificates take
 the dense matrix through :func:`materialize`, which returns a dense map's
 own matrix without a copy and builds a fresh read-only one for a
-matrix-free operator.  Operators are immutable after construction.
+matrix-free operator, within :data:`DEFAULT_MATERIALIZE_BUDGET` entries.
+Operators are immutable after construction.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ __all__ = [
     "MaterializeBudgetError",
 ]
 
-#: Default cap on ``domain_dim * codomain_dim`` for dense materialization.
+#: Cap on ``domain_dim * codomain_dim`` for dense materialization.
 DEFAULT_MATERIALIZE_BUDGET = 2**24
 
 _POWER_ITER_MAX = 10_000
+_POWER_ITER_TOL = 1e-8
 _POWER_ITER_SEED = 0
 
 
@@ -44,12 +46,12 @@ class MaterializeBudgetError(RuntimeError):
     """Dense materialization would exceed the configured entry budget."""
 
 
-def _check_budget(rows, cols, budget):
+def _check_budget(rows, cols):
     entries = rows * cols
-    if entries > budget:
+    if entries > DEFAULT_MATERIALIZE_BUDGET:
         raise MaterializeBudgetError(
             f"materializing {rows}x{cols} "
-            f"({entries} entries) exceeds budget {budget}"
+            f"({entries} entries) exceeds budget {DEFAULT_MATERIALIZE_BUDGET}"
         )
 
 
@@ -184,12 +186,12 @@ class BernoulliSensing(DenseMap):
         self.m = int(m)
         self.n = int(n)
         self.seed = int(seed)
-        _check_budget(self.m, self.n, DEFAULT_MATERIALIZE_BUDGET)
+        _check_budget(self.m, self.n)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         super().__init__(rng.integers(0, 2, size=(self.m, self.n)))
 
 
-def materialize(op, budget=DEFAULT_MATERIALIZE_BUDGET):
+def materialize(op):
     """Read-only dense matrix ``D`` with ``D @ x == op.apply(x)`` for all ``x``.
 
     A :class:`DenseMap` returns the matrix it holds, without a copy; a
@@ -198,41 +200,35 @@ def materialize(op, budget=DEFAULT_MATERIALIZE_BUDGET):
     Raises
     ------
     MaterializeBudgetError
-        If ``domain_dim * codomain_dim`` exceeds ``budget``.  There is no
-        silent truncation.
+        If ``domain_dim * codomain_dim`` exceeds
+        :data:`DEFAULT_MATERIALIZE_BUDGET`.  There is no silent truncation.
     """
-    _check_budget(op.codomain_dim, op.domain_dim, budget)
+    _check_budget(op.codomain_dim, op.domain_dim)
     return op._materialize()
 
 
-def operator_norm(op, tol=1e-8, max_iters=_POWER_ITER_MAX):
+def operator_norm(op):
     """Largest singular value via power iteration on ``op* op``.
 
-    Starts from a fixed seeded random vector, so the result is deterministic.
-    Stops when the Rayleigh quotient changes by a relative amount below
-    ``tol``.  If power iteration does not converge within ``max_iters`` and
-    the operator fits the materialization budget, falls back to a dense SVD.
+    Starts from a fixed seeded random vector, so the result is deterministic,
+    and stops when the Rayleigh quotient changes by a relative ``1e-8`` at
+    most.  An iteration unsettled after ``10_000`` steps gives way to the
+    dense SVD of :func:`materialize`, which raises beyond the budget.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if op.domain_dim == 0 or op.codomain_dim == 0:
         return 0.0
     rng = np.random.Generator(np.random.Philox(key=_POWER_ITER_SEED))
     v = rng.standard_normal(op.domain_dim)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(_POWER_ITER_MAX):
         w = op.adjoint_apply(op.apply(v))
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0
         lam_new = float(v @ w)
         v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+        if abs(lam_new - lam) <= _POWER_ITER_TOL * max(abs(lam_new), 1e-300):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam = lam_new
-    try:
-        mat = materialize(op)
-    except MaterializeBudgetError:
-        return float(np.sqrt(max(lam, 0.0)))
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return float(np.linalg.svd(materialize(op), compute_uv=False)[0])

@@ -40,6 +40,7 @@ class SubgradientError(ValueError):
 class WeightedL1:
     """Weighted l1 norm ``sum_lambda kappa_lambda |<phi_lambda, h>|``.
 
+    ``kappa`` is a length-``n`` array of weights, or None for unit weights.
     Weights must be finite and bounded below by a positive constant; the
     bound is exposed as :attr:`lower_bound`.
     """
@@ -48,17 +49,12 @@ class WeightedL1:
     kappa: np.ndarray = None
 
     def __post_init__(self):
-        kappa = self.kappa
-        if kappa is None:
-            kappa = np.ones(self.basis.n)
-        kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-        if kappa.shape == (1,):
-            kappa = np.full(self.basis.n, kappa[0])
+        kappa = np.ones(self.basis.n) if self.kappa is None else self.kappa
+        kappa = np.array(kappa, dtype=float)
         if kappa.shape != (self.basis.n,):
             raise ValueError(f"kappa must have length {self.basis.n}")
         if not np.all((kappa > 0.0) & np.isfinite(kappa)):
             raise ValueError("all weights kappa must be positive and finite")
-        kappa = kappa.copy()
         kappa.setflags(write=False)
         object.__setattr__(self, "kappa", kappa)
 
@@ -99,7 +95,7 @@ def soft_threshold(c, thresholds):
     return np.sign(c) * np.maximum(np.abs(c) - thresholds, 0.0)
 
 
-def subgradient_from_coefficients(f, h_star, eta_coeffs, sign_tol=_SIGN_EQ_TOL):
+def subgradient_from_coefficients(f, h_star, eta_coeffs):
     """Validate raw coefficients as a subgradient of ``||.||_{1,kappa}`` at ``h_star``.
 
     Checks the box constraint everywhere and the sign equalities
@@ -121,7 +117,7 @@ def subgradient_from_coefficients(f, h_star, eta_coeffs, sign_tol=_SIGN_EQ_TOL):
     eta_coeffs = np.clip(eta_coeffs, -f.kappa, f.kappa)
     for lam in support(c_star):
         want = f.kappa[lam] * np.sign(c_star[lam])
-        if abs(eta_coeffs[lam] - want) > sign_tol * max(1.0, f.kappa[lam]):
+        if abs(eta_coeffs[lam] - want) > _SIGN_EQ_TOL * max(1.0, f.kappa[lam]):
             raise SubgradientError(
                 f"eta[{lam}] = {eta_coeffs[lam]} != kappa*sign = {want} on support"
             )

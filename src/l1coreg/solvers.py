@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,13 +158,14 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Output of a solve: iterates, objective and convergence diagnostics.
+    """Output of a solve: iterates, objective and the final ADMM residuals.
 
     ``c`` and ``multiplier`` are the final ADMM state: the exactly sparse
     coefficients with ``h = Phi* c``, and the unscaled multiplier
     ``rho u`` of the split ``Phi h = c``, whose optimal value does not
     depend on ``rho``.  Passing the result as ``warm`` to :func:`solve`
-    restarts ADMM there.
+    restarts ADMM there.  ``primal_residual`` (``||Phi h - c||``) and
+    ``dual_residual`` (``rho ||c_k - c_{k-1}||``) are the last iteration's.
     """
 
     x: np.ndarray
@@ -173,10 +174,15 @@ class SolveResult:
     multiplier: np.ndarray
     objective: float
     iterations: int
-    fixed_point_residual: float
+    primal_residual: float
+    dual_residual: float
     converged: bool
     wall_time: float
-    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def fixed_point_residual(self):
+        """The larger of the two final residuals."""
+        return max(self.primal_residual, self.dual_residual)
 
 
 def objective_relaxed(p, x, h):
@@ -377,10 +383,10 @@ def _admm(p, cfg, trace, warm):
         multiplier=cfg.rho * u,
         objective=objective(x, c),
         iterations=iterations,
-        fixed_point_residual=max(primal, dual),
+        primal_residual=primal,
+        dual_residual=dual,
         converged=converged,
         wall_time=time.perf_counter() - start,
-        diagnostics={"primal_residual": primal, "dual_residual": dual},
     )
 
 
@@ -426,10 +432,9 @@ def solve(problem, cfg=None, trace=None, warm=None):
     SolveResult
         ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
         ``x`` is read off the last v-step; ``c`` and ``multiplier`` are the
-        final ADMM state.  ``diagnostics`` holds the primal
-        residual ``||Phi h - c||`` and the dual residual.  The error bounds
-        concern ``result.h`` for the relaxed model and ``W x`` for the
-        strict one.
+        final ADMM state, and ``primal_residual`` and ``dual_residual`` its
+        residuals.  The error bounds concern ``result.h`` for the relaxed
+        model and ``W x`` for the strict one.
     """
     if problem.model == "relaxed":
         return solve_relaxed(problem, cfg, trace, warm)

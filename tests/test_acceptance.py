@@ -388,7 +388,7 @@ def test_criterion_9_sweep_determinism(tmp_path, capsys):
     for name in ("first.csv", "second.csv"):
         rc = cli_main(args + ["--out", str(tmp_path / name)])
         assert rc == 0
-        hashes.append(determinism_hash(tmp_path / name))
+        hashes.append(determinism_hash((tmp_path / name).read_text()))
     capsys.readouterr()
     ok = hashes[0] == hashes[1]
     report(9, ok, f"identical sweep invocations hash to {hashes[0][:16]}... twice")

@@ -55,7 +55,10 @@ class TestRestrictedInjectivity:
         mat = np.zeros((8, 8))
         mat[:, 0] = 1.0
         mat[:, 1] = 1.0  # identical columns
-        rep = check_restricted_injectivity(DenseMap(mat), None, [0, 1])
+        # Phi is orthogonal with rows phi_lambda, so A = mat Phi maps
+        # phi_lambda to column lambda of mat
+        a = DenseMap(mat @ basis8.matrix)
+        rep = check_restricted_injectivity(a, basis8, [0, 1])
         assert rep.sigma_min <= 1e-12
         assert not rep.injective
         assert rep.a_omega_inv_norm == float("inf")
@@ -70,9 +73,11 @@ class TestRestrictedInjectivity:
         assert not rep.injective
         assert rep.a_omega_inv_norm == float("inf")
 
-    def test_no_basis_uses_standard_columns(self):
-        a = DenseMap(np.diag([2.0, 3.0, 4.0]))
-        rep = check_restricted_injectivity(a, None, [1, 2])
+    def test_no_basis_uses_standard_columns(self, basis8):
+        # A = mat Phi maps phi_lambda to the standard column lambda of mat
+        mat = np.diag([2.0, 3.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        a = DenseMap(mat @ basis8.matrix)
+        rep = check_restricted_injectivity(a, basis8, [1, 2])
         assert rep.sigma_min == pytest.approx(3.0, abs=1e-10)
 
     def test_columns_are_basis_images(self):

@@ -26,6 +26,7 @@ from l1coreg.experiments import (
     run_sweep,
 )
 from l1coreg.operators import materialize
+from l1coreg.solvers import SolverError
 
 
 SMALL = ["--n", "32", "--m", "24", "--sparsity", "2", "--seed", "1",
@@ -95,19 +96,30 @@ class TestUsageErrors:
         assert rc == EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("noise", [
         ["--deltas", "nan,1e-3"],
         ["--deltas", "inf,1e-3"],
         ["--delta-max", "nan"],
-    ], ids=["nan", "inf", "delta-max-nan"])
+        ["--delta-min", "inf"],
+        ["--delta-max", "inf"],
+        ["--delta-max", "0"],
+        ["--delta-min=-1e-5"],
+        ["--delta-count", "-1"],
+    ], ids=["nan", "inf", "delta-max-nan", "delta-min-inf", "delta-max-inf",
+            "delta-max-zero", "delta-min-negative", "delta-count-negative"])
     def test_non_finite_noise_level_is_usage_error(self, tmp_path, capsys, noise):
+        # the noise grid is checked before it is built, so numpy neither
+        # warns nor reports a bad sample count
         rc, _, err = run_cli(
             ["sweep", "--model", "relaxed", *SMALL, "--trials", "1", *noise,
              "--out", str(tmp_path / "s.csv")],
             capsys,
         )
         assert rc == EXIT_USAGE
-        assert err.startswith("error: ") and err.count("\n") == 1
+        expected = ("deltas must be nonempty" if "--delta-count" in noise
+                    else "all noise levels must be positive and finite")
+        assert err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("command", [
         ["solve", "--model", "strict", "--alpha", "inf"],
@@ -140,6 +152,34 @@ class TestUsageErrors:
             capsys,
         )
         assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _failing_solve(*args, **kwargs):
+    raise SolverError("non-finite iterate at iteration 1")
+
+
+class TestSolveFailure:
+    """A solve that raises exits 2, like one that does not converge."""
+
+    def test_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("l1coreg.experiments.solve", _failing_solve)
+        rc, _, err = run_cli(
+            ["sweep", "--model", "relaxed", *SMALL, "--trials", "1",
+             "--no-certify", "--out", str(tmp_path / "s.csv")],
+            capsys,
+        )
+        assert rc == EXIT_NOT_CONVERGED
+        assert err.startswith("error: solve failed at delta=0.01 trial=0: ")
+        assert err.count("\n") == 1
+
+    def test_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("l1coreg.cli.solve", _failing_solve)
+        rc, _, err = run_cli(
+            ["solve", "--model", "relaxed", *SMALL, "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert rc == EXIT_NOT_CONVERGED
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -273,16 +313,16 @@ class TestSweep:
                 capsys,
             )
             assert rc == EXIT_OK
-            hashes.append(determinism_hash(tmp_path / name))
+            hashes.append(determinism_hash((tmp_path / name).read_text()))
         assert hashes[0] == hashes[1]
 
     def test_jobs_flag_keeps_hash(self, tmp_path, capsys):
         # flags kept only for old scripts and configs leave the CSV unchanged
         run_cli(self.sweep_args(tmp_path), capsys)
-        base = determinism_hash(tmp_path / "s.csv")
+        base = determinism_hash((tmp_path / "s.csv").read_text())
         for extra in (("--jobs", "3"), ("--gamma", "10")):
             run_cli(self.sweep_args(tmp_path, extra=extra), capsys)
-            assert determinism_hash(tmp_path / "s.csv") == base, extra
+            assert determinism_hash((tmp_path / "s.csv").read_text()) == base, extra
 
     def test_retired_config_keys_replay(self, tmp_path, capsys):
         # the config block no longer prints the retired flags, and an old
@@ -301,8 +341,8 @@ class TestSweep:
             capsys,
         )
         assert rc == EXIT_OK
-        assert determinism_hash(tmp_path / "r.csv") == determinism_hash(
-            tmp_path / "s.csv"
+        assert determinism_hash((tmp_path / "r.csv").read_text()) == determinism_hash(
+            (tmp_path / "s.csv").read_text()
         )
 
     def test_bound_columns_present_when_certified(self, tmp_path, capsys):
@@ -356,8 +396,8 @@ class TestSweep:
         assert rc == EXIT_OK
         _, meta, _ = parse_csv(tmp_path / "r.csv")
         assert "cert_valid" not in meta
-        assert determinism_hash(tmp_path / "r.csv") == determinism_hash(
-            tmp_path / "s.csv"
+        assert determinism_hash((tmp_path / "r.csv").read_text()) == determinism_hash(
+            (tmp_path / "s.csv").read_text()
         )
 
     def test_replays_from_csv_header(self, tmp_path, capsys, monkeypatch):
@@ -592,7 +632,15 @@ def test_readme_cli_row_names_subcommands():
 def test_python_dash_m_runs_cli():
     proc = run_python("-m", "l1coreg", "--version")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == l1coreg.__version__
+    assert proc.stdout.strip() == l1coreg.__version__ == "0.1.0"
+
+
+def test_python_dash_m_passes_exit_code():
+    # entry_point hands main's code to the process: a usage error exits 1
+    proc = run_python("-m", "l1coreg", "certify", "--n", "16", "--m", "0",
+                      "--sparsity", "2")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_import_loads_no_scipy():
@@ -643,7 +691,7 @@ def test_sweep_hash_independent_of_blas_threads(tmp_path, model, instance):
             OPENBLAS_NUM_THREADS=threads,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        hashes.append(determinism_hash(out))
+        hashes.append(determinism_hash(out.read_text()))
     assert hashes[0] == hashes[1]
 
 

@@ -45,6 +45,11 @@ class TestEval:
         with pytest.raises(ValueError):
             WeightedL1(basis8, np.array([1.0] * 7 + [bad]))
 
+    def test_scalar_weight_refused(self, basis8):
+        # weights are one per coefficient; unit weights are kappa=None
+        with pytest.raises(ValueError, match="kappa must have length 8"):
+            WeightedL1(basis8, 2.0)
+
     def test_lower_bound(self, basis8):
         f = WeightedL1(basis8, np.linspace(0.5, 2.0, 8))
         assert f.lower_bound == pytest.approx(0.5)

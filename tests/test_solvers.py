@@ -259,8 +259,8 @@ class TestSolveStrict:
         cfg = SolverConfig(tol=1e-10)
         res = solve_strict(p, cfg)
         assert res.converged
-        assert res.diagnostics["primal_residual"] <= cfg.tol
-        assert res.diagnostics["dual_residual"] <= cfg.tol
+        assert res.primal_residual <= cfg.tol
+        assert res.dual_residual <= cfg.tol
 
     def test_matches_dense_enumeration_2d(self):
         # tiny strict instance checked against brute-force enumeration over x
@@ -283,7 +283,7 @@ class TestSolveStrict:
         p = random_small_problem(rng, model="strict")
         res = solve_strict(p, SolverConfig())
         gap = np.linalg.norm(p.w.apply(res.x) - res.h)
-        assert res.diagnostics["primal_residual"] == pytest.approx(gap, abs=1e-12)
+        assert res.primal_residual == pytest.approx(gap, abs=1e-12)
 
     def test_trace_stream(self, rng):
         p = random_small_problem(rng, model="strict")
@@ -555,12 +555,12 @@ class TestDualResidualOnDemand:
         assert untraced.objective == traced.objective
         assert untraced.fixed_point_residual == traced.fixed_point_residual
         for key in ("primal_residual", "dual_residual"):
-            assert untraced.diagnostics[key] == traced.diagnostics[key]
+            assert getattr(untraced, key) == getattr(traced, key)
         if not untraced.converged:
             # the last iteration's primal residual did not call for the
             # dual one, so the loop filled it in after stopping
-            assert untraced.diagnostics["primal_residual"] > cfg.tol
-            dual = untraced.diagnostics["dual_residual"]
+            assert untraced.primal_residual > cfg.tol
+            dual = untraced.dual_residual
             assert np.isfinite(dual)
             assert dual == trace_rows(buf)[-1][4]
 
@@ -641,8 +641,8 @@ class TestWarmStart:
         cold = solve(p, cfg, warm=None)
         for name in ("x", "h", "c", "multiplier"):
             assert np.array_equal(getattr(plain, name), getattr(cold, name))
-        for name in ("objective", "iterations", "fixed_point_residual",
-                     "converged", "diagnostics"):
+        for name in ("objective", "iterations", "primal_residual",
+                     "dual_residual", "fixed_point_residual", "converged"):
             assert getattr(plain, name) == getattr(cold, name)
 
     @MODELS
