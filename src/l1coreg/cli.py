@@ -22,6 +22,7 @@ from . import __version__
 from .basis import WaveletBasis
 from .certificates import certify, report_lines
 from .experiments import (
+    MAX_NOISE_LEVELS,
     SweepConfig,
     SweepError,
     converse_consistency_flag,
@@ -80,7 +81,8 @@ def _add_solver(p):
     p.add_argument("--gamma", type=float, default=1.0,
                    help="accepted for old scripts and configs; no effect")
     p.add_argument("--rho", type=float, default=1.0,
-                   help="ADMM penalty (both models)")
+                   help="starting ADMM penalty (both models; balanced during "
+                        "the solve)")
 
 
 def build_parser():
@@ -241,6 +243,8 @@ def _cmd_solve(args):
         f"alpha = {alpha!r}",
         f"objective = {result.objective!r}",
         f"iterations = {result.iterations}",
+        f"rho_final = {result.rho!r}",
+        f"rebuilds = {result.rebuilds}",
         f"fixed_point_residual = {result.fixed_point_residual!r}",
         f"converged = {str(result.converged).lower()}",
         f"err_x = {float(np.linalg.norm(result.x - phantom.x_star))!r}",
@@ -265,6 +269,8 @@ def _cmd_sweep(args):
             raise ValueError("all noise levels must be positive and finite")
         if args.delta_count < 1:
             raise ValueError("deltas must be nonempty")
+        if args.delta_count > MAX_NOISE_LEVELS:
+            raise ValueError(f"at most {MAX_NOISE_LEVELS} noise levels per sweep")
         deltas = tuple(
             np.logspace(
                 np.log10(args.delta_max), np.log10(args.delta_min), args.delta_count

@@ -32,7 +32,14 @@ from . import __version__
 from .basis import support as coeff_support
 from .operators import BernoulliSensing, DenseMap, IntegrationOp, identity
 from .regularizers import bregman_quadratic
-from .solvers import Problem, SolverConfig, solve
+from .solvers import (
+    _BALANCE_EVERY,
+    _BALANCE_RATIO,
+    _MAX_REBUILDS,
+    Problem,
+    SolverConfig,
+    solve,
+)
 
 __all__ = [
     "Phantom",
@@ -58,6 +65,9 @@ BOUND_PASS_REL = 1e-6
 BOUND_PASS_ABS = 1e-10
 
 _ERR_FLOOR = 1e-14
+
+#: Most noise levels one sweep takes.
+MAX_NOISE_LEVELS = 9000
 
 _PHANTOM_SEED_OFFSET = 900_001
 _MATRIX_SEED_OFFSET = 900_002
@@ -105,8 +115,8 @@ class SweepConfig:
             raise ValueError("all noise levels must be positive and finite")
         if any(a <= b for a, b in zip(deltas, deltas[1:])):
             raise ValueError("deltas must be sorted in descending order")
-        if len(deltas) > 9000:
-            raise ValueError("at most 9000 noise levels per sweep")
+        if len(deltas) > MAX_NOISE_LEVELS:
+            raise ValueError(f"at most {MAX_NOISE_LEVELS} noise levels per sweep")
         object.__setattr__(self, "deltas", deltas)
         if self.m < 1:
             raise ValueError(f"need at least one measurement, got m={self.m}")
@@ -587,6 +597,14 @@ def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli"):
         "solver_start_rule": (
             "cold at delta_index 0, else the same trial's previous record "
             "when it converged"
+        ),
+        "solver_rho_rule": (
+            f"solver_rho on a cold start, else the final rho of the start; "
+            f"every {_BALANCE_EVERY} iterations rho *= sqrt(primal/dual), each "
+            f"residual taken as at least solver_tol, when that ratio is outside "
+            f"[1/{_BALANCE_RATIO:g}, {_BALANCE_RATIO:g}]; when a residual is "
+            f"within solver_tol, only back toward solver_rho by at most "
+            f"{_BALANCE_RATIO:g}x; at most {_MAX_REBUILDS} changes per solve"
         ),
         "phantom_support_rule": "index 0 plus draws from coarsest quarter",
     }

@@ -24,12 +24,21 @@ symmetric positive definite system ``S h = A* y + rho Phi* d`` with
 orthonormal, so the c-step is a weighted soft-threshold, and the v-step
 enters the loop only through the affine map ``d -> c0 + Q d`` with
 ``Q = rho Phi S^{-1} Phi*``.  That map is a dense matrix formed once per
-solve by whitening with the Cholesky factors of ``G`` and ``S``, so an
-iteration costs one matvec and no operator apply, wavelet transform or
+value of rho by whitening with the Cholesky factors of ``G`` and ``S``, so
+an iteration costs one matvec and no operator apply, wavelet transform or
 linear solve.  The dual residual of the stopping rule,
 ``rho ||c_k - c_{k-1}||`` for both models, can stop the loop only together
 with the primal one, so it is computed only on iterations whose primal
-residual is within ``tol``, or on every iteration when tracing.
+residual is within ``tol``, on the iterations that balance rho, or on
+every iteration when tracing.
+
+The penalty rho adapts by residual balancing: every
+:data:`_BALANCE_EVERY` iterations, when the primal and dual residuals
+differ by more than a factor :data:`_BALANCE_RATIO`, rho moves by the
+square root of their ratio (when one of them is within ``tol``, only back
+toward ``SolverConfig.rho``, by at most that factor) and the map is
+rebuilt, at most :data:`_MAX_REBUILDS` times per solve.
+``SolverConfig.rho`` is where a cold solve starts.
 
 Each factor is used once, to apply its inverse to a fixed right-hand side,
 so none is kept: :func:`_whiten` does the forward substitution inside a
@@ -43,9 +52,10 @@ thread count.  The build materializes ``W`` and ``A`` within the budget of
 :class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
-it starts from ``c = u = 0``, or from the final ``(c, rho u)`` of an earlier
-:class:`SolveResult` passed as ``warm``, and branches on the data only in the
-stopping rule.
+it starts from ``c = u = 0`` at ``cfg.rho``, or from the final state
+``(c, rho u, rho)`` of an earlier :class:`SolveResult` passed as ``warm``,
+and branches on the data only in the stopping rule and the balancing of
+rho.
 """
 
 from __future__ import annotations
@@ -74,6 +84,13 @@ __all__ = [
 #: Side of the diagonal blocks of :func:`_whiten`, the widest matrix any
 #: LAPACK call of a solve sees.
 _FACTOR_BLOCK = 64
+
+#: Residual balancing of rho: iterations between checks, the largest ratio
+#: of the primal to the dual residual (or its inverse) left alone, and the
+#: most coupling rebuilds one solve makes.
+_BALANCE_EVERY = 50
+_BALANCE_RATIO = 5.0
+_MAX_REBUILDS = 30
 
 
 class SolverError(RuntimeError):
@@ -136,11 +153,13 @@ def _require_model(p, model):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limit, stopping tolerance and ADMM penalty.
+    """Iteration limit, stopping tolerance and starting ADMM penalty.
 
     ``tol`` bounds both the absolute primal residual ``||Phi h - c||`` and
     the absolute dual residual ``rho ||c_k - c_{k-1}||`` of either model.
-    ``rho`` is the ADMM penalty of both models.
+    ``rho`` is the penalty a cold solve of either model starts from; the
+    loop balances it against the residuals from there, and a warm start
+    resumes at the penalty of its ``warm`` result instead.
     """
 
     max_iters: int = 20_000
@@ -160,12 +179,14 @@ class SolverConfig:
 class SolveResult:
     """Output of a solve: iterates, objective and the final ADMM residuals.
 
-    ``c`` and ``multiplier`` are the final ADMM state: the exactly sparse
-    coefficients with ``h = Phi* c``, and the unscaled multiplier
+    ``c``, ``multiplier`` and ``rho`` are the final ADMM state: the exactly
+    sparse coefficients with ``h = Phi* c``, the unscaled multiplier
     ``rho u`` of the split ``Phi h = c``, whose optimal value does not
-    depend on ``rho``.  Passing the result as ``warm`` to :func:`solve`
-    restarts ADMM there.  ``primal_residual`` (``||Phi h - c||``) and
-    ``dual_residual`` (``rho ||c_k - c_{k-1}||``) are the last iteration's.
+    depend on ``rho``, and the penalty the loop ended with.  Passing the
+    result as ``warm`` to :func:`solve` restarts ADMM there.
+    ``primal_residual`` (``||Phi h - c||``) and ``dual_residual``
+    (``rho ||c_k - c_{k-1}||``) are the last iteration's; ``rebuilds``
+    counts the changes of rho, each a new coupling.
     """
 
     x: np.ndarray
@@ -176,6 +197,8 @@ class SolveResult:
     iterations: int
     primal_residual: float
     dual_residual: float
+    rho: float
+    rebuilds: int
     converged: bool
     wall_time: float
 
@@ -236,8 +259,8 @@ def _open_trace(trace):
     return handle, True
 
 
-def _trace_row(handle, it, objective, fpr, primal, dual):
-    handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r}\n")
+def _trace_row(handle, it, objective, fpr, primal, dual, rho):
+    handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r},{rho!r}\n")
 
 
 def _coupling(p, rho):
@@ -292,22 +315,27 @@ def _coupling(p, rho):
 
 
 def _start(warm, n, rho):
-    """The ADMM start ``(c, u)``: zero, or the final state of ``warm``."""
+    """The ADMM start ``(c, u, rho)``: zero at ``rho``, or the end of ``warm``.
+
+    A warm start resumes at ``warm.rho``, the penalty its solve ended with.
+    """
     if warm is None:
-        return np.zeros(n), np.zeros(n)
+        return np.zeros(n), np.zeros(n), rho
     c = np.array(warm.c, dtype=float)
-    u = np.array(warm.multiplier, dtype=float) / rho
+    u = np.array(warm.multiplier, dtype=float)
     if c.shape != (n,) or u.shape != (n,):
         raise ValueError(
             f"warm start has shapes {c.shape} and {u.shape}, expected ({n},)"
         )
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(u))):
-        raise ValueError("warm start must be finite")
-    return c, u
+    rho = float(warm.rho)
+    finite = np.all(np.isfinite(c)) and np.all(np.isfinite(u))
+    if not (finite and 0 < rho < math.inf):
+        raise ValueError("warm start must be finite, with rho > 0")
+    return c, u / rho, rho
 
 
 def _admm(p, cfg, trace, warm):
-    """Scaled ADMM on the split ``Phi h = c`` of either model.
+    """Scaled ADMM on the split ``Phi h = c`` of either model, balancing rho.
 
     Per iteration: the v-step, which enters only through ``Phi h``, the
     affine map of :func:`_coupling`; a c-step soft-thresholding
@@ -315,14 +343,33 @@ def _admm(p, cfg, trace, warm):
     ``u <- u + Phi h - c``.  ``x`` itself is formed after the loop and for
     trace rows only.  The dual residual ``rho ||c_k - c_{k-1}||`` is
     computed only when the primal one is within ``tol``, since it cannot
-    stop the loop otherwise, or when a trace row prints it; a solve that
-    reaches ``max_iters`` computes it for the last iteration after the loop,
-    so traced and untraced solves return the same bits.
+    stop the loop otherwise, on balancing iterations, or when a trace row
+    prints it; a solve that reaches ``max_iters`` computes it for the last
+    iteration after the loop, so traced and untraced solves return the same
+    bits.
+
+    Every :data:`_BALANCE_EVERY` iterations that do not stop the loop and
+    are not the last, rho is balanced (He, Yang & Wang, J. Optim. Theory
+    Appl. 106, 2000; Boyd et al. 2011, section 3.4.1): with each residual
+    taken as at least ``tol``, when their ratio ``r_p/r_d`` lies outside
+    ``[1/_BALANCE_RATIO, _BALANCE_RATIO]``, rho is multiplied by
+    ``sqrt(r_p/r_d)``, ``u`` is divided by the same factor so ``rho u`` is
+    kept, and the coupling is rebuilt at the new rho after the old one is
+    dropped.  At most :data:`_MAX_REBUILDS` rebuilds per solve keep the
+    fixed-rho convergence argument valid for the tail.  A residual within
+    ``tol`` is often at rounding level, even exactly zero, so it gives the
+    direction of the imbalance but not its size.  Then rho only moves back
+    toward ``cfg.rho``, by at most ``_BALANCE_RATIO`` and not past it: that
+    undoes a penalty carried from a ``warm`` start that does not suit this
+    problem, and it never sends rho far from where the caller put it.  (A
+    full step on a primal residual of 7e-17 once set rho to 2.6e-7; since
+    ``u`` grows like ``1/rho``, the primal residual then stalled at 8e-11
+    by rounding.)
     """
     start = time.perf_counter()
-    c, u = _start(warm, p.w.codomain_dim, cfg.rho)
-    x_of, fv_of = _coupling(p, cfg.rho)
-    thresholds = (p.alpha / cfg.rho) * p.l1.kappa
+    c, u, rho = _start(warm, p.w.codomain_dim, cfg.rho)
+    x_of, fv_of = _coupling(p, rho)
+    thresholds = (p.alpha / rho) * p.l1.kappa
     basis = p.l1.basis
 
     def objective(x, c):
@@ -331,16 +378,17 @@ def _admm(p, cfg, trace, warm):
         return objective_relaxed(p, x, basis.reconstruct(c))
 
     def dual_residual(dc):
-        return cfg.rho * math.sqrt(dc.dot(dc))
+        return rho * math.sqrt(dc.dot(dc))
 
     handle, own = _open_trace(trace)
     if handle is not None:
-        handle.write("iter,objective,fpr,primal_res,dual_res\n")
+        handle.write("iter,objective,fpr,primal_res,dual_res,rho\n")
 
     primal = np.inf
     dual = np.inf
     converged = False
     iterations = 0
+    rebuilds = 0
     try:
         for k in range(1, cfg.max_iters + 1):
             d = c - u
@@ -353,7 +401,12 @@ def _admm(p, cfg, trace, warm):
             if not math.isfinite(primal):
                 raise SolverError(f"non-finite iterate at iteration {k}")
             iterations = k
-            if primal > cfg.tol and handle is None:
+            balance = (
+                k % _BALANCE_EVERY == 0
+                and k < cfg.max_iters
+                and rebuilds < _MAX_REBUILDS
+            )
+            if primal > cfg.tol and handle is None and not balance:
                 continue
             dual = dual_residual(c - c_prev)
             if handle is not None:
@@ -364,10 +417,34 @@ def _admm(p, cfg, trace, warm):
                     max(primal, dual),
                     primal,
                     dual,
+                    rho,
                 )
             if primal <= cfg.tol and dual <= cfg.tol:
                 converged = True
                 break
+            if not balance:
+                continue
+            ratio = max(primal, cfg.tol) / max(dual, cfg.tol)
+            if 1 / _BALANCE_RATIO <= ratio <= _BALANCE_RATIO:
+                continue
+            scale = math.sqrt(ratio)
+            new_rho = rho * scale
+            if min(primal, dual) <= cfg.tol:
+                # the direction of the imbalance, not its size: rho may only
+                # return toward cfg.rho, by at most _BALANCE_RATIO; min and
+                # max return cfg.rho itself, so rho lands on it exactly
+                low = max(min(rho, cfg.rho), rho / _BALANCE_RATIO)
+                high = min(max(rho, cfg.rho), rho * _BALANCE_RATIO)
+                new_rho = min(max(new_rho, low), high)
+                if new_rho == rho:
+                    continue
+                scale = new_rho / rho
+            rho = new_rho
+            u = u / scale
+            x_of = fv_of = None  # free the old coupling before the build
+            x_of, fv_of = _coupling(p, rho)
+            thresholds = (p.alpha / rho) * p.l1.kappa
+            rebuilds += 1
         else:
             # max_iters reached: the last dual residual may not have been needed
             dual = dual_residual(c - c_prev)
@@ -380,11 +457,13 @@ def _admm(p, cfg, trace, warm):
         x=x,
         h=basis.reconstruct(c),
         c=c,
-        multiplier=cfg.rho * u,
+        multiplier=rho * u,
         objective=objective(x, c),
         iterations=iterations,
         primal_residual=primal,
         dual_residual=dual,
+        rho=rho,
+        rebuilds=rebuilds,
         converged=converged,
         wall_time=time.perf_counter() - start,
     )
@@ -408,22 +487,28 @@ def solve(problem, cfg=None, trace=None, warm=None):
     Converged when the primal residual ``||Phi h - c||`` and the dual
     residual ``rho ||c_k - c_{k-1}||`` are both at most ``cfg.tol``.  An
     iteration costs one n-by-n matvec; the dual residual is computed only
-    on iterations whose primal residual is within ``cfg.tol``, or on every
-    iteration when ``trace`` is given.  A strict ``problem`` whose ``W`` is
-    not of full row rank raises ``ValueError``.  ADMM starts from
-    ``c = u = 0``, or from the final state of ``warm``; a solve restarted
-    from its own converged result stops within an iteration or two.
+    on iterations whose primal residual is within ``cfg.tol``, on the
+    iterations that balance rho, or on every iteration when ``trace`` is
+    given.  Every 50 iterations rho is balanced against the two residuals,
+    and each change rebuilds the n-by-n map (at most 30 per solve).  A
+    strict ``problem`` whose ``W`` is not of full row rank raises
+    ``ValueError``.  ADMM starts from ``c = u = 0`` at ``cfg.rho``, or from
+    the final state of ``warm``; a solve restarted from its own converged
+    result stops within an iteration or two.
 
     Parameters
     ----------
     problem : Problem
     cfg : SolverConfig, optional
     trace : path or file-like, optional
-        When given, iteration rows ``iter,objective,fpr,primal_res,dual_res``
-        are streamed as CSV; ``fpr`` is the larger of the two residuals.
+        When given, iteration rows
+        ``iter,objective,fpr,primal_res,dual_res,rho`` are streamed as CSV;
+        ``fpr`` is the larger of the two residuals, and ``rho`` the penalty
+        of that iteration.
     warm : SolveResult, optional
-        Start from ``c = warm.c`` and ``u = warm.multiplier / cfg.rho``,
-        typically the result of a nearby problem of the same size.  Raises
+        Start from ``c = warm.c``, ``rho = warm.rho`` and
+        ``u = warm.multiplier / warm.rho``, typically the result of a nearby
+        problem of the same size; ``cfg.rho`` is then unused.  Raises
         ``ValueError`` when that state has the wrong length or is not
         finite.
 
@@ -431,10 +516,11 @@ def solve(problem, cfg=None, trace=None, warm=None):
     -------
     SolveResult
         ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
-        ``x`` is read off the last v-step; ``c`` and ``multiplier`` are the
-        final ADMM state, and ``primal_residual`` and ``dual_residual`` its
-        residuals.  The error bounds concern ``result.h`` for the relaxed
-        model and ``W x`` for the strict one.
+        ``x`` is read off the last v-step; ``c``, ``multiplier`` and ``rho``
+        are the final ADMM state, ``primal_residual`` and ``dual_residual``
+        its residuals, and ``rebuilds`` the number of changes of rho.  The
+        error bounds concern ``result.h`` for the relaxed model and ``W x``
+        for the strict one.
     """
     if problem.model == "relaxed":
         return solve_relaxed(problem, cfg, trace, warm)

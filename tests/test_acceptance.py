@@ -97,8 +97,9 @@ def certified_instance():
 def certified_reference_records(certified_instance):
     """21 accurate relaxed solves on the certified instance.
 
-    The solves run at residuals 1e-14 (:data:`conftest.TIGHT`) with the
-    default penalty ``rho = 1``; each record keeps its natural residual.
+    The solves run at residuals 1e-14 (:data:`conftest.TIGHT`) from the
+    default starting penalty ``rho = 1``; each record keeps its natural
+    residual.
     """
     basis, l1, w, a, phantom, cfg, cert, inj, constants = certified_instance
     y_star = a.apply(phantom.h_star)

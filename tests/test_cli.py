@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,22 @@ class TestUsageErrors:
                     else "all noise levels must be positive and finite")
         assert err == f"error: {expected}\n"
 
+    def test_noise_level_cap_before_grid(self, tmp_path, capsys):
+        # the count is refused before any level is allocated
+        tracemalloc.start()
+        try:
+            rc, _, err = run_cli(
+                ["sweep", "--model", "relaxed", *SMALL, "--trials", "1",
+                 "--delta-count", "200000", "--out", str(tmp_path / "s.csv")],
+                capsys,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_USAGE
+        assert err == "error: at most 9000 noise levels per sweep\n"
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("command", [
         ["solve", "--model", "strict", "--alpha", "inf"],
         ["solve", "--model", "relaxed", "--tol", "inf"],
@@ -198,6 +215,10 @@ class TestSolve:
         assert h.shape == (32,)
         assert "converged = true" in stdout
         assert "objective = " in stdout
+        summary = parse_config_text(stdout)
+        assert float(summary["rho_final"]) > 0
+        assert int(summary["rebuilds"]) >= 0
+        assert summary["rho"] == "1.0"  # the starting value, replayed as given
 
     def test_zero_delta_accepted(self, tmp_path, capsys):
         # boundary case: accepted (no usage error); with the tiny default
@@ -253,7 +274,7 @@ class TestSolve:
         assert rc2 == EXIT_OK
         lines = trace.read_text().splitlines()
         iterations = int(parse_config_text(stdout)["iterations"])
-        assert lines[0] == "iter,objective,fpr,primal_res,dual_res"
+        assert lines[0] == "iter,objective,fpr,primal_res,dual_res,rho"
         assert len(lines) == 1 + iterations
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(
             range(1, iterations + 1)

@@ -305,6 +305,15 @@ class TestCsvRoundTrip:
         assert parsed_meta["seed"] == str(cfg.seed)
         assert parsed_meta["big_c"] == repr(float(cfg.big_c))
 
+    def test_metadata_states_rho_rule(self, small_sweep):
+        # solver_rho is the starting penalty; the rule says how it moves
+        cfg, _, _, _, l1 = small_sweep
+        meta = sweep_metadata(cfg, l1, SolverConfig(rho=0.1), "identity")
+        assert meta["solver_rho"] == "0.1"
+        keys = list(meta)
+        assert keys.index("solver_rho_rule") == keys.index("solver_start_rule") + 1
+        assert "every 50 iterations" in meta["solver_rho_rule"]
+
     def test_metadata_kappa_is_one_value_when_uniform(self, small_sweep):
         cfg, _, _, _, l1 = small_sweep
         meta = sweep_metadata(cfg, l1, SolverConfig(), "identity")

@@ -13,6 +13,13 @@ from conftest import (
 )
 from l1coreg import solvers
 from l1coreg.basis import WaveletBasis
+from l1coreg.experiments import (
+    SweepConfig,
+    add_noise,
+    default_operators,
+    make_phantom,
+    run_sweep,
+)
 from l1coreg.operators import (
     BernoulliSensing,
     DenseMap,
@@ -211,7 +218,7 @@ class TestSolveRelaxed:
         buf = io.StringIO()
         res = solve_relaxed(p, SolverConfig(max_iters=50), trace=buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "iter,objective,fpr,primal_res,dual_res"
+        assert lines[0] == "iter,objective,fpr,primal_res,dual_res,rho"
         # one row per iteration; ADMM may stop before max_iters
         assert len(lines) == res.iterations + 1
         first = lines[1].split(",")
@@ -290,7 +297,7 @@ class TestSolveStrict:
         buf = io.StringIO()
         solve_strict(p, SolverConfig(max_iters=40), trace=buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "iter,objective,fpr,primal_res,dual_res"
+        assert lines[0] == "iter,objective,fpr,primal_res,dual_res,rho"
         assert len(lines) == 41
 
     def test_trace_objective_matches_result(self, rng):
@@ -416,6 +423,20 @@ class TestDenseCoupling:
             tracemalloc.stop()
         assert peak <= 4.1 * 8 * n * n
 
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_rebuild_memory(self, model):
+        # a change of rho drops the old coupling before building the new one
+        n = 512
+        p = fixed_problem(model, n)
+        tracemalloc.start()
+        try:
+            res = solve(p, SolverConfig(max_iters=solvers._BALANCE_EVERY + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rebuilds == 1
+        assert peak <= 4.1 * 8 * n * n
+
 
 class TestUnifiedVStep:
     @pytest.mark.parametrize("forward", ["identity", "integration"])
@@ -482,21 +503,107 @@ class TestOptimality:
         assert res.converged
         assert natural_residual(p, res) <= 1e-8
 
+    def test_strict_integration_n256_at_defaults(self, rng):
+        # at the fixed default rho = 1 this stops unconverged at 20,000
+        # iterations; balancing rho reaches the minimizer
+        p = random_small_problem(rng, n=256, m=128, model="strict")
+        res = solve(p, SolverConfig())
+        assert res.converged
+        assert natural_residual(p, res) <= 1e-8
+
+
+class TestRhoBalancing:
+    @staticmethod
+    def criterion_1_record(delta_index, trial):
+        """Relaxed record of the acceptance rate sweep (n=256, seed 178)."""
+        _, l1, w, a, _, h_star = certified_identity_instance(256, 128, 8, 178)
+        delta = np.logspace(-2, -5, 7)[delta_index]
+        seed = SweepConfig(n=256, m=128, sparsity=8, deltas=(1.0,), seed=178)
+        noise_seed = seed.noise_seed(delta_index, trial)
+        y_delta = add_noise(a.apply(h_star), delta, noise_seed)
+        return Problem("relaxed", w, a, y_delta, delta, l1)
+
+    def test_cap_bounds_rebuilds(self, monkeypatch):
+        p = self.criterion_1_record(2, 1)
+        cfg = SolverConfig(rho=0.1, max_iters=30_000)
+        assert solve(p, cfg).rebuilds > 2
+        monkeypatch.setattr(solvers, "_MAX_REBUILDS", 2)
+        capped = solve(p, cfg)
+        assert capped.converged
+        assert capped.rebuilds <= 2
+        assert natural_residual(p, capped) <= 1e-8
+
+    def test_cap_zero_keeps_rho(self, monkeypatch):
+        p = self.criterion_1_record(2, 1)
+        cfg = SolverConfig(rho=0.1, max_iters=200)
+        assert solve(p, cfg).rebuilds > 0
+        monkeypatch.setattr(solvers, "_MAX_REBUILDS", 0)
+        pinned = solve(p, cfg)
+        assert pinned.rebuilds == 0
+        assert pinned.rho == cfg.rho
+
+    def test_step_held_when_a_residual_is_within_tol(self):
+        # the strict problems of acceptance criterion 7, at the tests' tight
+        # tolerance: a full step on a primal residual at rounding level set
+        # rho to 2.6e-7, after which the primal residual stalled at 8e-11
+        # for all of max_iters
+        rng = np.random.default_rng(7)
+        l1 = WeightedL1(WaveletBasis(16))
+        draws = [
+            (BernoulliSensing(10, 16, seed=int(rng.integers(0, 2**31))),
+             rng.standard_normal(10), float(rng.uniform(0.05, 0.5)))
+            for _ in range(40)
+        ]
+        cfg = replace(TIGHT, max_iters=20_000)
+        for a, y, alpha in draws[20:]:
+            res = solve(Problem("strict", IntegrationOp(16), a, y, alpha, l1), cfg)
+            assert res.converged
+
+    def test_chain_on_strict_integration_w(self, monkeypatch):
+        # the primal residual of these warm starts is exactly zero while the
+        # dual one is large: a rule that skips such checks keeps the first
+        # record's rho of 27 and took 3,974 iterations against 770 at fixed
+        # rho; stepping back toward cfg.rho undoes it
+        cfg = SweepConfig(n=256, m=128, sparsity=8, model="strict",
+                          deltas=np.logspace(-2, -5, 7), seed=7)
+        l1 = WeightedL1(WaveletBasis(cfg.n))
+        w, a = default_operators(cfg)
+        phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(),
+                               l1.basis, w)
+        balanced = run_sweep(cfg, phantom, w, a, l1=l1)
+        monkeypatch.setattr(solvers, "_MAX_REBUILDS", 0)
+        fixed = run_sweep(cfg, phantom, w, a, l1=l1)
+        assert balanced.all_converged and fixed.all_converged
+        total = sum(r.iterations for r in balanced.records)
+        assert total < sum(r.iterations for r in fixed.records)
+
+    def test_warm_start_resumes_at_final_rho(self):
+        p = self.criterion_1_record(2, 1)
+        first = solve(p, SolverConfig(rho=0.1))
+        assert first.rho != 0.1
+        again = solve(p, SolverConfig(rho=0.1), warm=first)
+        assert again.converged and again.iterations <= 2
+        assert again.rho == first.rho and again.rebuilds == 0
+
+
+def bound_record(trial):
+    """The acceptance bound suite's record at delta = 1e-5 (index 6)."""
+    basis, l1, w, a, _, h_star = certified_identity_instance(64, 48, 4, 198)
+    delta = np.logspace(-2, -5, 7)[-1]
+    seed = SweepConfig(n=64, m=48, sparsity=4, deltas=(1.0,), seed=198)
+    y_delta = add_noise(a.apply(h_star), delta, seed.noise_seed(6, trial))
+    return Problem("relaxed", w, a, y_delta, delta, l1)
+
 
 class TestExactMinimizer:
     @pytest.fixture(scope="class")
     def problem(self):
-        # the acceptance bound suite's record at delta = 1e-5, trial 0
-        from l1coreg.experiments import SweepConfig, add_noise
+        return bound_record(0)
 
-        basis, l1, w, a, _, h_star = certified_identity_instance(64, 48, 4, 198)
-        delta = np.logspace(-2, -5, 7)[-1]
-        seed = SweepConfig(n=64, m=48, sparsity=4, deltas=(1.0,), seed=198)
-        y_delta = add_noise(a.apply(h_star), delta, seed.noise_seed(6, 0))
-        return Problem("relaxed", w, a, y_delta, delta, l1)
-
-    def test_refuses_unconverged_start(self, problem):
-        # the default config stops at max_iters with too large a support
+    def test_refuses_unconverged_start(self, problem, monkeypatch):
+        # at the fixed default rho the default config stops at max_iters with
+        # too large a support
+        monkeypatch.setattr(solvers, "_MAX_REBUILDS", 0)
         start = solve(problem, SolverConfig())
         assert not start.converged
         with pytest.raises(pytest.fail.Exception, match="KKT"):
@@ -508,6 +615,15 @@ class TestExactMinimizer:
         assert natural_residual(problem, point) <= 1e-12
         gap = np.linalg.norm(point.h - start.h)
         assert gap <= 1e-12 * np.linalg.norm(start.h)
+
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    def test_verifies_default_solve(self, trial):
+        # with rho balanced, the default config reaches each cold record's
+        # support and signs
+        p = bound_record(trial)
+        start = solve(p, SolverConfig())
+        assert start.converged
+        exact_minimizer(p, start)
 
 
 class TestNonFiniteGuard:
@@ -567,6 +683,8 @@ class TestDualResidualOnDemand:
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_dual_residual_is_coefficient_step(self, monkeypatch, model):
         # both models split Phi h = c, so the dual residual is the step of c
+        # times the rho of its row, and rho changes only after a row that
+        # balanced it
         p = fixed_problem(model, 64)
         cfg = SolverConfig(rho=10.0, max_iters=200)
         iterates = [np.zeros(64)]
@@ -579,12 +697,18 @@ class TestDualResidualOnDemand:
 
         monkeypatch.setattr(solvers, "soft_threshold", recording)
         buf = io.StringIO()
-        solve(p, cfg, trace=buf)
+        res = solve(p, cfg, trace=buf)
         rows = trace_rows(buf)
         assert len(rows) == len(iterates) - 1
         for row, c, c_prev in zip(rows, iterates[1:], iterates):
-            step = cfg.rho * np.linalg.norm(c - c_prev)
+            step = row[5] * np.linalg.norm(c - c_prev)
             assert row[4] == pytest.approx(step, rel=1e-12, abs=1e-300)
+        assert rows[0][5] == cfg.rho
+        changed = [prev[0] for prev, row in zip(rows, rows[1:])
+                   if row[5] != prev[5]]
+        assert len(changed) == res.rebuilds
+        assert res.rebuilds > 0
+        assert all(k % solvers._BALANCE_EVERY == 0 for k in changed)
 
 
 class TestWarmStart:
@@ -606,8 +730,8 @@ class TestWarmStart:
     @FORWARDS
     @MODELS
     def test_multiplier_does_not_depend_on_rho(self, model, forward):
-        # the state carries rho u, so a start from a solve at another rho
-        # is still near the end
+        # the state carries rho u and the final rho, so a start from a solve
+        # begun at another rho is still near the end
         p = fixed_problem(model, 64, forward)
         first = solve(p, SolverConfig(rho=1.0))
         cfg = SolverConfig(rho=10.0)
@@ -646,7 +770,10 @@ class TestWarmStart:
             assert getattr(plain, name) == getattr(cold, name)
 
     @MODELS
-    def test_trace_counts_from_one(self, model):
+    def test_trace_counts_from_one(self, model, monkeypatch):
+        # at a fixed rho the nearby start saves iterations; with rho balanced
+        # the strict warm start takes more than the cold one
+        monkeypatch.setattr(solvers, "_MAX_REBUILDS", 0)
         p = fixed_problem(model, 64, "identity")
         cfg = SolverConfig()
         nearby = solve(replace(p, alpha=0.2), cfg)
