@@ -24,8 +24,10 @@ symmetric positive definite system ``S h = A* y + rho Phi* d`` with
 orthonormal, so the c-step is a weighted soft-threshold, and the v-step
 enters the loop only through the affine map ``d -> c0 + Q d`` with
 ``Q = rho Phi S^{-1} Phi*``.  That map is a dense matrix formed once per
-value of rho by whitening with the Cholesky factors of ``G`` and ``S``, so
-an iteration costs one matvec and no operator apply, wavelet transform or
+value of rho by whitening with the Cholesky factors of ``G`` and ``S``, or,
+when ``W`` is the identity and ``A`` has fewer rows than columns, through
+Woodbury from the factor of the m-by-m ``K = beta I + A A*``; so an
+iteration costs one matvec and no operator apply, wavelet transform or
 linear solve.  The dual residual of the stopping rule,
 ``rho ||c_k - c_{k-1}||`` for both models, can stop the loop only together
 with the primal one, so it is computed only on iterations whose primal
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import materialize
+from .operators import DenseMap, materialize
 from .regularizers import WeightedL1, soft_threshold
 
 __all__ = [
@@ -226,7 +228,7 @@ def objective_strict(p, x):
     return objective_relaxed(p, x, p.w.apply(x))
 
 
-def _whiten(mat, rhs):
+def _whiten(mat, rhs=None):
     """``L^{-1} rhs`` for the Cholesky factor ``L`` of the positive definite ``mat``.
 
     A right-looking blocked factorization that carries the forward
@@ -234,19 +236,24 @@ def _whiten(mat, rhs):
     factored by ``np.linalg.cholesky`` and inverted, which finishes that
     block's rows of the result, and the trailing matrix and the trailing rows
     of the result are each updated by one product.  ``rhs`` is a vector or a
-    matrix and is not changed; ``mat`` is overwritten, and no factor is kept.
-    Raises ``np.linalg.LinAlgError`` when ``mat`` is not positive definite.
+    matrix and is not changed; ``None`` stands for the identity and gives
+    ``L^{-1}`` itself, whose block rows are zero right of the diagonal, so
+    its updates touch only the columns left of the block's end.  ``mat`` is
+    overwritten, and no factor is kept.  Raises ``np.linalg.LinAlgError``
+    when ``mat`` is not positive definite.
     """
     n = mat.shape[0]
-    out = np.array(rhs, dtype=float, order="C")
+    lower = rhs is None
+    out = np.eye(n) if lower else np.array(rhs, dtype=float, order="C")
     for j in range(0, n, _FACTOR_BLOCK):
         k = min(j + _FACTOR_BLOCK, n)
+        cols = slice(k) if lower else Ellipsis
         inv11 = np.tril(np.linalg.inv(np.linalg.cholesky(mat[j:k, j:k])))
-        out[j:k] = inv11 @ out[j:k]
+        out[j:k, cols] = inv11 @ out[j:k, cols]
         if k < n:
             panel = mat[k:, j:k] @ inv11.T
             mat[k:, k:] -= panel @ panel.T
-            out[k:] -= panel @ out[j:k]
+            out[k:, cols] -= panel @ out[j:k, cols]
     return out
 
 
@@ -263,30 +270,80 @@ def _trace_row(handle, it, objective, fpr, primal, dual, rho):
     handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r},{rho!r}\n")
 
 
+def _woodbury(p):
+    """Whether :func:`_coupling` builds through the m-by-m system of ``A A*``.
+
+    True when ``W`` is the identity and ``A`` has fewer rows than columns.
+    """
+    w = p.w
+    n = w.codomain_dim
+    return (
+        isinstance(w, DenseMap)
+        and w.domain_dim == n
+        and p.a.codomain_dim < n
+        and np.count_nonzero(w.matrix) == n
+        and bool(np.all(w.matrix.diagonal() == 1.0))
+    )
+
+
 def _coupling(p, rho):
     """The v-step ``S h = A* y + rho Phi* d`` of either model, as two maps.
 
-    With ``L_G`` and ``L_S`` the Cholesky factors of ``G`` and ``S``, the
-    build keeps ``g_white = L_G^{-1}``, so ``alpha G^{-1}`` is
+    ``fv_of(d) = Phi h = c0 + Q d`` is one matvec with the dense
+    ``Q = rho Phi S^{-1} Phi*``, the one matvec of every iteration.
+    ``x_of(d) = W* G^{-1} h`` runs only after the loop or for a trace row.
+
+    When ``W`` is the identity and ``A`` is m-by-n with ``m < n``
+    (:func:`_woodbury`), ``G = gamma I`` (``gamma = 1 + alpha`` relaxed, 1
+    strict), so ``S = A*A + beta I`` with ``beta = rho + alpha/gamma``.
+    With ``B = A Phi*`` and ``R = L_K^{-1} B`` for the Cholesky factor
+    ``L_K`` of ``K = beta I + A A*``, Woodbury gives
+    ``Q = (rho/beta)(I - R* R)`` and ``c0 = (u - R* R u)/beta`` with
+    ``u = Phi A* y``, and ``x_of(d) = Phi* fv_of(d)/gamma``: a build is one
+    m-by-m factorization, and holds three m-by-n arrays while it whitens
+    and then only ``R`` and ``Q``.
+
+    Otherwise, with ``L_G`` and ``L_S`` the Cholesky factors of ``G`` and
+    ``S``, the build keeps ``g_white = L_G^{-1}``, so ``alpha G^{-1}`` is
     ``alpha g_white* g_white``, and whitens ``Phi*`` by ``S`` into
-    ``M = L_S^{-1} Phi*``.  ``fv_of(d) = Phi h = c0 + Q d`` is one matvec
-    with the dense ``Q = rho M* M = rho Phi S^{-1} Phi*``, the one matvec of
-    every iteration; ``Phi* Phi = I`` gives ``c0 = M* M Phi A* y``.
-    ``x_of(d) = W* G^{-1} h`` is two triangular matvecs with ``g_white`` and
-    runs only after the loop or for a trace row.  ``W``, ``S`` and ``M`` are
-    dropped once used, so the build keeps at most four n-by-n arrays alive
-    besides the basis's ``Phi``.
+    ``M = L_S^{-1} Phi*``; then ``Q = rho M* M``, ``Phi* Phi = I`` gives
+    ``c0 = M* M Phi A* y``, and ``x_of`` is two triangular matvecs with
+    ``g_white``.  ``W``, ``S`` and ``M`` are dropped once used, so the build
+    keeps at most four n-by-n arrays alive besides the basis's ``Phi``.
     Raises ``ValueError`` when the strict ``G = W W*`` does not factor.
     """
     phi = p.l1.basis.matrix
+    n = phi.shape[0]
+    if _woodbury(p):
+        gamma = 1.0 + p.alpha if p.model == "relaxed" else 1.0
+        beta = rho + p.alpha / gamma
+        a_mat = materialize(p.a)
+        k_mat = a_mat @ a_mat.T
+        k_mat.flat[:: len(k_mat) + 1] += beta
+        r_mat = _whiten(k_mat, a_mat @ phi.T)
+        del k_mat
+        u = phi @ p.a.adjoint_apply(p.y_delta)
+        c0 = (u - r_mat.T @ (r_mat @ u)) / beta
+        q_mat = r_mat.T @ r_mat
+        del r_mat
+        q_mat *= -rho / beta
+        q_mat.flat[:: n + 1] += rho / beta
+
+        def fv_of(d):
+            return c0 + q_mat @ d
+
+        def x_of(d):
+            return (phi.T @ fv_of(d)) / gamma
+
+        return x_of, fv_of
+
     w_mat = materialize(p.w)
     g_mat = w_mat @ w_mat.T
     del w_mat
-    n = g_mat.shape[0]
     if p.model == "relaxed":
         g_mat.flat[:: n + 1] += p.alpha
     try:
-        g_white = _whiten(g_mat, np.eye(n))
+        g_white = _whiten(g_mat)
     except np.linalg.LinAlgError:
         raise ValueError(
             "the strict model needs W of full row rank (W W* must factor)"
@@ -490,7 +547,9 @@ def solve(problem, cfg=None, trace=None, warm=None):
     on iterations whose primal residual is within ``cfg.tol``, on the
     iterations that balance rho, or on every iteration when ``trace`` is
     given.  Every 50 iterations rho is balanced against the two residuals,
-    and each change rebuilds the n-by-n map (at most 30 per solve).  A
+    and each change rebuilds the n-by-n map (at most 30 per solve): from one
+    m-by-m factorization when ``W`` is the identity and ``A`` is m-by-n
+    with ``m < n``, from two n-by-n ones otherwise.  A
     strict ``problem`` whose ``W`` is not of full row rank raises
     ``ValueError``.  ADMM starts from ``c = u = 0`` at ``cfg.rho``, or from
     the final state of ``warm``; a solve restarted from its own converged

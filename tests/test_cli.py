@@ -691,6 +691,8 @@ _N128 = ("--n", "128", "--m", "64", "--sparsity", "4", "--seed", "3",
 # thread-invariant at this size, so it is skipped
 _N512 = ("--n", "512", "--m", "256", "--sparsity", "16", "--seed", "7",
          "--deltas", "1e-2,1e-3", "--no-certify")
+# identity W builds through K = beta I + A A*: four factor blocks
+_N512_IDENTITY = (*_N512, "--forward", "identity")
 
 
 @pytest.mark.parametrize(
@@ -700,6 +702,8 @@ _N512 = ("--n", "512", "--m", "256", "--sparsity", "16", "--seed", "7",
         pytest.param("relaxed", _N128, id="relaxed"),
         pytest.param("strict", _N512, id="strict-n512"),
         pytest.param("relaxed", _N512, id="relaxed-n512"),
+        pytest.param("strict", _N512_IDENTITY, id="strict-n512-identity"),
+        pytest.param("relaxed", _N512_IDENTITY, id="relaxed-n512-identity"),
     ],
 )
 def test_sweep_hash_independent_of_blas_threads(tmp_path, model, instance):

@@ -327,13 +327,16 @@ class TestBlockedCholesky:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_factor_matches_numpy(self, n):
-        # whitening the identity gives the inverse factor itself
+        # whitening the identity gives the inverse factor itself, whether
+        # the identity is left implicit or passed as a right-hand side
         a = self.spd(n)
-        inv_l = solvers._whiten(a.copy(), np.eye(n))
+        inv_l = solvers._whiten(a.copy())
         eye = np.eye(n)
         assert np.all(np.triu(inv_l, 1) == 0.0)
         assert np.linalg.norm(inv_l @ np.linalg.cholesky(a) - eye) <= 1e-12 * n
         assert np.linalg.norm(inv_l.T @ inv_l @ a - eye) <= 1e-12 * n
+        dense = solvers._whiten(a.copy(), eye)
+        assert np.linalg.norm(inv_l - dense) <= 1e-14 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
     @pytest.mark.parametrize("n", SIZES)
@@ -355,8 +358,9 @@ class TestBlockedCholesky:
             solvers._whiten(a, np.eye(n))
 
     def test_lapack_sees_only_narrow_blocks(self, monkeypatch):
-        # a strict n=256 solve factors G and S, four blocks each, and LAPACK
-        # never sees more than _FACTOR_BLOCK rows
+        # a strict n=256 solve factors G and S, four blocks each, on
+        # integration W, and only K = beta I + A A*, two blocks at m=128, on
+        # identity W; LAPACK never sees more than _FACTOR_BLOCK rows
         n = 256
         rows = {"cholesky": [], "inv": []}
 
@@ -371,10 +375,13 @@ class TestBlockedCholesky:
 
         for name in rows:
             monkeypatch.setattr(np.linalg, name, spy(name))
-        solve(fixed_problem("strict", n), SolverConfig(max_iters=1))
-        for seen in rows.values():
-            assert len(seen) == 2 * n // solvers._FACTOR_BLOCK
-            assert max(seen) <= solvers._FACTOR_BLOCK
+        for forward, side in (("integration", 2 * n), ("identity", n // 2)):
+            for seen in rows.values():
+                seen.clear()
+            solve(fixed_problem("strict", n, forward), SolverConfig(max_iters=1))
+            for seen in rows.values():
+                assert len(seen) == side // solvers._FACTOR_BLOCK, forward
+                assert max(seen) <= solvers._FACTOR_BLOCK
 
 
 class TestDenseCoupling:
@@ -403,25 +410,32 @@ class TestDenseCoupling:
         np.testing.assert_allclose(one_block.h, blocked.h, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
-        "model, n",
+        "model, n, forward, arrays",
         [
-            pytest.param("relaxed", 512, id="relaxed"),
-            pytest.param("strict", 512, id="strict"),
-            pytest.param("relaxed", 1024, id="relaxed-1024"),
-            pytest.param("relaxed", 2048, id="relaxed-2048"),
-            pytest.param("strict", 2048, id="strict-2048"),
+            pytest.param("relaxed", 512, "integration", 4.1, id="relaxed"),
+            pytest.param("strict", 512, "integration", 4.1, id="strict"),
+            pytest.param("relaxed", 1024, "integration", 4.1, id="relaxed-1024"),
+            pytest.param("relaxed", 2048, "integration", 4.1, id="relaxed-2048"),
+            pytest.param("strict", 2048, "integration", 4.1, id="strict-2048"),
+            pytest.param("relaxed", 2048, "identity", 1.8,
+                         id="relaxed-identity-2048"),
+            pytest.param("strict", 2048, "identity", 1.8,
+                         id="strict-identity-2048"),
         ],
     )
-    def test_build_memory(self, model, n):
-        # the build keeps at most four n-by-n arrays alive
-        p = fixed_problem(model, n)
+    def test_build_memory(self, model, n, forward, arrays):
+        # the n-by-n build keeps at most four n-by-n arrays alive; the
+        # identity-W build at m = n/2 peaks while it whitens, with K and
+        # three m-by-n arrays (1.74 n-by-n arrays measured, 4.0 for the
+        # n-by-n build)
+        p = fixed_problem(model, n, forward)
         tracemalloc.start()
         try:
             solve(p, SolverConfig(max_iters=1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.1 * 8 * n * n
+        assert peak <= arrays * 8 * n * n
 
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_rebuild_memory(self, model):
@@ -436,6 +450,43 @@ class TestDenseCoupling:
             tracemalloc.stop()
         assert res.rebuilds == 1
         assert peak <= 4.1 * 8 * n * n
+
+
+class TestWoodburyBuild:
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_matches_n_by_n_build(self, monkeypatch, model):
+        # identity W: the m-by-m build follows the n-by-n one iteration for
+        # iteration, across rho rebuilds
+        p = fixed_problem(model, 64, "identity")
+        assert solvers._woodbury(p)
+        woodbury = solve(p)
+        monkeypatch.setattr(solvers, "_woodbury", lambda p: False)
+        dense = solve(p)
+        assert woodbury.converged
+        assert woodbury.rebuilds >= 1
+        assert woodbury.rebuilds == dense.rebuilds
+        assert woodbury.iterations == dense.iterations
+        np.testing.assert_allclose(woodbury.x, dense.x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(woodbury.h, dense.h, rtol=0, atol=1e-10)
+
+    def test_only_identity_w_with_fewer_rows(self):
+        # the n-by-n build stays for any other W, and for m >= n
+        basis = WaveletBasis(16)
+        l1 = WeightedL1(basis)
+        a = BernoulliSensing(8, 16, seed=1)
+        square = BernoulliSensing(16, 16, seed=1)
+        scaled = DenseMap(2.0 * np.eye(16))
+        swapped = DenseMap(np.eye(16)[::-1])
+
+        def woodbury(w, a):
+            return solvers._woodbury(
+                Problem("relaxed", w, a, np.ones(a.codomain_dim), 0.1, l1)
+            )
+
+        assert woodbury(identity(16), a)
+        assert not woodbury(identity(16), square)
+        for w in (scaled, swapped, IntegrationOp(16)):
+            assert not woodbury(w, a)
 
 
 class TestUnifiedVStep:
