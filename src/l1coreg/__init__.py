@@ -38,7 +38,6 @@ from .certificates import (
     certify,
     check_norm_bound,
     check_restricted_injectivity,
-    check_variational_bounds,
     find_certificate_relaxed,
     find_certificate_strict,
     rate_constants,
@@ -53,6 +52,5 @@ from .experiments import (
     emit_csv,
     emit_svg,
     make_phantom,
-    parse_csv,
     run_sweep,
 )

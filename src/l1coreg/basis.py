@@ -149,12 +149,6 @@ class WaveletBasis:
         """Inverse ``Phi.T @ c`` of :meth:`decompose`, also column by column."""
         return self.matrix.T @ self._checked(c)
 
-    def basis_vector(self, lam):
-        """The basis element ``phi_lambda`` as a signal-domain array."""
-        e = np.zeros(self.n)
-        e[int(lam)] = 1.0
-        return self.reconstruct(e)
-
     def __repr__(self):
         return f"WaveletBasis(n={self.n})"
 

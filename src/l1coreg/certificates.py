@@ -9,7 +9,8 @@ serves both, and the models differ only in the source norm that enters the
 rate constants: ``||(u, v)||`` for relaxed, ``||nu||`` for strict.  Together
 with injectivity of the sensing operator restricted to the saturated
 coefficient set, the certificate yields explicit linear error-rate
-constants, which this module computes and re-checks numerically.
+constants, which this module computes; :func:`check_norm_bound` checks
+the norm bound that the injectivity alone provides.
 
 The search runs in wavelet coefficients, so ``W`` must be invertible.  With
 ``B = Phi A*`` and ``g = Phi W^-* x*`` it alternates ``nu`` from the one
@@ -39,14 +40,12 @@ __all__ = [
     "InjectivityReport",
     "SourceCertificate",
     "RateConstants",
-    "VariationalBoundsReport",
     "NormBoundReport",
     "certify",
     "check_restricted_injectivity",
     "find_certificate_relaxed",
     "find_certificate_strict",
     "rate_constants",
-    "check_variational_bounds",
     "check_norm_bound",
     "report_lines",
 ]
@@ -122,38 +121,15 @@ class SourceCertificate:
 
 @dataclass(frozen=True)
 class RateConstants:
-    """Constants ``c`` and ``d`` of the linear error bounds, with ingredients.
+    """Constants ``c`` and ``d`` of the linear error bounds for ``C = big_c``.
 
-    Stored ingredients allow the constants to be recomputed exactly:
-    ``c = (1 + C s)^2 / (2 C)`` and
-    ``d = 2 q (1 + C s) + (1 + q ||A||) / m * c`` with ``s = norm_uv_or_nu``,
-    ``q = a_inv_norm`` and ``m = m_eta``.
+    Their other ingredients live in the certificate and the injectivity
+    report they came from; see :func:`rate_constants`.
     """
 
     c: float
     d: float
     big_c: float
-    norm_uv_or_nu: float
-    m_eta: float
-    a_norm: float
-    a_inv_norm: float
-
-
-@dataclass(frozen=True)
-class VariationalBoundsReport:
-    """Both sides of the residual and Bregman bounds for one solve."""
-
-    delta: float
-    residual_lhs: float
-    residual_rhs: float
-    residual_ok: bool
-    bregman_lhs: float
-    bregman_rhs: float
-    bregman_ok: bool
-
-    @property
-    def all_ok(self):
-        return self.residual_ok and self.bregman_ok
 
 
 @dataclass(frozen=True)
@@ -304,20 +280,11 @@ def rate_constants(cert, inj, big_c):
     m_eta = cert.eta.margin
     if not m_eta > 0:
         raise ValueError(f"rate constants are undefined for margin m[eta] = {m_eta}")
-    source_norm = cert.source_norm
-    growth = 1.0 + big_c * source_norm
+    growth = 1.0 + big_c * cert.source_norm
     c = growth**2 / (2.0 * big_c)
     d = 2.0 * inj.a_omega_inv_norm * growth
     d += (1.0 + inj.a_omega_inv_norm * inj.a_norm) / m_eta * c
-    return RateConstants(
-        c=c,
-        d=d,
-        big_c=float(big_c),
-        norm_uv_or_nu=source_norm,
-        m_eta=m_eta,
-        a_norm=float(inj.a_norm),
-        a_inv_norm=inj.a_omega_inv_norm,
-    )
+    return RateConstants(c=c, d=d, big_c=float(big_c))
 
 
 def certify(model, w, a, basis, l1, x_star, big_c):
@@ -346,40 +313,6 @@ def certify(model, w, a, basis, l1, x_star, big_c):
     if cert.valid and inj.injective:
         constants = rate_constants(cert, inj, big_c)
     return cert, inj, constants
-
-
-def check_variational_bounds(m, source_elem, x_sol, y_delta, y_star, alpha, q_bregman):
-    """Check the residual and Bregman bounds of variational regularization.
-
-    For a minimizer of ``||M x - y_delta||^2/2 + alpha Q(x)`` whose penalty
-    admits the source element ``source_elem`` (``M* source_elem`` a
-    subgradient at the truth), the data residual is bounded by
-    ``delta + 2 alpha ||source_elem||`` and the Bregman distance by
-    ``(delta + alpha ||source_elem||)^2 / (2 alpha)``.  Both checks carry a
-    relative slack of ``BOUND_SLACK_REL`` for solver suboptimality; this is
-    report-only and never raises.
-    """
-    source_elem = np.asarray(source_elem, dtype=float)
-    x_sol = np.asarray(x_sol, dtype=float)
-    y_delta = np.asarray(y_delta, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
-    delta = float(np.linalg.norm(y_delta - y_star))
-    eta_norm = float(np.linalg.norm(source_elem))
-
-    residual_lhs = float(np.linalg.norm(m.apply(x_sol) - y_delta))
-    residual_rhs = delta + 2.0 * alpha * eta_norm
-    bregman_rhs = (delta + alpha * eta_norm) ** 2 / (2.0 * alpha)
-    res_ok = residual_lhs <= residual_rhs * (1.0 + BOUND_SLACK_REL) + _BOUND_SLACK_ABS
-    breg_ok = q_bregman <= bregman_rhs * (1.0 + BOUND_SLACK_REL) + _BOUND_SLACK_ABS
-    return VariationalBoundsReport(
-        delta=delta,
-        residual_lhs=residual_lhs,
-        residual_rhs=residual_rhs,
-        residual_ok=bool(res_ok),
-        bregman_lhs=float(q_bregman),
-        bregman_rhs=bregman_rhs,
-        bregman_ok=bool(breg_ok),
-    )
 
 
 def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
@@ -443,8 +376,9 @@ def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
     )
 
 
-def report_lines(cert, inj=None, constants=None):
-    """Serialize a certificate (plus optional reports) as ``key = value`` lines."""
+def report_lines(cert, inj, constants=None):
+    """Serialize a certificate, its injectivity report and any rate constants
+    as ``key = value`` lines."""
     lines = [
         f"certificate_kind = {cert.model}",
         f"valid = {str(cert.valid).lower()}",
@@ -458,14 +392,13 @@ def report_lines(cert, inj=None, constants=None):
     if cert.eta is not None:
         lines.append(f"m_eta = {cert.eta.margin!r}")
         lines.append(f"omega = {','.join(str(i) for i in cert.eta.omega)}")
-    if inj is not None:
-        lines.append(f"sigma_min = {inj.sigma_min!r}")
-        lines.append(f"a_omega_inv_norm = {inj.a_omega_inv_norm!r}")
-        lines.append(f"injective = {str(inj.injective).lower()}")
+    lines.append(f"sigma_min = {inj.sigma_min!r}")
+    lines.append(f"a_omega_inv_norm = {inj.a_omega_inv_norm!r}")
+    lines.append(f"injective = {str(inj.injective).lower()}")
     if constants is not None:
         lines.append(f"big_c = {constants.big_c!r}")
         lines.append(f"c = {constants.c!r}")
         lines.append(f"d = {constants.d!r}")
-        lines.append(f"a_norm = {constants.a_norm!r}")
+        lines.append(f"a_norm = {inj.a_norm!r}")
     return lines
 

@@ -11,6 +11,8 @@ reproduce the emitted CSV bit for bit (wall-time metadata excluded), which
 Derived seed streams (all Philox keys): the phantom uses
 ``seed*10**6 + 900001``, the sensing matrix ``seed*10**6 + 900002``, and the
 noise for delta index ``i``, trial ``t`` uses ``seed*10**6 + i*100 + t``.
+A seed must be nonnegative and small enough that every key is below
+``2**128``.
 
 Each trial's records form one chain along the descending noise levels: the
 solve of delta index ``i > 0`` starts ADMM from the final state of the same
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .basis import support as coeff_support
-from .operators import BernoulliSensing, DenseMap, IntegrationOp, identity
+from .operators import BernoulliSensing, IntegrationOp, _is_identity, identity
 from .regularizers import bregman_quadratic
 from .solvers import (
     _BALANCE_EVERY,
@@ -54,7 +56,6 @@ __all__ = [
     "fit_rate",
     "run_sweep",
     "emit_csv",
-    "parse_csv",
     "emit_svg",
     "determinism_hash",
     "CSV_COLUMNS",
@@ -71,6 +72,9 @@ MAX_NOISE_LEVELS = 9000
 
 _PHANTOM_SEED_OFFSET = 900_001
 _MATRIX_SEED_OFFSET = 900_002
+
+#: Largest seed whose derived Philox keys all stay below 2**128.
+_MAX_SEED = (2**128 - 1 - _MATRIX_SEED_OFFSET) // 1_000_000
 
 
 class PhantomError(ValueError):
@@ -128,6 +132,8 @@ class SweepConfig:
             raise ValueError("at most 100 trials (keeps derived seeds disjoint)")
         if not 0 < self.big_c < math.inf:
             raise ValueError("C (alpha = C*delta) must be positive and finite")
+        if not 0 <= self.seed <= _MAX_SEED:
+            raise ValueError(f"seed must lie in [0, {_MAX_SEED}]")
 
     def phantom_seed(self):
         return self.seed * 1_000_000 + _PHANTOM_SEED_OFFSET
@@ -205,7 +211,7 @@ def make_phantom(n, sparsity, seed, basis, w):
 
     if isinstance(w, IntegrationOp):
         x_star = w.inverse_apply(h_star)
-    elif isinstance(w, DenseMap) and np.array_equal(w.matrix, np.eye(n)):
+    elif _is_identity(w):
         x_star = h_star.copy()
     else:
         raise PhantomError(
@@ -406,55 +412,6 @@ def emit_csv(records, fit, path, metadata=None):
     with open(path, "w", encoding="ascii") as handle:
         handle.write(text)
     return text
-
-
-def _parse_cell(name, cell):
-    if name == "iterations":
-        return int(cell)
-    if name in ("pass_c", "pass_d"):
-        if cell == "na":
-            return None
-        return cell == "1"
-    return float(cell)
-
-
-def parse_csv(path):
-    """Parse the :func:`emit_csv` file ``path`` into ``(records, metadata, fit)``."""
-    with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
-    metadata = {}
-    records = []
-    saw_header = False
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(" = ")
-            metadata[key.strip()] = value.strip()
-            continue
-        if not saw_header:
-            if line != ",".join(CSV_COLUMNS):
-                raise ValueError(f"unexpected CSV header: {line!r}")
-            saw_header = True
-            continue
-        cells = line.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise ValueError(
-                f"row has {len(cells)} columns, expected {len(CSV_COLUMNS)}: "
-                f"{line!r}"
-            )
-        records.append(SweepRecord(**{
-            name: _parse_cell(name, cell) for name, cell in zip(CSV_COLUMNS, cells)
-        }))
-    fit = None
-    if "fit_slope" in metadata:
-        fit = RateFit(
-            slope=float(metadata["fit_slope"]),
-            intercept=float(metadata["fit_intercept"]),
-            r_squared=float(metadata["fit_r_squared"]),
-            points_used=int(metadata["fit_points_used"]),
-        )
-    return records, metadata, fit
 
 
 def determinism_hash(text):

@@ -137,6 +137,16 @@ def identity(n):
     return DenseMap(np.eye(int(n)))
 
 
+def _is_identity(op):
+    """Whether ``op`` is a :class:`DenseMap` of the identity; allocates nothing."""
+    return (
+        isinstance(op, DenseMap)
+        and op.domain_dim == op.codomain_dim
+        and np.count_nonzero(op.matrix) == op.domain_dim
+        and bool(np.all(op.matrix.diagonal() == 1.0))
+    )
+
+
 class IntegrationOp(LinearMap):
     """Cumulative-sum operator on a uniform grid of ``[0, 1]``.
 

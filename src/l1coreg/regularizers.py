@@ -41,8 +41,7 @@ class WeightedL1:
     """Weighted l1 norm ``sum_lambda kappa_lambda |<phi_lambda, h>|``.
 
     ``kappa`` is a length-``n`` array of weights, or None for unit weights.
-    Weights must be finite and bounded below by a positive constant; the
-    bound is exposed as :attr:`lower_bound`.
+    Weights must be positive and finite.
     """
 
     basis: WaveletBasis
@@ -57,11 +56,6 @@ class WeightedL1:
             raise ValueError("all weights kappa must be positive and finite")
         kappa.setflags(write=False)
         object.__setattr__(self, "kappa", kappa)
-
-    @property
-    def lower_bound(self):
-        """The positive lower bound ``a`` of the weights."""
-        return float(self.kappa.min())
 
     def eval(self, h):
         """Value ``sum kappa_lambda |<phi_lambda, h>|`` computed through analysis."""
@@ -161,19 +155,12 @@ def bregman_l1(f, eta, h, h_star):
     return value
 
 
-def bregman_quadratic(x, x_star, xi=None):
-    """Bregman distance of ``||.||^2/2`` at ``x_star``.
-
-    ``xi`` is the subgradient at which it is taken; the default is the
-    canonical one, ``xi = x_star``, where it equals ``||x - x_star||^2 / 2``.
-    """
+def bregman_quadratic(x, x_star):
+    """Bregman distance ``||x - x_star||^2 / 2`` of ``||.||^2/2`` at ``x_star``,
+    taken at its gradient ``x_star``."""
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
     if x.shape != x_star.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {x_star.shape}")
-    if xi is None:
-        d = x - x_star
-        return 0.5 * float(d @ d)
-    xi = np.asarray(xi, dtype=float)
-    gap = 0.5 * float(x @ x) - 0.5 * float(x_star @ x_star)
-    return gap - float(xi @ (x - x_star))
+    d = x - x_star
+    return 0.5 * float(d @ d)

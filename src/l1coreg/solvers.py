@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DenseMap, materialize
+from .operators import _is_identity, materialize
 from .regularizers import WeightedL1, soft_threshold
 
 __all__ = [
@@ -275,15 +275,7 @@ def _woodbury(p):
 
     True when ``W`` is the identity and ``A`` has fewer rows than columns.
     """
-    w = p.w
-    n = w.codomain_dim
-    return (
-        isinstance(w, DenseMap)
-        and w.domain_dim == n
-        and p.a.codomain_dim < n
-        and np.count_nonzero(w.matrix) == n
-        and bool(np.all(w.matrix.diagonal() == 1.0))
-    )
+    return p.a.codomain_dim < p.w.codomain_dim and _is_identity(p.w)
 
 
 def _coupling(p, rho):

@@ -1,9 +1,12 @@
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from l1coreg.basis import WaveletBasis, support as coeff_support
+from l1coreg.certificates import BOUND_SLACK_REL, _BOUND_SLACK_ABS
+from l1coreg.experiments import CSV_COLUMNS, RateFit, SweepRecord
 from l1coreg.operators import BernoulliSensing, DenseMap, identity, materialize
 from l1coreg.regularizers import WeightedL1, subgradient_from_coefficients
 from l1coreg.solvers import SolverConfig
@@ -160,3 +163,103 @@ def exact_minimizer(p, seed):
     if failed:
         pytest.fail(f"active-set point fails its KKT check: {', '.join(failed)}")
     return point
+
+
+@dataclass(frozen=True)
+class VariationalBoundsReport:
+    """Both sides of the residual and Bregman bounds for one solve."""
+
+    delta: float
+    residual_lhs: float
+    residual_rhs: float
+    residual_ok: bool
+    bregman_lhs: float
+    bregman_rhs: float
+    bregman_ok: bool
+
+    @property
+    def all_ok(self):
+        return self.residual_ok and self.bregman_ok
+
+
+def check_variational_bounds(m, source_elem, x_sol, y_delta, y_star, alpha, q_bregman):
+    """Check the residual and Bregman bounds of variational regularization.
+
+    For a minimizer of ``||M x - y_delta||^2/2 + alpha Q(x)`` whose penalty
+    admits the source element ``source_elem`` (``M* source_elem`` a
+    subgradient at the truth), the data residual is bounded by
+    ``delta + 2 alpha ||source_elem||`` and the Bregman distance by
+    ``(delta + alpha ||source_elem||)^2 / (2 alpha)``.  Both checks carry a
+    relative slack of ``BOUND_SLACK_REL`` for solver suboptimality; this is
+    report-only and never raises.
+    """
+    source_elem = np.asarray(source_elem, dtype=float)
+    x_sol = np.asarray(x_sol, dtype=float)
+    y_delta = np.asarray(y_delta, dtype=float)
+    y_star = np.asarray(y_star, dtype=float)
+    delta = float(np.linalg.norm(y_delta - y_star))
+    eta_norm = float(np.linalg.norm(source_elem))
+
+    residual_lhs = float(np.linalg.norm(m.apply(x_sol) - y_delta))
+    residual_rhs = delta + 2.0 * alpha * eta_norm
+    bregman_rhs = (delta + alpha * eta_norm) ** 2 / (2.0 * alpha)
+    res_ok = residual_lhs <= residual_rhs * (1.0 + BOUND_SLACK_REL) + _BOUND_SLACK_ABS
+    breg_ok = q_bregman <= bregman_rhs * (1.0 + BOUND_SLACK_REL) + _BOUND_SLACK_ABS
+    return VariationalBoundsReport(
+        delta=delta,
+        residual_lhs=residual_lhs,
+        residual_rhs=residual_rhs,
+        residual_ok=bool(res_ok),
+        bregman_lhs=float(q_bregman),
+        bregman_rhs=bregman_rhs,
+        bregman_ok=bool(breg_ok),
+    )
+
+
+def _parse_cell(name, cell):
+    if name == "iterations":
+        return int(cell)
+    if name in ("pass_c", "pass_d"):
+        if cell == "na":
+            return None
+        return cell == "1"
+    return float(cell)
+
+
+def parse_csv(path):
+    """Parse the :func:`emit_csv` file ``path`` into ``(records, metadata, fit)``."""
+    with open(path, "r", encoding="ascii") as handle:
+        text = handle.read()
+    metadata = {}
+    records = []
+    saw_header = False
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition(" = ")
+            metadata[key.strip()] = value.strip()
+            continue
+        if not saw_header:
+            if line != ",".join(CSV_COLUMNS):
+                raise ValueError(f"unexpected CSV header: {line!r}")
+            saw_header = True
+            continue
+        cells = line.split(",")
+        if len(cells) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"row has {len(cells)} columns, expected {len(CSV_COLUMNS)}: "
+                f"{line!r}"
+            )
+        records.append(SweepRecord(**{
+            name: _parse_cell(name, cell) for name, cell in zip(CSV_COLUMNS, cells)
+        }))
+    fit = None
+    if "fit_slope" in metadata:
+        fit = RateFit(
+            slope=float(metadata["fit_slope"]),
+            intercept=float(metadata["fit_intercept"]),
+            r_squared=float(metadata["fit_r_squared"]),
+            points_used=int(metadata["fit_points_used"]),
+        )
+    return records, metadata, fit

@@ -61,7 +61,7 @@ def test_analyze_zero(basis8):
 
 def test_basis_vector_roundtrip(basis8):
     for lam in range(8):
-        phi = basis8.basis_vector(lam)
+        phi = basis8.matrix[lam]
         coeffs = basis8.decompose(phi)
         expected = np.zeros(8)
         expected[lam] = 1.0

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     TIGHT,
     certified_identity_instance,
+    check_variational_bounds,
     coupling_map,
     make_sparse_signal,
     natural_residual,
@@ -20,7 +21,6 @@ from l1coreg.certificates import (
     certify,
     check_norm_bound,
     check_restricted_injectivity,
-    check_variational_bounds,
     find_certificate_relaxed,
     find_certificate_strict,
     rate_constants,
@@ -84,7 +84,7 @@ class TestRestrictedInjectivity:
         basis = WaveletBasis(8)
         a = BernoulliSensing(4, 8, seed=9)
         omega = [1, 3, 5]
-        cols = np.column_stack([a.apply(basis.basis_vector(lam)) for lam in omega])
+        cols = np.column_stack([a.apply(basis.matrix[lam]) for lam in omega])
         rep = check_restricted_injectivity(a, basis, omega)
         assert rep.sigma_min == pytest.approx(
             np.linalg.svd(cols, compute_uv=False)[-1], abs=1e-13
@@ -101,7 +101,7 @@ class TestRestrictedInjectivity:
 
 class TestFindCertificateRelaxed:
     def test_identity_one_sparse(self, basis8, l1_unit8):
-        x_star = basis8.basis_vector(0)
+        x_star = basis8.matrix[0]
         cert = find_certificate_relaxed(
             identity(8), identity(8), basis8, l1_unit8, x_star
         )
@@ -186,7 +186,7 @@ class TestFindCertificateRelaxed:
 
 class TestFindCertificateStrict:
     def test_identity_one_sparse(self, basis8, l1_unit8):
-        x_star = basis8.basis_vector(0)
+        x_star = basis8.matrix[0]
         cert = find_certificate_strict(
             identity(8), identity(8), basis8, l1_unit8, x_star
         )
@@ -243,17 +243,18 @@ class TestFindCertificateStrict:
         assert rel_inj.injective and st_inj.injective
         assert rel.eta.omega == st.eta.omega
         assert rel.eta.margin == st.eta.margin
-        assert rel_k.norm_uv_or_nu == pytest.approx(rel.norm_uv)
-        assert st_k.norm_uv_or_nu == pytest.approx(st.norm_nu)
+        # C = 1, so c = (1 + s)^2 / 2 for each model's own source norm s
+        assert rel_k.c == pytest.approx((1.0 + rel.norm_uv) ** 2 / 2.0)
+        assert st_k.c == pytest.approx((1.0 + st.norm_nu) ** 2 / 2.0)
 
 
 def synthetic_unit_certificate(basis, l1):
     """Certificate with all norm ingredients equal to one (paper example)."""
-    h_star = basis.basis_vector(0)
+    h_star = basis.matrix[0]
     sg = subgradient_at(l1, h_star)
     cert = SourceCertificate(
         model="relaxed",
-        u=basis.basis_vector(0) * 0.0,
+        u=basis.matrix[0] * 0.0,
         v=np.zeros(basis.n),
         eta=sg,
         eta_coeffs=sg.eta,
@@ -310,10 +311,11 @@ class TestRateConstants:
         cert = find_certificate_relaxed(w, a, basis, l1, x_star)
         inj = check_restricted_injectivity(a, basis, cert.eta.omega)
         k = rate_constants(cert, inj, big_c=1.0)
-        assert k.a_norm == inj.a_norm == operator_norm(a)
-        growth = 1.0 + k.big_c * k.norm_uv_or_nu
+        assert inj.a_norm == operator_norm(a)
+        q = inj.a_omega_inv_norm
+        growth = 1.0 + k.big_c * cert.norm_uv
         c = growth**2 / (2.0 * k.big_c)
-        d = 2.0 * k.a_inv_norm * growth + (1.0 + k.a_inv_norm * k.a_norm) / k.m_eta * c
+        d = 2.0 * q * growth + (1.0 + q * inj.a_norm) / cert.eta.margin * c
         assert k.c == pytest.approx(c, abs=1e-12 * max(1.0, c))
         assert k.d == pytest.approx(d, abs=1e-12 * max(1.0, d))
 
@@ -331,7 +333,7 @@ class TestRateConstants:
         cert, inj, constants = certify(model, w, a, basis, l1, x_star, 1.0)
         assert constants is not None
         assert calls == [a]
-        assert constants.a_norm == inj.a_norm == operator_norm(a)
+        assert inj.a_norm == operator_norm(a)
 
     def test_invalid_inputs_raise(self, basis8, l1_unit8):
         cert = synthetic_unit_certificate(basis8, l1_unit8)
@@ -359,7 +361,7 @@ class TestVariationalBounds:
         w = identity(8)
         a = identity(8)
         m_op = coupling_map(w, a)
-        x_star = basis8.basis_vector(0)
+        x_star = basis8.matrix[0]
         h_star = x_star.copy()
         y_star = np.concatenate([np.zeros(8), h_star])
         delta = 0.0
@@ -367,7 +369,7 @@ class TestVariationalBounds:
         # minimizer of (x-h)^2/2 + (h-1)^2/2 + (x^2/2 + |h|): h stays positive
         # iff the data is large enough; for y=1 the solution is x=h=0
         # (threshold exceeds the pull), giving easy exact sides; use y=3 phi0
-        y_big = 3.0 * basis8.basis_vector(0)
+        y_big = 3.0 * basis8.matrix[0]
         p = Problem("relaxed", w, a, y_big, alpha, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
         cert = find_certificate_relaxed(w, a, basis8, l1_unit8, res.x * 0.0)
@@ -420,8 +422,8 @@ class TestNormBound:
     def test_single_offset_hand_computed(self, basis8, l1_unit8):
         # h = h* + phi_mu with mu off Omega and A = I:
         # lhs = 1, rhs = 1*1 + (1+1)*1 = 3
-        h_star = basis8.basis_vector(0)
-        h = h_star + basis8.basis_vector(5)
+        h_star = basis8.matrix[0]
+        h = h_star + basis8.matrix[5]
         inj = check_restricted_injectivity(identity(8), basis8, [0])
         rep = check_norm_bound(identity(8), basis8, [0], h, h_star, inj)
         assert rep.lhs == pytest.approx(1.0, abs=1e-10)
@@ -485,13 +487,13 @@ class TestNormBound:
             assert rep.l1_ok and rep.bregman_ok
 
     def test_off_support_energy_rejected(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0) + 0.5 * basis8.basis_vector(4)
+        h_star = basis8.matrix[0] + 0.5 * basis8.matrix[4]
         inj = check_restricted_injectivity(identity(8), basis8, [0])
         with pytest.raises(ValueError):
             check_norm_bound(identity(8), basis8, [0], h_star, h_star, inj)
 
     def test_omega_mismatch_rejected(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0)
+        h_star = basis8.matrix[0]
         sg = subgradient_at(l1_unit8, h_star)
         inj = check_restricted_injectivity(identity(8), basis8, [0, 1])
         with pytest.raises(ValueError):
@@ -503,7 +505,7 @@ class TestNormBound:
 
 class TestReportRoundTrip:
     def test_relaxed_report(self, basis8, l1_unit8):
-        x_star = basis8.basis_vector(0)
+        x_star = basis8.matrix[0]
         cert = find_certificate_relaxed(
             identity(8), identity(8), basis8, l1_unit8, x_star
         )
@@ -520,9 +522,10 @@ class TestReportRoundTrip:
 
     def test_strict_report(self, basis8, l1_unit8):
         cert = find_certificate_strict(
-            identity(8), identity(8), basis8, l1_unit8, basis8.basis_vector(0)
+            identity(8), identity(8), basis8, l1_unit8, basis8.matrix[0]
         )
-        lines = report_lines(cert)
+        inj = check_restricted_injectivity(identity(8), basis8, cert.eta.omega)
+        lines = report_lines(cert, inj)
         parsed = parse_config_text("\n".join(lines))
         assert parsed["certificate_kind"] == "strict"
         assert parsed["valid"] == "true"
@@ -538,7 +541,6 @@ class TestStrictBoundSuite:
         # whose strict split certificate is valid, accurate solves obey
         # D_xi <= c*delta and ||W x - W x*|| <= d*delta
         from l1coreg.experiments import add_noise
-        from l1coreg.regularizers import bregman_quadratic
 
         basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
         cert = find_certificate_strict(w, a, basis, l1, x_star)
@@ -554,7 +556,9 @@ class TestStrictBoundSuite:
                 res = solve(p, TIGHT)
                 assert res.converged
                 assert natural_residual(p, res) <= 1e-12
-                breg = bregman_quadratic(res.x, x_star, xi=x_star)
+                x = res.x
+                breg = 0.5 * float(x @ x) - 0.5 * float(x_star @ x_star)
+                breg -= float(x_star @ (x - x_star))
                 err_wx = np.linalg.norm(w.apply(res.x) - h_star)
                 assert breg <= constants.c * delta * (1 + 1e-6) + 1e-10
                 assert err_wx <= constants.d * delta * (1 + 1e-6) + 1e-10

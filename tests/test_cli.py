@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import parse_csv
 import l1coreg
 from l1coreg import cli
 from l1coreg.cli import (
@@ -20,10 +21,10 @@ from l1coreg.cli import (
     parse_config_text,
 )
 from l1coreg.experiments import (
+    _MAX_SEED,
     SweepConfig,
     default_operators,
     determinism_hash,
-    parse_csv,
     run_sweep,
 )
 from l1coreg.operators import materialize
@@ -96,6 +97,23 @@ class TestUsageErrors:
         rc, _, err = run_cli(args, capsys)
         assert rc == EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(_MAX_SEED + 1)],
+                             ids=["negative", "key-overflow"])
+    @pytest.mark.parametrize("command", [
+        ["certify"],
+        ["sweep", "--model", "relaxed", "--deltas", "1e-2,1e-3", "--trials", "1"],
+    ], ids=["certify", "sweep"])
+    def test_seed_out_of_range_is_usage_error(self, tmp_path, capsys, command,
+                                              seed):
+        # refused with our own message, not numpy's Philox key error
+        args = command + ["--n", "16", "--m", "8", "--sparsity", "2",
+                          "--seed", seed]
+        if command[0] == "sweep":
+            args += ["--out", str(tmp_path / "s.csv")]
+        rc, _, err = run_cli(args, capsys)
+        assert rc == EXIT_USAGE
+        assert err == f"error: seed must lie in [0, {_MAX_SEED}]\n"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("noise", [

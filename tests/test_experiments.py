@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import coupling_map
-from l1coreg import experiments
+from conftest import coupling_map, parse_csv
+from l1coreg import experiments, solvers
 from l1coreg.basis import WaveletBasis, support
 from l1coreg.certificates import certify
 from l1coreg.experiments import (
@@ -20,7 +20,6 @@ from l1coreg.experiments import (
     emit_svg,
     fit_rate,
     make_phantom,
-    parse_csv,
     _solve_record,
     run_sweep,
     sweep_metadata,
@@ -182,6 +181,18 @@ class TestSweepConfig:
                 seeds.add(cfg.noise_seed(i, t))
         assert len(seeds) == 6
 
+    def test_seed_range(self):
+        # the largest seed keeps every derived Philox key below 2**128; one
+        # more, or a negative seed, would fail inside numpy
+        top = experiments._MAX_SEED
+        cfg = SweepConfig(n=8, m=4, sparsity=1, deltas=(1e-2,), seed=top)
+        np.random.Philox(key=cfg.matrix_seed())
+        with pytest.raises(ValueError):
+            np.random.Philox(key=(top + 1) * 1_000_000 + 900_002)
+        for seed in (-1, top + 1):
+            with pytest.raises(ValueError, match=rf"^seed must lie in \[0, {top}\]$"):
+                SweepConfig(n=8, m=4, sparsity=1, deltas=(1e-2,), seed=seed)
+
 
 class TestRunSweep:
     def test_record_layout_and_ordering(self, small_sweep):
@@ -233,9 +244,10 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(cfg, phantom, identity(32), a, l1=l1)
 
-    def test_chain_matches_cold_solves(self, monkeypatch):
-        # each trial's records start from its previous converged solve; the
-        # chain reaches the cold optimum in a fraction of the iterations
+    @staticmethod
+    def _chain_and_cold_iterations(monkeypatch):
+        """Total iterations of one chained sweep and of the same sweep with
+        every solve cold, after checking that both reach the same records."""
         cfg = SweepConfig(n=64, m=48, sparsity=4, deltas=np.logspace(-2, -5, 7),
                           model="relaxed", trials=1, seed=198)
         basis = WaveletBasis(cfg.n)
@@ -259,8 +271,21 @@ class TestRunSweep:
                     getattr(want, name), rel=1e-4
                 )
             assert (got.pass_c, got.pass_d) == (want.pass_c, want.pass_d)
-        total = sum(r.iterations for r in chained.records)
-        assert total <= sum(r.iterations for r in cold.records) / 5
+        return (sum(r.iterations for r in chained.records),
+                sum(r.iterations for r in cold.records))
+
+    def test_chain_matches_cold_solves(self, monkeypatch):
+        # each trial's records start from its previous converged solve; the
+        # chain reaches the cold optimum in a fraction of the iterations
+        total, cold = self._chain_and_cold_iterations(monkeypatch)
+        assert total <= cold / 5
+
+    def test_chain_matches_cold_solves_at_fixed_rho(self, monkeypatch):
+        # with rho held at its starting value the gain is the warm start's
+        # alone, whatever rho balancing does to the cold solves
+        monkeypatch.setattr(solvers, "_MAX_REBUILDS", 0)
+        total, cold = self._chain_and_cold_iterations(monkeypatch)
+        assert total <= cold / 5
 
     def test_chain_restarts_cold_after_unconverged(self, small_sweep, monkeypatch):
         cfg, phantom, w, a, l1 = small_sweep

@@ -32,7 +32,7 @@ class TestEval:
         kappa = np.ones(8)
         kappa[0] = 2.0
         f = WeightedL1(basis8, kappa)
-        assert f.eval(basis8.basis_vector(0)) == pytest.approx(
+        assert f.eval(basis8.matrix[0]) == pytest.approx(
             2.0, abs=1e-12
         )
 
@@ -49,10 +49,6 @@ class TestEval:
         # weights are one per coefficient; unit weights are kappa=None
         with pytest.raises(ValueError, match="kappa must have length 8"):
             WeightedL1(basis8, 2.0)
-
-    def test_lower_bound(self, basis8):
-        f = WeightedL1(basis8, np.linspace(0.5, 2.0, 8))
-        assert f.lower_bound == pytest.approx(0.5)
 
 
 class TestProx:
@@ -113,7 +109,7 @@ class TestCanonicalSubgradient:
     ``subgradient_from_coefficients`` (``conftest.subgradient_at``)."""
 
     def test_single_spike(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(1)
+        h_star = basis8.matrix[1]
         sg = subgradient_at(l1_unit8, h_star)
         expected = np.zeros(8)
         expected[1] = 1.0
@@ -142,7 +138,7 @@ class TestCanonicalSubgradient:
             assert lhs >= rhs - 1e-10
 
     def test_fill_box_violation(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0)
+        h_star = basis8.matrix[0]
         fill = np.zeros(8)
         fill[5] = 1.5
         with pytest.raises(SubgradientError):
@@ -168,14 +164,14 @@ class TestCanonicalSubgradient:
 
 class TestSubgradientFromCoefficients:
     def test_sign_mismatch_rejected(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0)
+        h_star = basis8.matrix[0]
         bad = np.zeros(8)
         bad[0] = -1.0
         with pytest.raises(SubgradientError):
             subgradient_from_coefficients(l1_unit8, h_star, bad)
 
     def test_box_violation_rejected(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0)
+        h_star = basis8.matrix[0]
         bad = np.zeros(8)
         bad[0] = 1.0
         bad[4] = 1.5
@@ -183,7 +179,7 @@ class TestSubgradientFromCoefficients:
             subgradient_from_coefficients(l1_unit8, h_star, bad)
 
     def test_valid_roundtrip(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(2)
+        h_star = basis8.matrix[2]
         eta = np.zeros(8)
         eta[2] = 1.0
         eta[5] = -0.4
@@ -194,12 +190,12 @@ class TestSubgradientFromCoefficients:
 
 class TestBregmanL1:
     def test_zero_at_truth(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0)
+        h_star = basis8.matrix[0]
         sg = subgradient_at(l1_unit8, h_star)
         assert bregman_l1(l1_unit8, sg, h_star, h_star) == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_flip_distance(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0)
+        h_star = basis8.matrix[0]
         sg = subgradient_at(l1_unit8, h_star)
         val = bregman_l1(l1_unit8, sg, -h_star, h_star)
         assert val == pytest.approx(2.0, abs=1e-12)
@@ -232,9 +228,9 @@ class TestBregmanL1:
             assert lhs >= sg.margin * tail - 1e-12
 
     def test_invalid_subgradient_rejected(self, basis8, l1_unit8):
-        h_star = basis8.basis_vector(0)
+        h_star = basis8.matrix[0]
         sg = subgradient_at(l1_unit8, h_star)
-        other = basis8.basis_vector(3)  # eta is not a subgradient at other
+        other = basis8.matrix[3]  # eta is not a subgradient at other
         with pytest.raises(SubgradientError):
             bregman_l1(l1_unit8, sg, h_star, other)
 
@@ -254,9 +250,6 @@ class TestQuadratic:
             x_star = rng.standard_normal(6)
             generic = 0.5 * x @ x - 0.5 * x_star @ x_star - x_star @ (x - x_star)
             assert bregman_quadratic(x, x_star) == pytest.approx(generic, abs=1e-12)
-            assert bregman_quadratic(x, x_star, xi=x_star) == pytest.approx(
-                generic, abs=1e-12
-            )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

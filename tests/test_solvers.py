@@ -166,14 +166,14 @@ def grid_search_2d(objective, span=4.0, steps=3):
 
 class TestSolveRelaxed:
     def test_penalty_dominated_limit(self, basis8, l1_unit8):
-        y = 3.0 * basis8.basis_vector(0)
+        y = 3.0 * basis8.matrix[0]
         alpha = 1e3 * np.linalg.norm(y)
         p = Problem("relaxed", identity(8), identity(8), y, alpha, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
         assert np.linalg.norm(np.concatenate([res.x, res.h])) <= 1e-6
 
     def test_identity_instance_matches_grid_oracle(self, basis8, l1_unit8):
-        y = 3.0 * basis8.basis_vector(0)
+        y = 3.0 * basis8.matrix[0]
         p = Problem("relaxed", identity(8), identity(8), y, 1.0, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
 
@@ -247,7 +247,7 @@ class TestSolveStrict:
     def test_elastic_net_closed_form(self, basis8, l1_unit8):
         # W = A = I reduces to the elastic net; the spike solves
         # min (x-3)^2/2 + x^2/2 + |x| with solution soft(3, 1)/2 = 1
-        y = 3.0 * basis8.basis_vector(0)
+        y = 3.0 * basis8.matrix[0]
         p = Problem("strict", identity(8), identity(8), y, 1.0, l1_unit8)
         res = solve_strict(p, SolverConfig(tol=1e-12))
         coeffs = basis8.decompose(res.x)

@@ -28,7 +28,7 @@ def test_relaxed_matches_cvxpy(seed):
     n = basis.n
     w_mat = materialize(w)
     a_mat = materialize(a)
-    synth = np.column_stack([basis.basis_vector(j) for j in range(n)])
+    synth = np.column_stack([basis.matrix[j] for j in range(n)])
 
     x = cvxpy.Variable(n)
     c = cvxpy.Variable(n)  # wavelet coefficients of h
@@ -53,7 +53,7 @@ def test_strict_matches_cvxpy(seed):
     n = basis.n
     w_mat = materialize(w)
     a_mat = materialize(a)
-    analysis = np.column_stack([basis.basis_vector(j) for j in range(n)]).T
+    analysis = np.column_stack([basis.matrix[j] for j in range(n)]).T
 
     x = cvxpy.Variable(n)
     objective = 0.5 * cvxpy.sum_squares(a_mat @ w_mat @ x - y) + alpha * (
