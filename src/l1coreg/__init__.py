@@ -10,7 +10,6 @@ from .operators import (
     BernoulliSensing,
     DenseMap,
     IntegrationOp,
-    LinearMap,
     identity,
     materialize,
     operator_norm,
@@ -50,7 +49,6 @@ from .experiments import (
     add_noise,
     determinism_hash,
     emit_csv,
-    emit_svg,
     make_phantom,
     run_sweep,
 )

@@ -5,8 +5,8 @@ single scaling coefficient, builds the analysis matrix ``Phi`` once; every
 transform is then one product with ``Phi`` (analysis) or ``Phi.T``
 (synthesis).  Periodization keeps the basis exactly orthonormal, so analysis
 is an isometry and synthesis is its transpose.  ``Phi`` is dense, so sizes
-are capped by the same entry budget as
-:func:`~l1coreg.operators.materialize`: ``n <= 4096``.
+are capped by the same entry budget as every operator,
+:data:`~l1coreg.operators.DEFAULT_MATERIALIZE_BUDGET`: ``n <= 4096``.
 
 Coefficient ordering: index 0 is the coarsest scaling coefficient, followed
 by detail blocks from coarsest to finest.  The first quarter of the indices

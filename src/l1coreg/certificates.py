@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import support as coeff_support
-from .operators import materialize, operator_norm
+from .operators import operator_norm
 from .regularizers import (
     Subgradient,
     SubgradientError,
@@ -186,7 +186,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     ``W`` is not square or ``x*`` shows it singular to ``INJECTIVITY_RTOL``.
     """
     x_star = np.asarray(x_star, dtype=float)
-    w_mat = materialize(w)
+    w_mat = w.matrix
     try:
         w_inv_x = np.linalg.solve(w_mat.T, x_star)
     except np.linalg.LinAlgError:  # not square, or exactly singular
@@ -200,7 +200,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     c_star = basis.decompose(h_star)
     support = list(coeff_support(c_star))
     kappa = l1.kappa
-    a_mat = materialize(a)
+    a_mat = a.matrix
     b_mat = basis.decompose(a_mat.T)
     b_pinv = np.linalg.pinv(b_mat)
     off = np.ones(basis.n, dtype=bool)

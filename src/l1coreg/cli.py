@@ -29,7 +29,6 @@ from .experiments import (
     default_operators,
     determinism_hash,
     emit_csv,
-    emit_svg,
     make_phantom,
     run_sweep,
     sweep_metadata,
@@ -114,8 +113,6 @@ def build_parser():
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="accepted for old scripts and configs; no effect")
     p_sweep.add_argument("--out", default="sweep.csv", help="CSV output path")
-    p_sweep.add_argument("--svg", default=None,
-                         help="SVG output path (default: CSV path with .svg)")
     p_sweep.add_argument("--no-certify", action="store_true",
                          help="skip the certificate search (no bound columns)")
 
@@ -141,7 +138,7 @@ def parse_config_text(text):
 
 #: Parsed values the configuration block leaves out: the subcommand, where
 #: the run reads and writes, and flags that no longer have an effect.
-_NOT_REPLAYED = {"command", "config", "out", "svg", "trace", "gamma", "jobs"}
+_NOT_REPLAYED = {"command", "config", "out", "trace", "gamma", "jobs"}
 
 
 def canonical_config(args):
@@ -301,8 +298,6 @@ def _cmd_sweep(args):
         meta["converse_flag"] = str(flagged).lower()
     meta["walltime_s"] = f"{result.wall_time:.3f}"
     text = emit_csv(result.records, result.fit, args.out, metadata=meta)
-    svg_path = args.svg or os.path.splitext(args.out)[0] + ".svg"
-    emit_svg(result.records, result.fit, svg_path)
 
     _print_block(canonical_config(args))
     print(f"records = {len(result.records)}")
@@ -310,7 +305,6 @@ def _cmd_sweep(args):
     print(f"fit_r_squared = {result.fit.r_squared!r}")
     print(f"converged = {str(result.all_converged).lower()}")
     print(f"csv = {args.out}")
-    print(f"svg = {svg_path}")
     print(f"determinism_hash = {determinism_hash(text)}")
     return EXIT_OK if result.all_converged else EXIT_NOT_CONVERGED
 
@@ -329,7 +323,7 @@ def _cmd_certify(args):
 def main(argv=None):
     """Run the CLI; returns the exit code instead of raising.
 
-    Usage errors, bad inputs and operators too large to materialize exit
+    Usage errors, bad inputs and operators over the entry budget exit
     with 1; a solve or sweep that fails outright exits with 2, like one that
     does not converge.  Each writes one ``error: ...`` line to stderr.
     """

@@ -1,4 +1,4 @@
-"""Noise-level sweep harness: phantoms, exact-level noise, rate fits, CSV/SVG.
+"""Noise-level sweep harness: phantoms, exact-level noise, rate fits, CSV.
 
 A sweep fixes a phantom and operators, then for each noise level ``delta``
 (times ``trials`` repetitions) draws data with ``||y_delta - y*|| = delta``
@@ -56,7 +56,6 @@ __all__ = [
     "fit_rate",
     "run_sweep",
     "emit_csv",
-    "emit_svg",
     "determinism_hash",
     "CSV_COLUMNS",
 ]
@@ -292,7 +291,7 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     ----------
     cfg : SweepConfig
     phantom : Phantom
-    w, a : LinearMap
+    w, a : DenseMap
         Forward and sensing operators (dimensions must match ``cfg``), as
         built by :func:`default_operators` for a replayable sweep.
     l1 : WeightedL1
@@ -421,66 +420,6 @@ def determinism_hash(text):
     ]
     payload = "\n".join(kept).encode("ascii")
     return hashlib.sha256(payload).hexdigest()
-
-
-def emit_svg(records, fit, path):
-    """Write a log-log scatter of ``err_h`` against ``delta`` with the fit line."""
-    pts = [(r.delta, r.err_h) for r in records if r.err_h > _ERR_FLOOR]
-    if not pts:
-        raise ValueError("no plottable records")
-    lx = [math.log10(p[0]) for p in pts]
-    ly = [math.log10(p[1]) for p in pts]
-    x_lo, x_hi = min(lx), max(lx)
-    y_lo, y_hi = min(ly), max(ly)
-    x_pad = 0.05 * max(x_hi - x_lo, 1e-9)
-    y_pad = 0.05 * max(y_hi - y_lo, 1e-9)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
-    width, height, margin = 640, 480, 60
-
-    def to_px(x, y):
-        px = margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-        py = height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-        return px, py
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-        'font-family="monospace" font-size="14">error vs noise level</text>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width / 2:.0f}" y="{height - 16}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">log10 delta</text>',
-        f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 18 {height / 2:.0f})">log10 err</text>',
-    ]
-    for x, y in zip(lx, ly):
-        px, py = to_px(x, y)
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="steelblue"/>')
-    if fit is not None and math.isfinite(fit.slope):
-        # fit is in natural logs; convert to base-10 coordinates
-        y1 = fit.slope * x_lo + (fit.intercept / math.log(10.0))
-        y2 = fit.slope * x_hi + (fit.intercept / math.log(10.0))
-        p1 = to_px(x_lo, y1)
-        p2 = to_px(x_hi, y2)
-        parts.append(
-            f'<line x1="{p1[0]:.2f}" y1="{p1[1]:.2f}" x2="{p2[0]:.2f}" '
-            f'y2="{p2[1]:.2f}" stroke="crimson" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{width - margin}" y="{margin - 8}" text-anchor="end" '
-            f'font-family="monospace" font-size="12">slope '
-            f"{fit.slope:.3f}, r2 {fit.r_squared:.4f}</text>"
-        )
-    parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(text)
-    return text
 
 
 #: A measured slope at or above this, on an instance whose certificate

@@ -1,12 +1,10 @@
 """Linear operators: the forward map ``W`` and the sensing map ``A``.
 
-A :class:`DenseMap` (the identity and the Bernoulli sensing matrix are
-dense maps) holds one read-only matrix; :class:`IntegrationOp` applies
-itself and its adjoint without forming one.  Solves and certificates take
-the dense matrix through :func:`materialize`, which returns a dense map's
-own matrix without a copy and builds a fresh read-only one for a
-matrix-free operator, within :data:`DEFAULT_MATERIALIZE_BUDGET` entries.
-Operators are immutable after construction.
+Every operator is a :class:`DenseMap` that holds one read-only matrix: the
+identity, the integration operator and the Bernoulli sensing matrix.  Solves
+and certificates read that ``matrix`` directly.  Each builder checks the
+size against :data:`DEFAULT_MATERIALIZE_BUDGET` entries before it
+allocates.  Operators are immutable after construction.
 """
 
 from __future__ import annotations
@@ -14,18 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LinearMap",
     "DenseMap",
     "IntegrationOp",
     "BernoulliSensing",
     "identity",
     "materialize",
     "operator_norm",
-    "DimensionMismatchError",
     "MaterializeBudgetError",
 ]
 
-#: Cap on ``domain_dim * codomain_dim`` for dense materialization.
+#: Cap on the entries of one dense operator or basis matrix.
 DEFAULT_MATERIALIZE_BUDGET = 2**24
 
 _POWER_ITER_MAX = 10_000
@@ -33,17 +29,8 @@ _POWER_ITER_TOL = 1e-8
 _POWER_ITER_SEED = 0
 
 
-class DimensionMismatchError(ValueError):
-    """Input vector length does not match the operator's domain/codomain."""
-
-    def __init__(self, what, expected, actual):
-        super().__init__(f"{what}: expected vector of length {expected}, got {actual}")
-        self.expected = expected
-        self.actual = actual
-
-
 class MaterializeBudgetError(RuntimeError):
-    """Dense materialization would exceed the configured entry budget."""
+    """A dense matrix would exceed the configured entry budget."""
 
 
 def _check_budget(rows, cols):
@@ -55,54 +42,35 @@ def _check_budget(rows, cols):
         )
 
 
-def _as_vector(x, length, what):
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.shape[0] != length:
-        actual = v.shape[0] if v.ndim == 1 else f"shape {v.shape}"
-        raise DimensionMismatchError(what, length, actual)
-    return v
+class DenseMap:
+    """Linear map held as one read-only dense matrix.
 
-
-class LinearMap:
-    """A bounded linear map between finite-dimensional real spaces.
-
-    Concrete operators implement ``_apply``, ``_adjoint`` and
-    ``_materialize``; callers go through :meth:`apply`,
-    :meth:`adjoint_apply` and :func:`materialize`, which validate sizes and
-    always return float arrays.
-
-    Attributes
-    ----------
-    domain_dim, codomain_dim : int
-        Lengths of input and output vectors of the forward map.
+    ``apply(x)`` is ``matrix @ x`` and ``adjoint_apply(y)`` is
+    ``matrix.T @ y``; a vector of the wrong length raises ``ValueError``.
     """
 
-    def __init__(self, domain_dim, codomain_dim):
-        domain_dim = int(domain_dim)
-        codomain_dim = int(codomain_dim)
-        if domain_dim < 0 or codomain_dim < 0:
-            raise ValueError("operator dimensions must be nonnegative")
-        self.domain_dim = domain_dim
-        self.codomain_dim = codomain_dim
+    def __init__(self, matrix):
+        self._hold(np.array(matrix, dtype=float))
+
+    def _hold(self, matrix):
+        if matrix.ndim != 2:
+            raise ValueError("DenseMap requires a 2-D matrix")
+        matrix.setflags(write=False)
+        self.matrix = matrix
+
+    @property
+    def domain_dim(self):
+        return self.matrix.shape[1]
+
+    @property
+    def codomain_dim(self):
+        return self.matrix.shape[0]
 
     def apply(self, x):
-        """Forward application; ``len(x)`` must equal ``domain_dim``."""
-        x = _as_vector(x, self.domain_dim, f"{type(self).__name__}.apply")
-        return self._apply(x)
+        return self.matrix @ x
 
     def adjoint_apply(self, y):
-        """Adjoint application; ``len(y)`` must equal ``codomain_dim``."""
-        y = _as_vector(y, self.codomain_dim, f"{type(self).__name__}.adjoint_apply")
-        return self._adjoint(y)
-
-    def _apply(self, x):
-        raise NotImplementedError
-
-    def _adjoint(self, y):
-        raise NotImplementedError
-
-    def _materialize(self):
-        raise NotImplementedError
+        return self.matrix.T @ y
 
     def __repr__(self):
         return (
@@ -111,72 +79,42 @@ class LinearMap:
         )
 
 
-class DenseMap(LinearMap):
-    """Linear map backed by an explicit dense matrix."""
-
-    def __init__(self, matrix):
-        matrix = np.array(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError("DenseMap requires a 2-D matrix")
-        super().__init__(matrix.shape[1], matrix.shape[0])
-        matrix.setflags(write=False)
-        self.matrix = matrix
-
-    def _apply(self, x):
-        return self.matrix @ x
-
-    def _adjoint(self, y):
-        return self.matrix.T @ y
-
-    def _materialize(self):
-        return self.matrix
-
-
 def identity(n):
     """Identity map on ``R^n`` as a :class:`DenseMap`."""
-    return DenseMap(np.eye(int(n)))
+    n = int(n)
+    _check_budget(n, n)
+    return DenseMap(np.eye(n))
 
 
 def _is_identity(op):
-    """Whether ``op`` is a :class:`DenseMap` of the identity; allocates nothing."""
+    """Whether ``op`` holds the identity matrix; allocates nothing."""
     return (
-        isinstance(op, DenseMap)
-        and op.domain_dim == op.codomain_dim
+        op.domain_dim == op.codomain_dim
         and np.count_nonzero(op.matrix) == op.domain_dim
         and bool(np.all(op.matrix.diagonal() == 1.0))
     )
 
 
-class IntegrationOp(LinearMap):
+class IntegrationOp(DenseMap):
     """Cumulative-sum operator on a uniform grid of ``[0, 1]``.
 
-    Materializes to the lower-triangular all-ones matrix scaled by ``1/n``
+    Holds the lower-triangular all-ones matrix scaled by ``1/n``
     (left-endpoint quadrature of the running integral).  Invertible; the
     inverse is the scaled first difference, see :meth:`inverse_apply`.
     """
 
     def __init__(self, n):
-        super().__init__(n, n)
         self.n = int(n)
         if self.n < 1:
             raise ValueError("IntegrationOp needs n >= 1")
-        self.scale = 1.0 / self.n
-
-    def _apply(self, x):
-        return np.cumsum(x) * self.scale
-
-    def _adjoint(self, y):
-        return np.cumsum(y[::-1])[::-1] * self.scale
-
-    def _materialize(self):
+        _check_budget(self.n, self.n)
         mat = np.tri(self.n)
-        mat *= self.scale
-        mat.setflags(write=False)
-        return mat
+        mat *= 1.0 / self.n
+        self._hold(mat)
 
     def inverse_apply(self, h):
         """Exact inverse ``x`` with ``apply(x) == h``: the scaled first difference."""
-        h = _as_vector(h, self.n, "IntegrationOp.inverse_apply")
+        h = np.asarray(h, dtype=float)
         x = np.empty_like(h)
         x[0] = h[0]
         x[1:] = h[1:] - h[:-1]
@@ -189,7 +127,7 @@ class BernoulliSensing(DenseMap):
     Entries come from the counter-based Philox generator keyed by ``seed``,
     so the matrix is identical across platforms and runs for the same
     ``(m, n, seed)``.  The matrix is drawn whole, so ``m * n`` must fit the
-    materialization budget, which every solve and certificate needs anyway.
+    budget.
     """
 
     def __init__(self, m, n, seed):
@@ -202,19 +140,8 @@ class BernoulliSensing(DenseMap):
 
 
 def materialize(op):
-    """Read-only dense matrix ``D`` with ``D @ x == op.apply(x)`` for all ``x``.
-
-    A :class:`DenseMap` returns the matrix it holds, without a copy; a
-    matrix-free operator builds a fresh one on each call.
-
-    Raises
-    ------
-    MaterializeBudgetError
-        If ``domain_dim * codomain_dim`` exceeds
-        :data:`DEFAULT_MATERIALIZE_BUDGET`.  There is no silent truncation.
-    """
-    _check_budget(op.codomain_dim, op.domain_dim)
-    return op._materialize()
+    """The read-only matrix ``op`` holds, without a copy."""
+    return op.matrix
 
 
 def operator_norm(op):
@@ -223,7 +150,7 @@ def operator_norm(op):
     Starts from a fixed seeded random vector, so the result is deterministic,
     and stops when the Rayleigh quotient changes by a relative ``1e-8`` at
     most.  An iteration unsettled after ``10_000`` steps gives way to the
-    dense SVD of :func:`materialize`, which raises beyond the budget.
+    dense SVD of ``op.matrix``.
     """
     if op.domain_dim == 0 or op.codomain_dim == 0:
         return 0.0
@@ -241,4 +168,4 @@ def operator_norm(op):
         if abs(lam_new - lam) <= _POWER_ITER_TOL * max(abs(lam_new), 1e-300):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam = lam_new
-    return float(np.linalg.svd(materialize(op), compute_uv=False)[0])
+    return float(np.linalg.svd(op.matrix, compute_uv=False)[0])

@@ -49,9 +49,8 @@ blocked factorization.  LAPACK sees only diagonal blocks of
 Threaded LAPACK factorizations round differently under different BLAS
 thread counts from about side 128 on, while products, and LAPACK calls this
 narrow, give the same bits; so solve outputs do not depend on the BLAS
-thread count.  The build materializes ``W`` and ``A`` within the budget of
-:func:`~l1coreg.operators.materialize` and raises
-:class:`~l1coreg.operators.MaterializeBudgetError` beyond it.
+thread count.  The build reads the matrices ``W`` and ``A`` hold, which
+their builders kept within :data:`~l1coreg.operators.DEFAULT_MATERIALIZE_BUDGET`.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
 it starts from ``c = u = 0`` at ``cfg.rho``, or from the final state
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _is_identity, materialize
+from .operators import _is_identity
 from .regularizers import WeightedL1, soft_threshold
 
 __all__ = [
@@ -234,8 +233,10 @@ def _whiten(mat, rhs=None):
     A right-looking blocked factorization that carries the forward
     substitution along: each diagonal block of :data:`_FACTOR_BLOCK` rows is
     factored by ``np.linalg.cholesky`` and inverted, which finishes that
-    block's rows of the result, and the trailing matrix and the trailing rows
-    of the result are each updated by one product.  ``rhs`` is a vector or a
+    block's rows of the result; then the trailing matrix, in its block
+    columns on and below the diagonal only (the later blocks read nothing
+    else), and the trailing rows of the result are updated one block at a
+    time, so no temporary is wider than a block.  ``rhs`` is a vector or a
     matrix and is not changed; ``None`` stands for the identity and gives
     ``L^{-1}`` itself, whose block rows are zero right of the diagonal, so
     its updates touch only the columns left of the block's end.  ``mat`` is
@@ -250,10 +251,11 @@ def _whiten(mat, rhs=None):
         cols = slice(k) if lower else Ellipsis
         inv11 = np.tril(np.linalg.inv(np.linalg.cholesky(mat[j:k, j:k])))
         out[j:k, cols] = inv11 @ out[j:k, cols]
-        if k < n:
-            panel = mat[k:, j:k] @ inv11.T
-            mat[k:, k:] -= panel @ panel.T
-            out[k:, cols] -= panel @ out[j:k, cols]
+        panel = mat[k:, j:k] @ inv11.T
+        for i in range(k, n, _FACTOR_BLOCK):
+            e = min(i + _FACTOR_BLOCK, n)
+            mat[i:, i:e] -= panel[i - k:] @ panel[i - k:e - k].T
+            out[i:e, cols] -= panel[i - k:e - k] @ out[j:k, cols]
     return out
 
 
@@ -300,8 +302,9 @@ def _coupling(p, rho):
     ``alpha g_white* g_white``, and whitens ``Phi*`` by ``S`` into
     ``M = L_S^{-1} Phi*``; then ``Q = rho M* M``, ``Phi* Phi = I`` gives
     ``c0 = M* M Phi A* y``, and ``x_of`` is two triangular matvecs with
-    ``g_white``.  ``W``, ``S`` and ``M`` are dropped once used, so the build
-    keeps at most four n-by-n arrays alive besides the basis's ``Phi``.
+    ``g_white``.  ``G``, ``S`` and ``M`` are dropped once used, so the build
+    keeps at most three n-by-n arrays alive besides ``Phi``, ``W`` and
+    ``A``, which the basis and the operators hold.
     Raises ``ValueError`` when the strict ``G = W W*`` does not factor.
     """
     phi = p.l1.basis.matrix
@@ -309,7 +312,7 @@ def _coupling(p, rho):
     if _woodbury(p):
         gamma = 1.0 + p.alpha if p.model == "relaxed" else 1.0
         beta = rho + p.alpha / gamma
-        a_mat = materialize(p.a)
+        a_mat = p.a.matrix
         k_mat = a_mat @ a_mat.T
         k_mat.flat[:: len(k_mat) + 1] += beta
         r_mat = _whiten(k_mat, a_mat @ phi.T)
@@ -329,9 +332,7 @@ def _coupling(p, rho):
 
         return x_of, fv_of
 
-    w_mat = materialize(p.w)
-    g_mat = w_mat @ w_mat.T
-    del w_mat
+    g_mat = p.w.matrix @ p.w.matrix.T
     if p.model == "relaxed":
         g_mat.flat[:: n + 1] += p.alpha
     try:
@@ -343,9 +344,7 @@ def _coupling(p, rho):
     del g_mat
     s_mat = g_white.T @ g_white
     s_mat *= p.alpha
-    a_mat = materialize(p.a)
-    s_mat += a_mat.T @ a_mat
-    del a_mat
+    s_mat += p.a.matrix.T @ p.a.matrix
     s_mat.flat[:: n + 1] += rho
     m_mat = _whiten(s_mat, phi.T)
     del s_mat

@@ -7,7 +7,7 @@ import pytest
 from l1coreg.basis import WaveletBasis, support as coeff_support
 from l1coreg.certificates import BOUND_SLACK_REL, _BOUND_SLACK_ABS
 from l1coreg.experiments import CSV_COLUMNS, RateFit, SweepRecord
-from l1coreg.operators import BernoulliSensing, DenseMap, identity, materialize
+from l1coreg.operators import BernoulliSensing, DenseMap, identity
 from l1coreg.regularizers import WeightedL1, subgradient_from_coefficients
 from l1coreg.solvers import SolverConfig
 
@@ -69,8 +69,8 @@ def certified_identity_instance(n, m, sparsity, seed):
 def coupling_map(w, a):
     """Relaxed coupling ``(x, h) -> (W x - h, A h)`` as the dense block matrix
     ``[[W, -I], [0, A]]`` acting on ``x`` stacked before ``h``."""
-    w_mat = materialize(w)
-    a_mat = materialize(a)
+    w_mat = w.matrix
+    a_mat = a.matrix
     return DenseMap(np.block([
         [w_mat, -np.eye(w.codomain_dim)],
         [np.zeros((a.codomain_dim, w.domain_dim)), a_mat],
@@ -87,8 +87,8 @@ def natural_residual(p, res):
     by ``||Phi A* y||_inf``, the smallest alpha with ``h = 0`` optimal.
     """
     phi = p.l1.basis.decompose(np.eye(p.l1.basis.n))
-    w = materialize(p.w)
-    a = materialize(p.a)
+    w = p.w.matrix
+    a = p.a.matrix
     y = p.y_delta
     if p.model == "relaxed":
         h = res.h
@@ -130,8 +130,8 @@ def exact_minimizer(p, seed):
     at most 1e-12.  Otherwise the calling test fails; there is no fallback.
     """
     phi = p.l1.basis.decompose(np.eye(p.l1.basis.n))
-    w = materialize(p.w)
-    a = materialize(p.a)
+    w = p.w.matrix
+    a = p.a.matrix
     g = w @ w.T
     if p.model == "relaxed":
         g += p.alpha * np.eye(len(g))

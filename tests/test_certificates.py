@@ -31,7 +31,6 @@ from l1coreg.operators import (
     DenseMap,
     IntegrationOp,
     identity,
-    materialize,
     operator_norm,
 )
 from l1coreg.cli import parse_config_text
@@ -153,8 +152,8 @@ class TestFindCertificateRelaxed:
         )
         # the split residual is the split's own ||W* u - x*||, not the
         # coefficient residual the search minimizes, which differs for W != I
-        w_mat = materialize(w)
-        a_mat = materialize(a)
+        w_mat = w.matrix
+        a_mat = a.matrix
         split = np.linalg.norm(w_mat.T @ cert.u - x_star)
         assert split == pytest.approx(cert.split_residual, rel=1e-12)
         coeff = np.linalg.norm(cert.u - np.linalg.solve(w_mat.T, x_star))
@@ -211,8 +210,8 @@ class TestFindCertificateStrict:
         cert = find_certificate_strict(w, a, basis, l1, x_star)
         if not cert.valid:
             pytest.skip("instance did not certify; nothing to recompute")
-        w_mat = materialize(w)
-        a_mat = materialize(a)
+        w_mat = w.matrix
+        a_mat = a.matrix
         eta_sig = basis.reconstruct(cert.eta_coeffs)
         split = np.linalg.norm(
             w_mat.T @ (a_mat.T @ cert.v) - x_star - w_mat.T @ eta_sig
@@ -363,8 +362,6 @@ class TestVariationalBounds:
         m_op = coupling_map(w, a)
         x_star = basis8.matrix[0]
         h_star = x_star.copy()
-        y_star = np.concatenate([np.zeros(8), h_star])
-        delta = 0.0
         alpha = 1.0
         # minimizer of (x-h)^2/2 + (h-1)^2/2 + (x^2/2 + |h|): h stays positive
         # iff the data is large enough; for y=1 the solution is x=h=0
@@ -372,16 +369,13 @@ class TestVariationalBounds:
         y_big = 3.0 * basis8.matrix[0]
         p = Problem("relaxed", w, a, y_big, alpha, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
-        cert = find_certificate_relaxed(w, a, basis8, l1_unit8, res.x * 0.0)
-        # true pair for data y_big: x*=0 is wrong; build the certified pair
-        # directly instead: x* = phi0, h* = phi0, y* = A h* = phi0
+        # the certified pair: x* = phi0, h* = phi0, y* = A h* = phi0
         cert = find_certificate_relaxed(w, a, basis8, l1_unit8, x_star)
         assert cert.valid
         source = np.concatenate([cert.u, cert.v])
         x_sol = np.concatenate([res.x, res.h])
         y_delta_prod = np.concatenate([np.zeros(8), y_big])
         y_star_prod = np.concatenate([np.zeros(8), a.apply(h_star)])
-        delta = float(np.linalg.norm(y_big - a.apply(h_star)))
         breg = 0.5 * np.linalg.norm(res.x - x_star) ** 2 + bregman_l1(
             l1_unit8, cert.eta, res.h, h_star
         )

@@ -27,7 +27,6 @@ from l1coreg.experiments import (
     determinism_hash,
     run_sweep,
 )
-from l1coreg.operators import materialize
 from l1coreg.solvers import SolverError
 
 
@@ -328,12 +327,21 @@ class TestSweep:
             "--out", str(tmp_path / "s.csv"), *extra,
         ]
 
-    def test_creates_csv_and_svg(self, tmp_path, capsys):
+    def test_creates_csv(self, tmp_path, capsys):
         rc, stdout, _ = run_cli(self.sweep_args(tmp_path), capsys)
         assert rc == EXIT_OK
-        assert (tmp_path / "s.csv").exists()
-        assert (tmp_path / "s.svg").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
         assert "determinism_hash = " in stdout
+
+    def test_svg_refused(self, tmp_path, capsys):
+        # the plot is gone: neither the flag nor a config key that sets it
+        # runs without notice
+        cfg = tmp_path / "plot.cfg"
+        cfg.write_text(f"svg = {tmp_path / 's.svg'}\n")
+        for extra in (("--svg", str(tmp_path / "s.svg")), ("--config", str(cfg))):
+            rc, stdout, _ = run_cli(self.sweep_args(tmp_path, extra=extra), capsys)
+            assert rc == EXIT_USAGE and stdout == "", extra
+        assert not (tmp_path / "s.svg").exists()
 
     def test_printed_slope_matches_csv(self, tmp_path, capsys):
         rc, stdout, _ = run_cli(self.sweep_args(tmp_path), capsys)
@@ -467,8 +475,8 @@ class TestSweep:
         )
         assert meta["matrix_seed"] == str(cfg.matrix_seed())
         w, a = default_operators(cfg, forward=meta["forward"], sensing=meta["sensing"])
-        np.testing.assert_array_equal(materialize(w), materialize(used["w"]))
-        np.testing.assert_array_equal(materialize(a), materialize(used["a"]))
+        np.testing.assert_array_equal(w.matrix, used["w"].matrix)
+        np.testing.assert_array_equal(a.matrix, used["a"].matrix)
 
 
 class TestCertify:

@@ -17,7 +17,6 @@ from l1coreg.experiments import (
     default_operators,
     determinism_hash,
     emit_csv,
-    emit_svg,
     fit_rate,
     make_phantom,
     _solve_record,
@@ -390,24 +389,6 @@ class TestDeterminism:
 
     def test_different_data_different_hash(self):
         assert determinism_hash("# a = 1\nrow\n") != determinism_hash("# a = 2\nrow\n")
-
-
-class TestSvg:
-    def test_writes_scatter_and_fit(self, small_sweep, tmp_path):
-        cfg, phantom, w, a, l1 = small_sweep
-        result = run_sweep(cfg, phantom, w, a, l1=l1)
-        path = tmp_path / "plot.svg"
-        text = emit_svg(result.records, result.fit, path)
-        assert text.startswith("<svg")
-        assert text.count("<circle") == len(result.records)
-        assert "slope" in text
-        assert path.exists()
-
-    def test_no_plottable_points(self, tmp_path):
-        rec = SweepRecord(1e-2, 1e-2, 0.0, 0.0, 0.0, 1, float("nan"), float("nan"),
-                          None, None)
-        with pytest.raises(ValueError):
-            emit_svg([rec], None, tmp_path / "p.svg")
 
 
 def test_noiseless_limit_on_certified_instance():

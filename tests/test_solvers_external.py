@@ -6,7 +6,7 @@ import pytest
 cvxpy = pytest.importorskip("cvxpy")
 
 from l1coreg.basis import WaveletBasis
-from l1coreg.operators import BernoulliSensing, IntegrationOp, materialize
+from l1coreg.operators import BernoulliSensing, IntegrationOp
 from l1coreg.regularizers import WeightedL1
 from l1coreg.solvers import Problem, SolverConfig, solve_relaxed, solve_strict
 
@@ -26,8 +26,8 @@ def build_problem(seed, n=16, m=10, alpha=0.2):
 def test_relaxed_matches_cvxpy(seed):
     basis, l1, w, a, y, alpha, kappa = build_problem(seed)
     n = basis.n
-    w_mat = materialize(w)
-    a_mat = materialize(a)
+    w_mat = w.matrix
+    a_mat = a.matrix
     synth = np.column_stack([basis.matrix[j] for j in range(n)])
 
     x = cvxpy.Variable(n)
@@ -51,8 +51,8 @@ def test_relaxed_matches_cvxpy(seed):
 def test_strict_matches_cvxpy(seed):
     basis, l1, w, a, y, alpha, kappa = build_problem(seed)
     n = basis.n
-    w_mat = materialize(w)
-    a_mat = materialize(a)
+    w_mat = w.matrix
+    a_mat = a.matrix
     analysis = np.column_stack([basis.matrix[j] for j in range(n)]).T
 
     x = cvxpy.Variable(n)
