@@ -315,27 +315,27 @@ def certify(model, w, a, basis, l1, x_star, big_c):
     return cert, inj, constants
 
 
-def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
+def check_norm_bound(a, basis, h, h_star, inj, eta=None, l1=None):
     """Check the norm bounds that restricted injectivity provides.
 
     Verifies ``||h - h*|| <= ||A_Omega^-1|| ||A h - A h*||
     + (1 + ||A_Omega^-1|| ||A||) sum_{off Omega} |<phi_lambda, h>|`` and,
     when a subgradient ``eta`` (with ``Omega = Omega[eta]``) and its
     functional ``l1`` are supplied, the variant with the l1 tail replaced by
-    ``D_eta(h, h*) / m[eta]``.  ``||A||`` is ``inj.a_norm``.
+    ``D_eta(h, h*) / m[eta]``.  ``Omega`` is ``inj.omega``, the set the
+    injectivity report tested, and ``||A||`` is ``inj.a_norm``.
 
     Raises
     ------
     ValueError
         If ``h_star`` has energy outside ``H_Omega`` (above 1e-10) or
-        ``eta``'s saturated set differs from ``omega``.
+        ``eta``'s saturated set differs from ``Omega``.
     """
-    omega = tuple(int(i) for i in omega)
     h = np.asarray(h, dtype=float)
     h_star = np.asarray(h_star, dtype=float)
     c_star = basis.decompose(h_star)
     off = np.ones(basis.n, dtype=bool)
-    off[list(omega)] = False
+    off[list(inj.omega)] = False
     off_energy = float(np.linalg.norm(c_star[off]))
     if off_energy > 1e-10:
         raise ValueError(
@@ -358,9 +358,10 @@ def check_norm_bound(a, basis, omega, h, h_star, inj, eta=None, l1=None):
     if eta is not None:
         if l1 is None:
             raise ValueError("the Bregman variant needs the weighted-l1 functional")
-        if set(eta.omega) != set(omega):
+        if set(eta.omega) != set(inj.omega):
             raise ValueError(
-                f"eta saturates {eta.omega} but the bound was requested on {omega}"
+                f"eta saturates {eta.omega} but the injectivity report tested "
+                f"{inj.omega}"
             )
         breg = bregman_l1(l1, eta, h, h_star)
         rhs_bregman = inj.a_omega_inv_norm * misfit + factor / eta.margin * breg

@@ -45,9 +45,6 @@ EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_CERT_INVALID = 3
 
-#: alpha used for a noiseless (delta = 0) solve when none is given.
-NOISELESS_ALPHA = 1e-8
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with code 1."""
@@ -70,8 +67,6 @@ def _add_common(p):
                    help="uniform l1 weight level")
     p.add_argument("--forward", choices=("integration", "identity"),
                    default="integration", help="forward operator W")
-    p.add_argument("--sensing", choices=("bernoulli", "identity"),
-                   default="bernoulli", help="sensing operator A")
 
 
 def _add_solver(p):
@@ -94,8 +89,6 @@ def build_parser():
     _add_solver(p_solve)
     p_solve.add_argument("--model", choices=("relaxed", "strict"), required=True)
     p_solve.add_argument("--delta", type=float, default=1e-5, help="noise level")
-    p_solve.add_argument("--alpha", type=float, default=None,
-                         help="override alpha (default C*delta)")
     p_solve.add_argument("--out", default="l1coreg_out", help="output directory")
     p_solve.add_argument("--trace", default=None,
                          help="CSV path for one row per ADMM iteration")
@@ -201,7 +194,7 @@ def _sweep_config(args, deltas=(1.0,), trials=1):
 def _build_instance(args, cfg):
     basis = WaveletBasis(cfg.n)
     l1 = WeightedL1(basis, np.full(cfg.n, args.kappa))
-    w, a = default_operators(cfg, forward=args.forward, sensing=args.sensing)
+    w, a = default_operators(cfg, forward=args.forward)
     phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(), basis, w)
     return basis, l1, w, a, phantom
 
@@ -224,14 +217,13 @@ def _cmd_solve(args):
     basis, l1, w, a, phantom = _build_instance(args, cfg)
     y_star = a.apply(phantom.h_star)
     y_delta = add_noise(y_star, args.delta, cfg.noise_seed(0, 0))
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif args.delta > 0:
-        alpha = args.big_c * args.delta
-    else:
-        alpha = NOISELESS_ALPHA
+    alpha = args.big_c * args.delta
     problem = Problem(args.model, w, a, y_delta, alpha, l1)
-    result = solve(problem, _solver_config(args), trace=args.trace)
+    if args.trace is None:
+        result = solve(problem, _solver_config(args))
+    else:
+        with open(args.trace, "w", encoding="ascii") as trace:
+            result = solve(problem, _solver_config(args), trace=trace)
     h_out = result.h if args.model == "relaxed" else w.apply(result.x)
 
     config_lines = canonical_config(args)
@@ -288,7 +280,7 @@ def _cmd_sweep(args):
     result = run_sweep(
         cfg, phantom, w, a, l1=l1, constants=constants, solver_cfg=solver_cfg
     )
-    meta = sweep_metadata(cfg, l1, solver_cfg, args.forward, sensing=args.sensing)
+    meta = sweep_metadata(cfg, l1, solver_cfg, args.forward)
     meta["converged"] = str(result.all_converged).lower()
     for line in cert_lines:
         key, _, value = line.partition(" = ")

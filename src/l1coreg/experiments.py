@@ -440,30 +440,27 @@ def converse_consistency_flag(certificate_valid, slope):
     return bool(np.isfinite(slope) and slope >= CONVERSE_SLOPE_FLAG)
 
 
-def default_operators(cfg, forward="integration", sensing="bernoulli"):
-    """Standard sweep operators: forward map plus seeded sensing matrix."""
+def default_operators(cfg, forward="integration"):
+    """Standard sweep operators ``(W, A)``.
+
+    ``W`` is the forward map named by ``forward`` (``"integration"`` or
+    ``"identity"``); ``A`` is always the Bernoulli sensing matrix drawn from
+    ``cfg.m``, ``cfg.n`` and ``cfg.matrix_seed()``.
+    """
     if forward == "integration":
         w = IntegrationOp(cfg.n)
     elif forward == "identity":
         w = identity(cfg.n)
     else:
         raise ValueError(f"unknown forward operator {forward!r}")
-    if sensing == "bernoulli":
-        a = BernoulliSensing(cfg.m, cfg.n, seed=cfg.matrix_seed())
-    elif sensing == "identity":
-        if cfg.m != cfg.n:
-            raise ValueError("identity sensing needs m == n")
-        a = identity(cfg.n)
-    else:
-        raise ValueError(f"unknown sensing operator {sensing!r}")
-    return w, a
+    return w, BernoulliSensing(cfg.m, cfg.n, seed=cfg.matrix_seed())
 
 
-def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli"):
+def sweep_metadata(cfg, l1, solver_cfg, forward):
     """Metadata block for CSV emission; everything needed for bit-exact replay.
 
-    ``forward``, ``sensing``, ``n``, ``m`` and ``matrix_seed`` are the inputs
-    of :func:`default_operators`, so they rebuild ``W`` and ``A`` exactly.
+    ``forward``, ``n``, ``m`` and ``matrix_seed`` are the inputs of
+    :func:`default_operators`, so they rebuild ``W`` and ``A`` exactly.
     ``kappa`` is one weight when all weights are equal, else the list.
     """
     meta = {
@@ -476,7 +473,6 @@ def sweep_metadata(cfg, l1, solver_cfg, forward, sensing="bernoulli"):
         "trials": str(cfg.trials),
         "deltas": ",".join(repr(d) for d in cfg.deltas),
         "forward": forward,
-        "sensing": sensing,
         "basis_n": str(l1.basis.n),
         "basis_levels": str(l1.basis.levels),
         "kappa": (

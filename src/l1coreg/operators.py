@@ -104,12 +104,12 @@ class IntegrationOp(DenseMap):
     """
 
     def __init__(self, n):
-        self.n = int(n)
-        if self.n < 1:
+        n = int(n)
+        if n < 1:
             raise ValueError("IntegrationOp needs n >= 1")
-        _check_budget(self.n, self.n)
-        mat = np.tri(self.n)
-        mat *= 1.0 / self.n
+        _check_budget(n, n)
+        mat = np.tri(n)
+        mat *= 1.0 / n
         self._hold(mat)
 
     def inverse_apply(self, h):
@@ -118,7 +118,7 @@ class IntegrationOp(DenseMap):
         x = np.empty_like(h)
         x[0] = h[0]
         x[1:] = h[1:] - h[:-1]
-        return x * float(self.n)
+        return x * float(self.domain_dim)
 
 
 class BernoulliSensing(DenseMap):
@@ -131,12 +131,10 @@ class BernoulliSensing(DenseMap):
     """
 
     def __init__(self, m, n, seed):
-        self.m = int(m)
-        self.n = int(n)
-        self.seed = int(seed)
-        _check_budget(self.m, self.n)
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
-        super().__init__(rng.integers(0, 2, size=(self.m, self.n)))
+        m, n = int(m), int(n)
+        _check_budget(m, n)
+        rng = np.random.Generator(np.random.Philox(key=int(seed)))
+        super().__init__(rng.integers(0, 2, size=(m, n)))
 
 
 def materialize(op):

@@ -259,17 +259,8 @@ def _whiten(mat, rhs=None):
     return out
 
 
-def _open_trace(trace):
-    if trace is None:
-        return None, False
-    if hasattr(trace, "write"):
-        return trace, False
-    handle = open(trace, "w", encoding="ascii")
-    return handle, True
-
-
-def _trace_row(handle, it, objective, fpr, primal, dual, rho):
-    handle.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r},{rho!r}\n")
+def _trace_row(trace, it, objective, fpr, primal, dual, rho):
+    trace.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r},{rho!r}\n")
 
 
 def _woodbury(p):
@@ -428,77 +419,72 @@ def _admm(p, cfg, trace, warm):
     def dual_residual(dc):
         return rho * math.sqrt(dc.dot(dc))
 
-    handle, own = _open_trace(trace)
-    if handle is not None:
-        handle.write("iter,objective,fpr,primal_res,dual_res,rho\n")
+    if trace is not None:
+        trace.write("iter,objective,fpr,primal_res,dual_res,rho\n")
 
     primal = np.inf
     dual = np.inf
     converged = False
     iterations = 0
     rebuilds = 0
-    try:
-        for k in range(1, cfg.max_iters + 1):
-            d = c - u
-            fv = fv_of(d)
-            c_prev = c
-            c = soft_threshold(fv + u, thresholds)
-            u = u + fv - c
-            r = fv - c
-            primal = math.sqrt(r.dot(r))
-            if not math.isfinite(primal):
-                raise SolverError(f"non-finite iterate at iteration {k}")
-            iterations = k
-            balance = (
-                k % _BALANCE_EVERY == 0
-                and k < cfg.max_iters
-                and rebuilds < _MAX_REBUILDS
+    for k in range(1, cfg.max_iters + 1):
+        d = c - u
+        fv = fv_of(d)
+        c_prev = c
+        c = soft_threshold(fv + u, thresholds)
+        u = u + fv - c
+        r = fv - c
+        primal = math.sqrt(r.dot(r))
+        if not math.isfinite(primal):
+            raise SolverError(f"non-finite iterate at iteration {k}")
+        iterations = k
+        balance = (
+            k % _BALANCE_EVERY == 0
+            and k < cfg.max_iters
+            and rebuilds < _MAX_REBUILDS
+        )
+        if primal > cfg.tol and trace is None and not balance:
+            continue
+        dual = dual_residual(c - c_prev)
+        if trace is not None:
+            _trace_row(
+                trace,
+                k,
+                objective(x_of(d), c),
+                max(primal, dual),
+                primal,
+                dual,
+                rho,
             )
-            if primal > cfg.tol and handle is None and not balance:
+        if primal <= cfg.tol and dual <= cfg.tol:
+            converged = True
+            break
+        if not balance:
+            continue
+        ratio = max(primal, cfg.tol) / max(dual, cfg.tol)
+        if 1 / _BALANCE_RATIO <= ratio <= _BALANCE_RATIO:
+            continue
+        scale = math.sqrt(ratio)
+        new_rho = rho * scale
+        if min(primal, dual) <= cfg.tol:
+            # the direction of the imbalance, not its size: rho may only
+            # return toward cfg.rho, by at most _BALANCE_RATIO; min and
+            # max return cfg.rho itself, so rho lands on it exactly
+            low = max(min(rho, cfg.rho), rho / _BALANCE_RATIO)
+            high = min(max(rho, cfg.rho), rho * _BALANCE_RATIO)
+            new_rho = min(max(new_rho, low), high)
+            if new_rho == rho:
                 continue
-            dual = dual_residual(c - c_prev)
-            if handle is not None:
-                _trace_row(
-                    handle,
-                    k,
-                    objective(x_of(d), c),
-                    max(primal, dual),
-                    primal,
-                    dual,
-                    rho,
-                )
-            if primal <= cfg.tol and dual <= cfg.tol:
-                converged = True
-                break
-            if not balance:
-                continue
-            ratio = max(primal, cfg.tol) / max(dual, cfg.tol)
-            if 1 / _BALANCE_RATIO <= ratio <= _BALANCE_RATIO:
-                continue
-            scale = math.sqrt(ratio)
-            new_rho = rho * scale
-            if min(primal, dual) <= cfg.tol:
-                # the direction of the imbalance, not its size: rho may only
-                # return toward cfg.rho, by at most _BALANCE_RATIO; min and
-                # max return cfg.rho itself, so rho lands on it exactly
-                low = max(min(rho, cfg.rho), rho / _BALANCE_RATIO)
-                high = min(max(rho, cfg.rho), rho * _BALANCE_RATIO)
-                new_rho = min(max(new_rho, low), high)
-                if new_rho == rho:
-                    continue
-                scale = new_rho / rho
-            rho = new_rho
-            u = u / scale
-            x_of = fv_of = None  # free the old coupling before the build
-            x_of, fv_of = _coupling(p, rho)
-            thresholds = (p.alpha / rho) * p.l1.kappa
-            rebuilds += 1
-        else:
-            # max_iters reached: the last dual residual may not have been needed
-            dual = dual_residual(c - c_prev)
-    finally:
-        if own:
-            handle.close()
+            scale = new_rho / rho
+        rho = new_rho
+        u = u / scale
+        x_of = fv_of = None  # free the old coupling before the build
+        x_of, fv_of = _coupling(p, rho)
+        thresholds = (p.alpha / rho) * p.l1.kappa
+        rebuilds += 1
+    else:
+        # max_iters reached: the last dual residual may not have been needed
+        dual = dual_residual(c - c_prev)
 
     x = x_of(d)
     return SolveResult(
@@ -550,11 +536,12 @@ def solve(problem, cfg=None, trace=None, warm=None):
     ----------
     problem : Problem
     cfg : SolverConfig, optional
-    trace : path or file-like, optional
-        When given, iteration rows
-        ``iter,objective,fpr,primal_res,dual_res,rho`` are streamed as CSV;
-        ``fpr`` is the larger of the two residuals, and ``rho`` the penalty
-        of that iteration.
+    trace : writable text stream, optional
+        When given, a CSV header and one row
+        ``iter,objective,fpr,primal_res,dual_res,rho`` per iteration are
+        written to it; ``fpr`` is the larger of the two residuals, and
+        ``rho`` the penalty of that iteration.  The caller opens and closes
+        the stream.
     warm : SolveResult, optional
         Start from ``c = warm.c``, ``rho = warm.rho`` and
         ``u = warm.multiplier / warm.rho``, typically the result of a nearby

@@ -247,7 +247,7 @@ def test_criterion_5_norm_bound_randomized():
         use_eta = set(sg.omega) == set(omega)
         h = h_star + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
         rep = check_norm_bound(
-            a, basis, omega, h, h_star, inj,
+            a, basis, h, h_star, inj,
             eta=sg if use_eta else None, l1=l1 if use_eta else None,
         )
         checked += 1

@@ -34,6 +34,7 @@ from l1coreg.operators import (
     operator_norm,
 )
 from l1coreg.cli import parse_config_text
+from l1coreg.experiments import SweepConfig, make_phantom
 from l1coreg.regularizers import WeightedL1, bregman_l1
 from l1coreg.solvers import Problem, SolverConfig, solve, solve_relaxed
 
@@ -409,7 +410,7 @@ class TestNormBound:
     def test_equal_signals_trivial(self, basis8, l1_unit8):
         h_star = make_sparse_signal(basis8, [0, 2], [1.0, -1.0])
         inj = check_restricted_injectivity(identity(8), basis8, [0, 2])
-        rep = check_norm_bound(identity(8), basis8, [0, 2], h_star, h_star, inj)
+        rep = check_norm_bound(identity(8), basis8, h_star, h_star, inj)
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.l1_ok
 
@@ -419,7 +420,7 @@ class TestNormBound:
         h_star = basis8.matrix[0]
         h = h_star + basis8.matrix[5]
         inj = check_restricted_injectivity(identity(8), basis8, [0])
-        rep = check_norm_bound(identity(8), basis8, [0], h, h_star, inj)
+        rep = check_norm_bound(identity(8), basis8, h, h_star, inj)
         assert rep.lhs == pytest.approx(1.0, abs=1e-10)
         assert rep.rhs_l1 == pytest.approx(3.0, abs=1e-8)
         assert rep.l1_ok
@@ -438,7 +439,7 @@ class TestNormBound:
             c_star[omega] = rng.uniform(0.5, 1.5, 3) * rng.choice([-1, 1], 3)
             h_star = basis.reconstruct(c_star)
             h = h_star + 0.5 * rng.standard_normal(n)
-            rep = check_norm_bound(a, basis, omega, h, h_star, inj)
+            rep = check_norm_bound(a, basis, h, h_star, inj)
             assert rep.l1_ok
 
     def test_reuses_operator_norm_of_report(self, monkeypatch, rng):
@@ -459,7 +460,7 @@ class TestNormBound:
             return operator_norm(op)
 
         monkeypatch.setattr(certificates, "operator_norm", counted)
-        rep = check_norm_bound(a, basis, omega, h, h_star, inj)
+        rep = check_norm_bound(a, basis, h, h_star, inj)
         assert calls == []
         assert rep.l1_ok
 
@@ -477,14 +478,14 @@ class TestNormBound:
         assert inj.injective
         for _ in range(50):
             h = h_star + 0.3 * rng.standard_normal(n)
-            rep = check_norm_bound(a, basis, omega, h, h_star, inj, eta=sg, l1=l1)
+            rep = check_norm_bound(a, basis, h, h_star, inj, eta=sg, l1=l1)
             assert rep.l1_ok and rep.bregman_ok
 
     def test_off_support_energy_rejected(self, basis8, l1_unit8):
         h_star = basis8.matrix[0] + 0.5 * basis8.matrix[4]
         inj = check_restricted_injectivity(identity(8), basis8, [0])
         with pytest.raises(ValueError):
-            check_norm_bound(identity(8), basis8, [0], h_star, h_star, inj)
+            check_norm_bound(identity(8), basis8, h_star, h_star, inj)
 
     def test_omega_mismatch_rejected(self, basis8, l1_unit8):
         h_star = basis8.matrix[0]
@@ -492,8 +493,7 @@ class TestNormBound:
         inj = check_restricted_injectivity(identity(8), basis8, [0, 1])
         with pytest.raises(ValueError):
             check_norm_bound(
-                identity(8), basis8, [0, 1],
-                h_star, h_star, inj, eta=sg, l1=l1_unit8,
+                identity(8), basis8, h_star, h_star, inj, eta=sg, l1=l1_unit8,
             )
 
 
@@ -527,6 +527,45 @@ class TestReportRoundTrip:
         # both source norms are printed: nu = 2 phi_0, u = phi_0
         assert float(parsed["norm_nu"]) == pytest.approx(2.0, abs=1e-10)
         assert float(parsed["norm_uv"]) == pytest.approx(np.sqrt(5.0), abs=1e-10)
+
+
+class TestCertify:
+    """``certify`` and ``report_lines`` with ``W = A = I`` at n = 8 and the
+    one-sparse phantom that seed 3 draws."""
+
+    @pytest.fixture
+    def x_star(self, basis8):
+        cfg = SweepConfig(n=8, m=8, sparsity=1, deltas=(1.0,), seed=3)
+        return make_phantom(8, 1, cfg.phantom_seed(), basis8, identity(8)).x_star
+
+    def test_identity_instance_constants(self, basis8, l1_unit8, x_star):
+        cert, inj, constants = certify(
+            "relaxed", identity(8), identity(8), basis8, l1_unit8, x_star, 1.0
+        )
+        kv = parse_config_text("\n".join(report_lines(cert, inj, constants)))
+        assert kv["valid"] == "true"
+        rep = {
+            key: float(kv[key])
+            for key in ("saturation_margin", "sigma_min", "big_c", "norm_uv",
+                        "a_omega_inv_norm", "a_norm", "m_eta", "c", "d")
+        }
+        assert rep["saturation_margin"] == pytest.approx(1.0, abs=1e-10)
+        assert rep["sigma_min"] == pytest.approx(1.0, abs=1e-10)
+        # constants recompute from the reported ingredients
+        growth = 1.0 + rep["big_c"] * rep["norm_uv"]
+        c = growth**2 / (2 * rep["big_c"])
+        d = 2 * rep["a_omega_inv_norm"] * growth + (
+            1 + rep["a_omega_inv_norm"] * rep["a_norm"]
+        ) / rep["m_eta"] * c
+        assert rep["c"] == pytest.approx(c, rel=1e-12)
+        assert rep["d"] == pytest.approx(d, rel=1e-12)
+
+    def test_strict_model(self, basis8, l1_unit8, x_star):
+        cert, inj, constants = certify(
+            "strict", identity(8), identity(8), basis8, l1_unit8, x_star, 1.0
+        )
+        assert cert.valid and inj.injective and constants is not None
+        assert "certificate_kind = strict" in report_lines(cert, inj, constants)
 
 
 class TestStrictBoundSuite:
