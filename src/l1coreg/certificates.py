@@ -149,28 +149,29 @@ def check_restricted_injectivity(a, basis, omega):
     Column ``i`` is ``A phi_{omega[i]}``, with ``phi`` the rows of the
     basis matrix; a dense SVD gives the smallest singular value, which must
     exceed ``INJECTIVITY_RTOL ||A||``.  Empty ``omega`` is vacuously
-    injective with inverse norm 0; ``|omega| > codomain_dim`` can never be
-    injective and is reported as such (not an error).
+    injective with inverse norm 0; ``omega`` larger than the number of rows
+    of ``A`` can never be injective and is reported as such (not an error).
 
     Raises
     ------
     ValueError
-        If ``omega`` holds an index outside ``[0, domain_dim)`` or a
-        duplicate.
+        If ``omega`` holds an index outside ``[0, n)``, ``n`` the number of
+        columns of ``A``, or a duplicate.
     """
     omega = tuple(int(i) for i in omega)
-    n = a.domain_dim
+    a_mat = a.matrix
+    rows, n = a_mat.shape
     if len(set(omega)) != len(omega):
         raise ValueError("omega contains duplicate indices")
     for i in omega:
         if not 0 <= i < n:
             raise ValueError(f"omega index {i} out of range [0, {n})")
-    a_norm = operator_norm(a)
+    a_norm = operator_norm(a_mat)
     if len(omega) == 0:
         return InjectivityReport(omega, float("inf"), 0.0, True, a_norm)
-    if len(omega) > a.codomain_dim:
+    if len(omega) > rows:
         return InjectivityReport(omega, 0.0, float("inf"), False, a_norm)
-    cols = np.column_stack([a.apply(basis.matrix[i]) for i in omega])
+    cols = np.column_stack([a_mat @ basis.matrix[i] for i in omega])
     sigma_min = float(np.linalg.svd(cols, compute_uv=False)[-1])
     injective = sigma_min > INJECTIVITY_RTOL * max(a_norm, 1e-300)
     inv_norm = 1.0 / sigma_min if injective else float("inf")
@@ -196,7 +197,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     if not np.linalg.norm(x_star) >= floor * np.linalg.norm(w_inv_x):
         raise ValueError("the certificate search needs an invertible W")
     g = basis.decompose(w_inv_x)
-    h_star = w.apply(x_star)
+    h_star = w_mat @ x_star
     c_star = basis.decompose(h_star)
     support = list(coeff_support(c_star))
     kappa = l1.kappa
@@ -219,7 +220,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
         prev = residual
 
     u = a_mat.T @ v - basis.reconstruct(eta_coeffs)
-    split_residual = float(np.linalg.norm(w.adjoint_apply(u) - x_star))
+    split_residual = float(np.linalg.norm(w_mat.T @ u - x_star))
     slack = kappa[off] - np.abs(eta_coeffs[off])
     saturation_margin = float(np.min(slack, initial=np.inf))
     valid = split_residual <= CERTIFICATE_RTOL * max(1.0, float(np.linalg.norm(x_star)))
@@ -346,7 +347,7 @@ def check_norm_bound(a, basis, h, h_star, inj, eta=None, l1=None):
         raise ValueError("norm bounds require an injective A_Omega")
 
     lhs = float(np.linalg.norm(h - h_star))
-    misfit = float(np.linalg.norm(a.apply(h) - a.apply(h_star)))
+    misfit = float(np.linalg.norm(a.matrix @ h - a.matrix @ h_star))
     c_h = basis.decompose(h)
     tail_l1 = float(np.sum(np.abs(c_h[off])))
     factor = 1.0 + inj.a_omega_inv_norm * inj.a_norm

@@ -215,7 +215,7 @@ def _print_block(lines):
 def _cmd_solve(args):
     cfg = _sweep_config(args)
     basis, l1, w, a, phantom = _build_instance(args, cfg)
-    y_star = a.apply(phantom.h_star)
+    y_star = a.matrix @ phantom.h_star
     y_delta = add_noise(y_star, args.delta, cfg.noise_seed(0, 0))
     alpha = args.big_c * args.delta
     problem = Problem(args.model, w, a, y_delta, alpha, l1)
@@ -224,7 +224,7 @@ def _cmd_solve(args):
     else:
         with open(args.trace, "w", encoding="ascii") as trace:
             result = solve(problem, _solver_config(args), trace=trace)
-    h_out = result.h if args.model == "relaxed" else w.apply(result.x)
+    h_out = result.h if args.model == "relaxed" else w.matrix @ result.x
 
     config_lines = canonical_config(args)
     summary = [
@@ -242,7 +242,7 @@ def _cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     header = config_lines + summary
     _write_vector(os.path.join(args.out, "x.txt"), result.x, header)
-    _write_vector(os.path.join(args.out, "h.txt"), result.h, header)
+    _write_vector(os.path.join(args.out, "h.txt"), h_out, header)
     _print_block(config_lines)
     _print_block(summary)
     print(f"walltime_s = {result.wall_time:.3f}")

@@ -192,7 +192,7 @@ def make_phantom(n, sparsity, seed, basis, w):
     """
     n = int(n)
     sparsity = int(sparsity)
-    if basis.n != n or w.domain_dim != n or w.codomain_dim != n:
+    if basis.n != n or w.matrix.shape != (n, n):
         raise ValueError("phantom, basis and operator sizes must agree")
     if sparsity < 0 or sparsity > n // 8:
         raise ValueError(f"sparsity must lie in [0, n/8] = [0, {n // 8}]")
@@ -210,14 +210,14 @@ def make_phantom(n, sparsity, seed, basis, w):
 
     if isinstance(w, IntegrationOp):
         x_star = w.inverse_apply(h_star)
-    elif _is_identity(w):
+    elif _is_identity(w.matrix):
         x_star = h_star.copy()
     else:
         raise PhantomError(
             "phantom generation needs an exactly invertible forward operator "
             "(integration or identity)"
         )
-    gap = float(np.linalg.norm(w.apply(x_star) - h_star))
+    gap = float(np.linalg.norm(w.matrix @ x_star - h_star))
     if gap > 1e-12 * max(1.0, float(np.linalg.norm(h_star))):
         raise PhantomError(f"forward-inverse round trip off by {gap:.3e}")
     found = coeff_support(basis.decompose(h_star))
@@ -270,10 +270,10 @@ def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg, warm=None):
     res = solve(Problem(model, w, a, y_delta, alpha, l1), solver_cfg, warm=warm)
     if model == "relaxed":
         # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
-        stacked = np.concatenate([w.apply(res.x) - res.h, a.apply(res.h) - y_delta])
+        stacked = np.concatenate([w.matrix @ res.x - res.h, a.matrix @ res.h - y_delta])
         return res, res.h, float(np.linalg.norm(stacked))
-    wx = w.apply(res.x)
-    residual = float(np.linalg.norm(a.apply(wx) - y_delta))
+    wx = w.matrix @ res.x
+    residual = float(np.linalg.norm(a.matrix @ wx - y_delta))
     return res, wx, residual
 
 
@@ -309,12 +309,12 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     """
     start = time.perf_counter()
     solver_cfg = solver_cfg or SolverConfig()
-    if w.domain_dim != cfg.n or a.codomain_dim != cfg.m:
+    if w.matrix.shape[1] != cfg.n or a.matrix.shape[0] != cfg.m:
         raise ValueError("operator dimensions do not match the sweep config")
-    y_star = a.apply(phantom.h_star)
+    y_star = a.matrix @ phantom.h_star
     h_star = phantom.h_star
     x_star = phantom.x_star
-    w_x_star = w.apply(x_star)
+    w_x_star = w.matrix @ x_star
 
     records = []
     all_converged = True

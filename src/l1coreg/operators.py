@@ -1,10 +1,11 @@
 """Linear operators: the forward map ``W`` and the sensing map ``A``.
 
 Every operator is a :class:`DenseMap` that holds one read-only matrix: the
-identity, the integration operator and the Bernoulli sensing matrix.  Solves
-and certificates read that ``matrix`` directly.  Each builder checks the
-size against :data:`DEFAULT_MATERIALIZE_BUDGET` entries before it
-allocates.  Operators are immutable after construction.
+identity, the integration operator and the Bernoulli sensing matrix.  The
+library reads that ``matrix`` and nothing else: a product is ``matrix @ x``,
+an adjoint product ``matrix.T @ y`` and the dimensions ``matrix.shape``.
+Each builder checks the size against :data:`DEFAULT_MATERIALIZE_BUDGET`
+entries before it allocates.  Operators are immutable after construction.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def _check_budget(rows, cols):
 class DenseMap:
     """Linear map held as one read-only dense matrix.
 
-    ``apply(x)`` is ``matrix @ x`` and ``adjoint_apply(y)`` is
-    ``matrix.T @ y``; a vector of the wrong length raises ``ValueError``.
+    ``apply(x)`` is ``matrix @ x``, kept for ``perfbench/workloads.py``,
+    which calls it; the library reads ``matrix`` itself.
     """
 
     def __init__(self, matrix):
@@ -58,25 +59,8 @@ class DenseMap:
         matrix.setflags(write=False)
         self.matrix = matrix
 
-    @property
-    def domain_dim(self):
-        return self.matrix.shape[1]
-
-    @property
-    def codomain_dim(self):
-        return self.matrix.shape[0]
-
     def apply(self, x):
         return self.matrix @ x
-
-    def adjoint_apply(self, y):
-        return self.matrix.T @ y
-
-    def __repr__(self):
-        return (
-            f"{type(self).__name__}(domain_dim={self.domain_dim}, "
-            f"codomain_dim={self.codomain_dim})"
-        )
 
 
 def identity(n):
@@ -86,12 +70,13 @@ def identity(n):
     return DenseMap(np.eye(n))
 
 
-def _is_identity(op):
-    """Whether ``op`` holds the identity matrix; allocates nothing."""
+def _is_identity(mat):
+    """Whether ``mat`` is the identity matrix; allocates nothing."""
+    rows, cols = mat.shape
     return (
-        op.domain_dim == op.codomain_dim
-        and np.count_nonzero(op.matrix) == op.domain_dim
-        and bool(np.all(op.matrix.diagonal() == 1.0))
+        rows == cols
+        and np.count_nonzero(mat) == cols
+        and bool(np.all(mat.diagonal() == 1.0))
     )
 
 
@@ -113,12 +98,12 @@ class IntegrationOp(DenseMap):
         self._hold(mat)
 
     def inverse_apply(self, h):
-        """Exact inverse ``x`` with ``apply(x) == h``: the scaled first difference."""
+        """Exact inverse ``x`` with ``matrix @ x == h``: the scaled first difference."""
         h = np.asarray(h, dtype=float)
         x = np.empty_like(h)
         x[0] = h[0]
         x[1:] = h[1:] - h[:-1]
-        return x * float(self.domain_dim)
+        return x * float(self.matrix.shape[1])
 
 
 class BernoulliSensing(DenseMap):
@@ -142,22 +127,23 @@ def materialize(op):
     return op.matrix
 
 
-def operator_norm(op):
-    """Largest singular value via power iteration on ``op* op``.
+def operator_norm(mat):
+    """Largest singular value of ``mat`` via power iteration on ``mat.T mat``.
 
     Starts from a fixed seeded random vector, so the result is deterministic,
     and stops when the Rayleigh quotient changes by a relative ``1e-8`` at
     most.  An iteration unsettled after ``10_000`` steps gives way to the
-    dense SVD of ``op.matrix``.
+    dense SVD of ``mat``.
     """
-    if op.domain_dim == 0 or op.codomain_dim == 0:
+    rows, cols = mat.shape
+    if rows == 0 or cols == 0:
         return 0.0
     rng = np.random.Generator(np.random.Philox(key=_POWER_ITER_SEED))
-    v = rng.standard_normal(op.domain_dim)
+    v = rng.standard_normal(cols)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(_POWER_ITER_MAX):
-        w = op.adjoint_apply(op.apply(v))
+        w = mat.T @ (mat @ v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             return 0.0
@@ -166,4 +152,4 @@ def operator_norm(op):
         if abs(lam_new - lam) <= _POWER_ITER_TOL * max(abs(lam_new), 1e-300):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam = lam_new
-    return float(np.linalg.svd(op.matrix, compute_uv=False)[0])
+    return float(np.linalg.svd(mat, compute_uv=False)[0])

@@ -99,17 +99,19 @@ class SolverError(RuntimeError):
 
 
 def _check_problem_dims(w, a, y_delta, alpha, l1):
-    if w.codomain_dim != a.domain_dim:
+    w_rows = w.matrix.shape[0]
+    a_rows, a_cols = a.matrix.shape
+    if w_rows != a_cols:
         raise ValueError(
-            f"W maps into R^{w.codomain_dim} but A expects R^{a.domain_dim}"
+            f"W maps into R^{w_rows} but A expects R^{a_cols}"
         )
-    if l1.basis.n != w.codomain_dim:
+    if l1.basis.n != w_rows:
         raise ValueError(
-            f"l1 basis size {l1.basis.n} != intermediate dimension {w.codomain_dim}"
+            f"l1 basis size {l1.basis.n} != intermediate dimension {w_rows}"
         )
-    if y_delta.shape != (a.codomain_dim,):
+    if y_delta.shape != (a_rows,):
         raise ValueError(
-            f"data length {y_delta.shape} != measurement dimension {a.codomain_dim}"
+            f"data length {y_delta.shape} != measurement dimension {a_rows}"
         )
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
@@ -213,8 +215,8 @@ def objective_relaxed(p, x, h):
     """Value of the relaxed functional at ``(x, h)``."""
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    coupling = p.w.apply(x) - h
-    misfit = p.a.apply(h) - p.y_delta
+    coupling = p.w.matrix @ x - h
+    misfit = p.a.matrix @ h - p.y_delta
     return (
         0.5 * float(coupling @ coupling)
         + 0.5 * float(misfit @ misfit)
@@ -224,7 +226,7 @@ def objective_relaxed(p, x, h):
 
 def objective_strict(p, x):
     """Value of the strict functional at ``x``: the relaxed one at ``h = W x``."""
-    return objective_relaxed(p, x, p.w.apply(x))
+    return objective_relaxed(p, x, p.w.matrix @ x)
 
 
 def _whiten(mat, rhs=None):
@@ -268,7 +270,7 @@ def _woodbury(p):
 
     True when ``W`` is the identity and ``A`` has fewer rows than columns.
     """
-    return p.a.codomain_dim < p.w.codomain_dim and _is_identity(p.w)
+    return p.a.matrix.shape[0] < p.w.matrix.shape[0] and _is_identity(p.w.matrix)
 
 
 def _coupling(p, rho):
@@ -308,7 +310,7 @@ def _coupling(p, rho):
         k_mat.flat[:: len(k_mat) + 1] += beta
         r_mat = _whiten(k_mat, a_mat @ phi.T)
         del k_mat
-        u = phi @ p.a.adjoint_apply(p.y_delta)
+        u = phi @ (a_mat.T @ p.y_delta)
         c0 = (u - r_mat.T @ (r_mat @ u)) / beta
         q_mat = r_mat.T @ r_mat
         del r_mat
@@ -341,14 +343,14 @@ def _coupling(p, rho):
     del s_mat
     q_mat = m_mat.T @ m_mat
     del m_mat
-    c0 = q_mat @ (phi @ p.a.adjoint_apply(p.y_delta))
+    c0 = q_mat @ (phi @ (p.a.matrix.T @ p.y_delta))
     q_mat *= rho
 
     def fv_of(d):
         return c0 + q_mat @ d
 
     def x_of(d):
-        return p.w.adjoint_apply(g_white.T @ (g_white @ (phi.T @ fv_of(d))))
+        return p.w.matrix.T @ (g_white.T @ (g_white @ (phi.T @ fv_of(d))))
 
     return x_of, fv_of
 
@@ -406,7 +408,7 @@ def _admm(p, cfg, trace, warm):
     by rounding.)
     """
     start = time.perf_counter()
-    c, u, rho = _start(warm, p.w.codomain_dim, cfg.rho)
+    c, u, rho = _start(warm, p.w.matrix.shape[0], cfg.rho)
     x_of, fv_of = _coupling(p, rho)
     thresholds = (p.alpha / rho) * p.l1.kappa
     basis = p.l1.basis

@@ -35,7 +35,6 @@ from l1coreg.experiments import (
 )
 from l1coreg.operators import (
     BernoulliSensing,
-    DenseMap,
     IntegrationOp,
     identity,
     operator_norm,
@@ -101,7 +100,7 @@ def certified_reference_records(certified_instance):
     residual.
     """
     basis, l1, w, a, phantom, cfg, cert, inj, constants = certified_instance
-    y_star = a.apply(phantom.h_star)
+    y_star = a.matrix @ phantom.h_star
     records = []
     for i, delta in enumerate(cfg.deltas):
         for t in range(cfg.trials):
@@ -190,13 +189,13 @@ def test_criterion_4_variational_bounds(certified_instance, certified_reference_
     basis, l1, w, a, phantom, cfg, cert, inj, constants = certified_instance
     assert_records_optimal(certified_reference_records)
     m_op = coupling_map(w, a)
-    xi = w.adjoint_apply(cert.u)
+    xi = w.matrix.T @ cert.u
     source = np.concatenate([cert.u, cert.v])
-    y_star_prod = np.concatenate([np.zeros(w.codomain_dim), a.apply(phantom.h_star)])
+    y_star_prod = np.concatenate([np.zeros(cfg.n), a.matrix @ phantom.h_star])
     failures = 0
     for rec in certified_reference_records:
         res = rec["res"]
-        y_delta_prod = np.concatenate([np.zeros(w.codomain_dim), rec["y_delta"]])
+        y_delta_prod = np.concatenate([np.zeros(cfg.n), rec["y_delta"]])
         x, x_star = res.x, phantom.x_star
         breg_x = 0.5 * float(x @ x) - 0.5 * float(x_star @ x_star)
         breg_x -= float(xi @ (x - x_star))
@@ -326,18 +325,18 @@ def test_criterion_8_numerical_kernels():
     rng = np.random.default_rng(8)
     # adjoint identities across every operator kind
     n, m = 16, 8
-    ops = [
-        DenseMap(rng.standard_normal((5, 3))),
-        IntegrationOp(n),
-        BernoulliSensing(m, n, seed=3),
+    mats = [
+        rng.standard_normal((5, 3)),
+        IntegrationOp(n).matrix,
+        BernoulliSensing(m, n, seed=3).matrix,
     ]
     adjoint_ok = True
-    for op in ops:
-        norm = operator_norm(op)
+    for mat in mats:
+        norm = operator_norm(mat)
         for _ in range(100):
-            x = rng.standard_normal(op.domain_dim)
-            y = rng.standard_normal(op.codomain_dim)
-            gap = abs(float(op.apply(x) @ y) - float(x @ op.adjoint_apply(y)))
+            x = rng.standard_normal(mat.shape[1])
+            y = rng.standard_normal(mat.shape[0])
+            gap = abs(float((mat @ x) @ y) - float(x @ (mat.T @ y)))
             if gap > 1e-10 * np.linalg.norm(x) * np.linalg.norm(y) * max(norm, 1e-30):
                 adjoint_ok = False
 

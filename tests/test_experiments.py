@@ -55,7 +55,7 @@ class TestMakePhantom:
         basis = WaveletBasis(64)
         w = IntegrationOp(64)
         ph = make_phantom(64, 4, 9, basis, w)
-        gap = np.linalg.norm(w.apply(ph.x_star) - ph.h_star)
+        gap = np.linalg.norm(w.matrix @ ph.x_star - ph.h_star)
         assert gap <= 1e-12 * max(1.0, np.linalg.norm(ph.h_star))
 
     def test_support_size_exact(self):
@@ -228,13 +228,13 @@ class TestRunSweep:
         # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
         cfg, phantom, _, a, l1 = small_sweep
         w = IntegrationOp(cfg.n)
-        y_delta = add_noise(a.apply(phantom.h_star), 1e-2, 5)
+        y_delta = add_noise(a.matrix @ phantom.h_star, 1e-2, 5)
         res, h, residual = _solve_record(
             "relaxed", w, a, l1, y_delta, 1e-2, SolverConfig()
         )
         target = np.concatenate([np.zeros(cfg.n), y_delta])
         stacked = np.concatenate([res.x, res.h])
-        expected = np.linalg.norm(coupling_map(w, a).apply(stacked) - target)
+        expected = np.linalg.norm(coupling_map(w, a) @ stacked - target)
         assert h is res.h
         assert residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
@@ -408,10 +408,10 @@ def test_noiseless_limit_on_certified_instance():
     cert = find_certificate_relaxed(w, a, basis, l1, phantom.x_star)
     assert cert.valid
     delta = 1e-12
-    y_delta = add_noise(a.apply(phantom.h_star), delta, 5)
+    y_delta = add_noise(a.matrix @ phantom.h_star, delta, 5)
     p = Problem("strict", w, a, y_delta, delta, l1)
     res = solve_strict(p, SolverConfig(tol=1e-12, max_iters=50000))
-    err = np.linalg.norm(w.apply(res.x) - phantom.h_star)
+    err = np.linalg.norm(w.matrix @ res.x - phantom.h_star)
     assert err <= 1e-6
 
 

@@ -70,8 +70,8 @@ class TestObjectives:
             x = rng.standard_normal(16)
             h = rng.standard_normal(16)
             expected = (
-                0.5 * np.linalg.norm(p.w.apply(x) - h) ** 2
-                + 0.5 * np.linalg.norm(p.a.apply(h) - p.y_delta) ** 2
+                0.5 * np.linalg.norm(p.w.matrix @ x - h) ** 2
+                + 0.5 * np.linalg.norm(p.a.matrix @ h - p.y_delta) ** 2
                 + p.alpha * (0.5 * np.linalg.norm(x) ** 2 + p.l1.eval(h))
             )
             assert objective_relaxed(p, x, h) == pytest.approx(expected, abs=1e-12)
@@ -90,9 +90,9 @@ class TestObjectives:
         for _ in range(10):
             p = random_small_problem(rng, model="strict")
             x = rng.standard_normal(16)
-            wx = p.w.apply(x)
+            wx = p.w.matrix @ x
             expected = 0.5 * np.linalg.norm(
-                p.a.apply(wx) - p.y_delta
+                p.a.matrix @ wx - p.y_delta
             ) ** 2 + p.alpha * (0.5 * np.linalg.norm(x) ** 2 + p.l1.eval(wx))
             assert objective_strict(p, x) == pytest.approx(expected, abs=1e-12)
 
@@ -288,7 +288,7 @@ class TestSolveStrict:
     def test_constraint_gap_reported(self, rng):
         p = random_small_problem(rng, model="strict")
         res = solve_strict(p, SolverConfig())
-        gap = np.linalg.norm(p.w.apply(res.x) - res.h)
+        gap = np.linalg.norm(p.w.matrix @ res.x - res.h)
         assert res.primal_residual == pytest.approx(gap, abs=1e-12)
 
     def test_trace_stream(self, rng):
@@ -480,7 +480,7 @@ class TestWoodburyBuild:
 
         def woodbury(w, a):
             return solvers._woodbury(
-                Problem("relaxed", w, a, np.ones(a.codomain_dim), 0.1, l1)
+                Problem("relaxed", w, a, np.ones(a.matrix.shape[0]), 0.1, l1)
             )
 
         assert woodbury(identity(16), a)
@@ -571,7 +571,7 @@ class TestRhoBalancing:
         delta = np.logspace(-2, -5, 7)[delta_index]
         seed = SweepConfig(n=256, m=128, sparsity=8, deltas=(1.0,), seed=178)
         noise_seed = seed.noise_seed(delta_index, trial)
-        y_delta = add_noise(a.apply(h_star), delta, noise_seed)
+        y_delta = add_noise(a.matrix @ h_star, delta, noise_seed)
         return Problem("relaxed", w, a, y_delta, delta, l1)
 
     def test_cap_bounds_rebuilds(self, monkeypatch):
@@ -642,7 +642,7 @@ def bound_record(trial):
     basis, l1, w, a, _, h_star = certified_identity_instance(64, 48, 4, 198)
     delta = np.logspace(-2, -5, 7)[-1]
     seed = SweepConfig(n=64, m=48, sparsity=4, deltas=(1.0,), seed=198)
-    y_delta = add_noise(a.apply(h_star), delta, seed.noise_seed(6, trial))
+    y_delta = add_noise(a.matrix @ h_star, delta, seed.noise_seed(6, trial))
     return Problem("relaxed", w, a, y_delta, delta, l1)
 
 
