@@ -80,6 +80,30 @@ def _is_identity(mat):
     )
 
 
+def _spectrum(w):
+    """``(U, lam)`` with ``W W* = U diag(lam) U*`` and ``U`` orthogonal.
+
+    The identity gives ``(None, ones)`` and forms no product.  For
+    :class:`IntegrationOp`, ``W W* = (n^2 D* D)^{-1}`` with ``D`` the first
+    difference, whose closed form ``U_jk = sqrt(4/(2n+1)) sin((j+1) t_k)``,
+    ``t_k = (2k-1) pi/(2n+1)``, ``lam_k = 1/(n^2 (2 - 2 cos t_k))`` calls no
+    LAPACK routine, so its bits do not depend on the BLAS thread count.  Any
+    other ``W`` goes through ``np.linalg.eigh(W W*)``, whose bits may, with
+    ``lam`` clipped at 0.
+    """
+    mat = w.matrix
+    n = mat.shape[0]
+    if _is_identity(mat):
+        return None, np.ones(n)
+    if isinstance(w, IntegrationOp):
+        theta = np.arange(1, 2 * n, 2) * np.pi / (2 * n + 1)
+        u = np.sin(np.outer(np.arange(1.0, n + 1), theta))
+        u *= np.sqrt(4.0 / (2 * n + 1))
+        return u, 1.0 / (n * n * (2.0 - 2.0 * np.cos(theta)))
+    lam, u = np.linalg.eigh(mat @ mat.T)
+    return u, np.maximum(lam, 0.0)
+
+
 class IntegrationOp(DenseMap):
     """Cumulative-sum operator on a uniform grid of ``[0, 1]``.
 

@@ -24,9 +24,8 @@ symmetric positive definite system ``S h = A* y + rho Phi* d`` with
 orthonormal, so the c-step is a weighted soft-threshold, and the v-step
 enters the loop only through the affine map ``d -> c0 + Q d`` with
 ``Q = rho Phi S^{-1} Phi*``.  That map is a dense matrix formed once per
-value of rho by whitening with the Cholesky factors of ``G`` and ``S``, or,
-when ``W`` is the identity and ``A`` has fewer rows than columns, through
-Woodbury from the factor of the m-by-m ``K = beta I + A A*``; so an
+value of rho in the left singular basis ``U`` of ``W``, where ``G^{-1}`` is
+diagonal, so Woodbury leaves one m-by-m factorization for every ``W``; an
 iteration costs one matvec and no operator apply, wavelet transform or
 linear solve.  The dual residual of the stopping rule,
 ``rho ||c_k - c_{k-1}||`` for both models, can stop the loop only together
@@ -42,15 +41,16 @@ toward ``SolverConfig.rho``, by at most that factor) and the map is
 rebuilt, at most :data:`_MAX_REBUILDS` times per solve.
 ``SolverConfig.rho`` is where a cold solve starts.
 
-Each factor is used once, to apply its inverse to a fixed right-hand side,
-so none is kept: :func:`_whiten` does the forward substitution inside a
-blocked factorization.  LAPACK sees only diagonal blocks of
-:data:`_FACTOR_BLOCK` rows, and everything wider is a matrix product.
-Threaded LAPACK factorizations round differently under different BLAS
-thread counts from about side 128 on, while products, and LAPACK calls this
-narrow, give the same bits; so solve outputs do not depend on the BLAS
-thread count.  The build reads the matrices ``W`` and ``A`` hold, which
-their builders kept within :data:`~l1coreg.operators.DEFAULT_MATERIALIZE_BUDGET`.
+The factor of ``K`` is used once and not kept: :func:`_whiten` does the
+forward substitution inside a blocked factorization, so LAPACK sees only
+diagonal blocks of :data:`_FACTOR_BLOCK` rows.  Threaded LAPACK
+factorizations round differently under different BLAS thread counts from
+about side 128 on, while products, and LAPACK calls this narrow, give the
+same bits; so solve outputs do not depend on the BLAS thread count, except
+for a ``W`` other than the identity and the integration matrix, whose ``U``
+comes from one ``np.linalg.eigh``.  The build reads the matrices ``W`` and
+``A`` hold, which their builders kept within
+:data:`~l1coreg.operators.DEFAULT_MATERIALIZE_BUDGET`.
 
 Both models share one :class:`Problem` type.  The loop is deterministic:
 it starts from ``c = u = 0`` at ``cfg.rho``, or from the final state
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _is_identity
+from .operators import _spectrum
 from .regularizers import WeightedL1, soft_threshold
 
 __all__ = [
@@ -229,7 +229,7 @@ def objective_strict(p, x):
     return objective_relaxed(p, x, p.w.matrix @ x)
 
 
-def _whiten(mat, rhs=None):
+def _whiten(mat, rhs):
     """``L^{-1} rhs`` for the Cholesky factor ``L`` of the positive definite ``mat``.
 
     A right-looking blocked factorization that carries the forward
@@ -239,25 +239,21 @@ def _whiten(mat, rhs=None):
     columns on and below the diagonal only (the later blocks read nothing
     else), and the trailing rows of the result are updated one block at a
     time, so no temporary is wider than a block.  ``rhs`` is a vector or a
-    matrix and is not changed; ``None`` stands for the identity and gives
-    ``L^{-1}`` itself, whose block rows are zero right of the diagonal, so
-    its updates touch only the columns left of the block's end.  ``mat`` is
-    overwritten, and no factor is kept.  Raises ``np.linalg.LinAlgError``
-    when ``mat`` is not positive definite.
+    matrix and is not changed.  ``mat`` is overwritten, and no factor is
+    kept.  Raises ``np.linalg.LinAlgError`` when ``mat`` is not positive
+    definite.
     """
     n = mat.shape[0]
-    lower = rhs is None
-    out = np.eye(n) if lower else np.array(rhs, dtype=float, order="C")
+    out = np.array(rhs, dtype=float, order="C")
     for j in range(0, n, _FACTOR_BLOCK):
         k = min(j + _FACTOR_BLOCK, n)
-        cols = slice(k) if lower else Ellipsis
         inv11 = np.tril(np.linalg.inv(np.linalg.cholesky(mat[j:k, j:k])))
-        out[j:k, cols] = inv11 @ out[j:k, cols]
+        out[j:k] = inv11 @ out[j:k]
         panel = mat[k:, j:k] @ inv11.T
         for i in range(k, n, _FACTOR_BLOCK):
             e = min(i + _FACTOR_BLOCK, n)
             mat[i:, i:e] -= panel[i - k:] @ panel[i - k:e - k].T
-            out[i:e, cols] -= panel[i - k:e - k] @ out[j:k, cols]
+            out[i:e] -= panel[i - k:e - k] @ out[j:k]
     return out
 
 
@@ -265,84 +261,63 @@ def _trace_row(trace, it, objective, fpr, primal, dual, rho):
     trace.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r},{rho!r}\n")
 
 
-def _woodbury(p):
-    """Whether :func:`_coupling` builds through the m-by-m system of ``A A*``.
+def _singular_basis(p):
+    """The once-per-solve arrays ``(Phi U, A U, g)`` of :func:`_coupling`.
 
-    True when ``W`` is the identity and ``A`` has fewer rows than columns.
+    ``W W* = U diag(lam) U*`` (:func:`~l1coreg.operators._spectrum`), so
+    ``G^{-1} = U diag(g) U*`` with ``g = 1/(lam + eps)``.  ``Phi U`` and
+    ``A U`` are ``Phi`` and ``A`` themselves when ``W`` is the identity.
+    Raises ``ValueError`` for the strict model when ``W W*`` is singular to
+    working precision, ``lam_min <= n eps_mach lam_max``.
     """
-    return p.a.matrix.shape[0] < p.w.matrix.shape[0] and _is_identity(p.w.matrix)
-
-
-def _coupling(p, rho):
-    """The v-step ``S h = A* y + rho Phi* d`` of either model, as two maps.
-
-    ``fv_of(d) = Phi h = c0 + Q d`` is one matvec with the dense
-    ``Q = rho Phi S^{-1} Phi*``, the one matvec of every iteration.
-    ``x_of(d) = W* G^{-1} h`` runs only after the loop or for a trace row.
-
-    When ``W`` is the identity and ``A`` is m-by-n with ``m < n``
-    (:func:`_woodbury`), ``G = gamma I`` (``gamma = 1 + alpha`` relaxed, 1
-    strict), so ``S = A*A + beta I`` with ``beta = rho + alpha/gamma``.
-    With ``B = A Phi*`` and ``R = L_K^{-1} B`` for the Cholesky factor
-    ``L_K`` of ``K = beta I + A A*``, Woodbury gives
-    ``Q = (rho/beta)(I - R* R)`` and ``c0 = (u - R* R u)/beta`` with
-    ``u = Phi A* y``, and ``x_of(d) = Phi* fv_of(d)/gamma``: a build is one
-    m-by-m factorization, and holds three m-by-n arrays while it whitens
-    and then only ``R`` and ``Q``.
-
-    Otherwise, with ``L_G`` and ``L_S`` the Cholesky factors of ``G`` and
-    ``S``, the build keeps ``g_white = L_G^{-1}``, so ``alpha G^{-1}`` is
-    ``alpha g_white* g_white``, and whitens ``Phi*`` by ``S`` into
-    ``M = L_S^{-1} Phi*``; then ``Q = rho M* M``, ``Phi* Phi = I`` gives
-    ``c0 = M* M Phi A* y``, and ``x_of`` is two triangular matvecs with
-    ``g_white``.  ``G``, ``S`` and ``M`` are dropped once used, so the build
-    keeps at most three n-by-n arrays alive besides ``Phi``, ``W`` and
-    ``A``, which the basis and the operators hold.
-    Raises ``ValueError`` when the strict ``G = W W*`` does not factor.
-    """
-    phi = p.l1.basis.matrix
-    n = phi.shape[0]
-    if _woodbury(p):
-        gamma = 1.0 + p.alpha if p.model == "relaxed" else 1.0
-        beta = rho + p.alpha / gamma
-        a_mat = p.a.matrix
-        k_mat = a_mat @ a_mat.T
-        k_mat.flat[:: len(k_mat) + 1] += beta
-        r_mat = _whiten(k_mat, a_mat @ phi.T)
-        del k_mat
-        u = phi @ (a_mat.T @ p.y_delta)
-        c0 = (u - r_mat.T @ (r_mat @ u)) / beta
-        q_mat = r_mat.T @ r_mat
-        del r_mat
-        q_mat *= -rho / beta
-        q_mat.flat[:: n + 1] += rho / beta
-
-        def fv_of(d):
-            return c0 + q_mat @ d
-
-        def x_of(d):
-            return (phi.T @ fv_of(d)) / gamma
-
-        return x_of, fv_of
-
-    g_mat = p.w.matrix @ p.w.matrix.T
-    if p.model == "relaxed":
-        g_mat.flat[:: n + 1] += p.alpha
-    try:
-        g_white = _whiten(g_mat)
-    except np.linalg.LinAlgError:
+    u, lam = _spectrum(p.w)
+    strict = p.model == "strict"
+    if strict and lam.min() <= len(lam) * np.finfo(float).eps * lam.max():
         raise ValueError(
             "the strict model needs W of full row rank (W W* must factor)"
-        ) from None
-    del g_mat
-    s_mat = g_white.T @ g_white
-    s_mat *= p.alpha
-    s_mat += p.a.matrix.T @ p.a.matrix
-    s_mat.flat[:: n + 1] += rho
-    m_mat = _whiten(s_mat, phi.T)
-    del s_mat
-    q_mat = m_mat.T @ m_mat
-    del m_mat
+        )
+    g = 1.0 / (lam if strict else lam + p.alpha)
+    if u is None:
+        return p.l1.basis.matrix, p.a.matrix, g
+    return p.l1.basis.matrix @ u, p.a.matrix @ u, g
+
+
+def _coupling(p, rho, t, a_u, g):
+    """The v-step ``S h = A* y + rho Phi* d`` of either model, as two maps.
+
+    ``fv_of(d) = Phi h = c0 + Q d`` is the one matvec of every iteration,
+    with the dense ``Q = rho Phi S^{-1} Phi*``; ``x_of(d) = W* G^{-1} h``
+    runs only after the loop or for a trace row.  ``t``, ``a_u`` and ``g``
+    are :func:`_singular_basis`'s ``T = Phi U``, ``B = A U`` and
+    ``G^{-1} = U diag(g) U*``.  In the basis ``U``, ``S = U (B* B + E) U*``
+    with the diagonal ``E = rho + alpha g``, so Woodbury gives
+    ``Q = rho (T E^{-1} T* - R* R)`` with ``R = L_K^{-1} B E^{-1} T*`` for
+    the Cholesky factor ``L_K`` of the m-by-m ``K = I + B E^{-1} B*``, and
+    ``c0 = (Q/rho) Phi A* y``.  ``T`` is orthogonal, so a constant ``E``
+    (identity ``W``) makes ``T E^{-1} T* = I/E``; otherwise that term is
+    added in block rows of :data:`_FACTOR_BLOCK`.  Besides ``t`` and
+    ``a_u``, the build holds at most ``R`` and ``Q``, and ``x_of`` uses
+    ``Phi* T = U`` to form ``W* Phi* T (g (T* Phi h))`` without ``U``.
+    """
+    e_inv = 1.0 / (rho + p.alpha * g)
+    a_e = a_u * e_inv
+    k_mat = a_e @ a_u.T
+    k_mat.flat[:: len(k_mat) + 1] += 1.0
+    rhs = a_e @ t.T
+    del a_e
+    r_mat = _whiten(k_mat, rhs)
+    del k_mat, rhs
+    q_mat = r_mat.T @ r_mat
+    del r_mat
+    n = len(q_mat)
+    if np.all(e_inv == e_inv[0]):
+        q_mat *= -1.0
+        q_mat.flat[:: n + 1] += e_inv[0]
+    else:
+        for i in range(0, n, _FACTOR_BLOCK):
+            e = min(i + _FACTOR_BLOCK, n)
+            q_mat[i:e] = (t[i:e] * e_inv) @ t.T - q_mat[i:e]
+    phi = p.l1.basis.matrix
     c0 = q_mat @ (phi @ (p.a.matrix.T @ p.y_delta))
     q_mat *= rho
 
@@ -350,7 +325,7 @@ def _coupling(p, rho):
         return c0 + q_mat @ d
 
     def x_of(d):
-        return p.w.matrix.T @ (g_white.T @ (g_white @ (phi.T @ fv_of(d))))
+        return p.w.matrix.T @ (phi.T @ (t @ (g * (t.T @ fv_of(d)))))
 
     return x_of, fv_of
 
@@ -409,7 +384,8 @@ def _admm(p, cfg, trace, warm):
     """
     start = time.perf_counter()
     c, u, rho = _start(warm, p.w.matrix.shape[0], cfg.rho)
-    x_of, fv_of = _coupling(p, rho)
+    spectral = _singular_basis(p)
+    x_of, fv_of = _coupling(p, rho, *spectral)
     thresholds = (p.alpha / rho) * p.l1.kappa
     basis = p.l1.basis
 
@@ -481,7 +457,7 @@ def _admm(p, cfg, trace, warm):
         rho = new_rho
         u = u / scale
         x_of = fv_of = None  # free the old coupling before the build
-        x_of, fv_of = _coupling(p, rho)
+        x_of, fv_of = _coupling(p, rho, *spectral)
         thresholds = (p.alpha / rho) * p.l1.kappa
         rebuilds += 1
     else:
@@ -526,13 +502,12 @@ def solve(problem, cfg=None, trace=None, warm=None):
     on iterations whose primal residual is within ``cfg.tol``, on the
     iterations that balance rho, or on every iteration when ``trace`` is
     given.  Every 50 iterations rho is balanced against the two residuals,
-    and each change rebuilds the n-by-n map (at most 30 per solve): from one
-    m-by-m factorization when ``W`` is the identity and ``A`` is m-by-n
-    with ``m < n``, from two n-by-n ones otherwise.  A
-    strict ``problem`` whose ``W`` is not of full row rank raises
-    ``ValueError``.  ADMM starts from ``c = u = 0`` at ``cfg.rho``, or from
-    the final state of ``warm``; a solve restarted from its own converged
-    result stops within an iteration or two.
+    and each change rebuilds the n-by-n map (at most 30 per solve) from one
+    m-by-m factorization, ``A`` being m-by-n.  A strict ``problem`` whose
+    ``W`` is not of full row rank raises ``ValueError``.  ADMM starts from
+    ``c = u = 0`` at ``cfg.rho``, or from the final state of ``warm``; a
+    solve restarted from its own converged result stops within an
+    iteration or two.
 
     Parameters
     ----------

@@ -79,6 +79,7 @@ class TestRestrictedInjectivity:
         a = DenseMap(mat @ basis8.matrix)
         rep = check_restricted_injectivity(a, basis8, [1, 2])
         assert rep.sigma_min == pytest.approx(3.0, abs=1e-10)
+        assert rep.a_omega_inv_norm == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     def test_columns_are_basis_images(self):
         basis = WaveletBasis(8)
@@ -293,6 +294,21 @@ class TestRateConstants:
         assert constants.c == pytest.approx(2.0, abs=1e-12)
         assert constants.d == pytest.approx(8.0, abs=1e-12)
 
+    def test_hand_checkable_constants_off_unity(self, basis8, l1_unit8):
+        # C = 1/2, ||(u,v)|| = 1, ||A_Omega^-1|| = 1/2, ||A|| = 4, m = 1 gives
+        # c = (1 + 1/2)^2/(2 * 1/2) = 9/4 and d = 2 * 1/2 * 3/2 + (1 + 2) * 9/4
+        # = 33/4; the C = 1 examples cannot tell (1 + Cs)^2/(2C) from
+        # (1 + Cs)^2 C/2
+        cert = synthetic_unit_certificate(basis8, l1_unit8)
+        u = np.zeros(8)
+        u[0] = 1.0
+        cert = replace(cert, u=u)
+        inj = InjectivityReport(omega=(0,), sigma_min=2.0, a_omega_inv_norm=0.5,
+                                injective=True, a_norm=4.0)
+        constants = rate_constants(cert, inj, big_c=0.5)
+        assert constants.c == pytest.approx(2.25, abs=1e-12)
+        assert constants.d == pytest.approx(8.25, abs=1e-12)
+
     def test_monotone_growth_in_big_c(self, basis8, l1_unit8):
         cert = synthetic_unit_certificate(basis8, l1_unit8)
         u = np.zeros(8)
@@ -310,14 +326,16 @@ class TestRateConstants:
         basis, l1, w, a, x_star, h_star = certified_identity_instance(64, 48, 4, 198)
         cert = find_certificate_relaxed(w, a, basis, l1, x_star)
         inj = check_restricted_injectivity(a, basis, cert.eta.omega)
-        k = rate_constants(cert, inj, big_c=1.0)
         assert inj.a_norm == operator_norm(a.matrix)
         q = inj.a_omega_inv_norm
-        growth = 1.0 + k.big_c * cert.norm_uv
-        c = growth**2 / (2.0 * k.big_c)
-        d = 2.0 * q * growth + (1.0 + q * inj.a_norm) / cert.eta.margin * c
-        assert k.c == pytest.approx(c, abs=1e-12 * max(1.0, c))
-        assert k.d == pytest.approx(d, abs=1e-12 * max(1.0, d))
+        # C = 1 alone cannot tell 1/(2C) from C/2
+        for big_c in (1.0, 1e-4):
+            k = rate_constants(cert, inj, big_c=big_c)
+            growth = 1.0 + big_c * cert.norm_uv
+            c = growth**2 / (2.0 * big_c)
+            d = 2.0 * q * growth + (1.0 + q * inj.a_norm) / cert.eta.margin * c
+            assert k.c == pytest.approx(c, abs=1e-12 * max(1.0, c))
+            assert k.d == pytest.approx(d, abs=1e-12 * max(1.0, d))
 
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_certify_computes_operator_norm_once(self, monkeypatch, model):

@@ -326,16 +326,13 @@ class TestBlockedCholesky:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_factor_matches_numpy(self, n):
-        # whitening the identity gives the inverse factor itself, whether
-        # the identity is left implicit or passed as a right-hand side
+        # whitening the identity gives the inverse factor itself
         a = self.spd(n)
-        inv_l = solvers._whiten(a.copy())
         eye = np.eye(n)
+        inv_l = solvers._whiten(a.copy(), eye)
         assert np.all(np.triu(inv_l, 1) == 0.0)
         assert np.linalg.norm(inv_l @ np.linalg.cholesky(a) - eye) <= 1e-12 * n
         assert np.linalg.norm(inv_l.T @ inv_l @ a - eye) <= 1e-12 * n
-        dense = solvers._whiten(a.copy(), eye)
-        assert np.linalg.norm(inv_l - dense) <= 1e-14 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("cols", [None, 3], ids=["vector", "matrix"])
     @pytest.mark.parametrize("n", SIZES)
@@ -357,11 +354,11 @@ class TestBlockedCholesky:
             solvers._whiten(a, np.eye(n))
 
     def test_lapack_sees_only_narrow_blocks(self, monkeypatch):
-        # a strict n=256 solve factors G and S, four blocks each, on
-        # integration W, and only K = beta I + A A*, two blocks at m=128, on
-        # identity W; LAPACK never sees more than _FACTOR_BLOCK rows
+        # a strict n=256 solve factors only K, two blocks at m=128, on both
+        # CLI W; the closed-form singular basis of the integration matrix
+        # calls no eigh, and LAPACK never sees more than _FACTOR_BLOCK rows
         n = 256
-        rows = {"cholesky": [], "inv": []}
+        rows = {"cholesky": [], "inv": [], "eigh": []}
 
         def spy(name):
             call = getattr(np.linalg, name)
@@ -374,13 +371,14 @@ class TestBlockedCholesky:
 
         for name in rows:
             monkeypatch.setattr(np.linalg, name, spy(name))
-        for forward, side in (("integration", 2 * n), ("identity", n // 2)):
+        for forward in ("integration", "identity"):
             for seen in rows.values():
                 seen.clear()
             solve(fixed_problem("strict", n, forward), SolverConfig(max_iters=1))
-            for seen in rows.values():
-                assert len(seen) == side // solvers._FACTOR_BLOCK, forward
-                assert max(seen) <= solvers._FACTOR_BLOCK
+            assert rows["eigh"] == [], forward
+            for name in ("cholesky", "inv"):
+                assert len(rows[name]) == (n // 2) // solvers._FACTOR_BLOCK, forward
+                assert max(rows[name]) <= solvers._FACTOR_BLOCK
 
 
 class TestDenseCoupling:
@@ -411,11 +409,11 @@ class TestDenseCoupling:
     @pytest.mark.parametrize(
         "model, n, forward, arrays",
         [
-            pytest.param("relaxed", 512, "integration", 3.4, id="relaxed"),
-            pytest.param("strict", 512, "integration", 3.4, id="strict"),
-            pytest.param("relaxed", 1024, "integration", 3.4, id="relaxed-1024"),
-            pytest.param("relaxed", 2048, "integration", 3.4, id="relaxed-2048"),
-            pytest.param("strict", 2048, "integration", 3.4, id="strict-2048"),
+            pytest.param("relaxed", 512, "integration", 3.05, id="relaxed"),
+            pytest.param("strict", 512, "integration", 3.05, id="strict"),
+            pytest.param("relaxed", 1024, "integration", 3.05, id="relaxed-1024"),
+            pytest.param("relaxed", 2048, "integration", 3.05, id="relaxed-2048"),
+            pytest.param("strict", 2048, "integration", 3.05, id="strict-2048"),
             pytest.param("relaxed", 2048, "identity", 1.8,
                          id="relaxed-identity-2048"),
             pytest.param("strict", 2048, "identity", 1.8,
@@ -423,11 +421,10 @@ class TestDenseCoupling:
         ],
     )
     def test_build_memory(self, model, n, forward, arrays):
-        # W is held by its operator, built before the trace starts; the
-        # n-by-n build keeps three n-by-n arrays alive plus one block row of
-        # temporaries (3.30 measured at n=512, 3.07 at 2048); the identity-W
-        # build at m = n/2 peaks while it whitens, with K and three m-by-n
-        # arrays (1.50 measured)
+        # W is held by its operator, built before the trace starts; with
+        # m = n/2 the integration-W solve holds T = Phi U and A U, and its
+        # build peaks forming R* R, with R and Q (3.01 measured at n=512,
+        # 3.00 at 2048); identity W needs neither T nor A U (1.50 measured)
         p = fixed_problem(model, n, forward)
         tracemalloc.start()
         try:
@@ -440,6 +437,7 @@ class TestDenseCoupling:
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_rebuild_memory(self, model):
         # a change of rho drops the old coupling before building the new one
+        # (3.02 measured)
         n = 512
         p = fixed_problem(model, n)
         tracemalloc.start()
@@ -449,71 +447,54 @@ class TestDenseCoupling:
         finally:
             tracemalloc.stop()
         assert res.rebuilds == 1
-        assert peak <= 4.1 * 8 * n * n
-
-
-class TestWoodburyBuild:
-    @pytest.mark.parametrize("model", ["relaxed", "strict"])
-    def test_matches_n_by_n_build(self, monkeypatch, model):
-        # identity W: the m-by-m build follows the n-by-n one iteration for
-        # iteration, across rho rebuilds
-        p = fixed_problem(model, 64, "identity")
-        assert solvers._woodbury(p)
-        woodbury = solve(p)
-        monkeypatch.setattr(solvers, "_woodbury", lambda p: False)
-        dense = solve(p)
-        assert woodbury.converged
-        assert woodbury.rebuilds >= 1
-        assert woodbury.rebuilds == dense.rebuilds
-        assert woodbury.iterations == dense.iterations
-        np.testing.assert_allclose(woodbury.x, dense.x, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(woodbury.h, dense.h, rtol=0, atol=1e-10)
-
-    def test_only_identity_w_with_fewer_rows(self):
-        # the n-by-n build stays for any other W, and for m >= n
-        basis = WaveletBasis(16)
-        l1 = WeightedL1(basis)
-        a = BernoulliSensing(8, 16, seed=1)
-        square = BernoulliSensing(16, 16, seed=1)
-        scaled = DenseMap(2.0 * np.eye(16))
-        swapped = DenseMap(np.eye(16)[::-1])
-
-        def woodbury(w, a):
-            return solvers._woodbury(
-                Problem("relaxed", w, a, np.ones(a.matrix.shape[0]), 0.1, l1)
-            )
-
-        assert woodbury(identity(16), a)
-        assert not woodbury(identity(16), square)
-        for w in (scaled, swapped, IntegrationOp(16)):
-            assert not woodbury(w, a)
+        assert peak <= 3.07 * 8 * n * n
 
 
 class TestUnifiedVStep:
-    @pytest.mark.parametrize("forward", ["identity", "integration"])
+    @pytest.mark.parametrize(
+        "forward, m",
+        [
+            pytest.param("identity", 32, id="identity"),
+            pytest.param("integration", 32, id="integration"),
+            # through np.linalg.eigh; wide, so x is longer than h
+            pytest.param("generic", 32, id="generic"),
+            # m >= n: K is wider than the n-by-n system it stands for
+            pytest.param("integration", 80, id="tall-a"),
+        ],
+    )
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
-    def test_matches_model_normal_equations(self, rng, model, forward):
-        # the v-step in h alone solves each model's own v-step system
+    def test_matches_model_normal_equations(self, rng, model, forward, m):
+        # the v-step in h alone, from the once-per-solve arrays, solves each
+        # model's own v-step system
         n, rho = 64, 3.0
-        p = fixed_problem(model, n, forward)
-        x_of, fv_of = solvers._coupling(p, rho)
+        if forward == "generic":
+            w_map = DenseMap(
+                np.random.default_rng(5).standard_normal((n, n + 16)) / np.sqrt(n)
+            )
+        else:
+            w_map = IntegrationOp(n) if forward == "integration" else identity(n)
+        a_map = BernoulliSensing(m, n, seed=1)
+        p = Problem(model, w_map, a_map, np.ones(m), 0.1, WeightedL1(WaveletBasis(n)))
+        x_of, fv_of = solvers._coupling(p, rho, *solvers._singular_basis(p))
         d = rng.standard_normal(n)
         phi = p.l1.basis.matrix
         w = p.w.matrix
         a = p.a.matrix
-        eye = np.eye(n)
+        eye_x = np.eye(w.shape[1])
         if model == "strict":
             aw = a @ w
-            k = aw.T @ aw + rho * w.T @ w + p.alpha * eye
+            k = aw.T @ aw + rho * w.T @ w + p.alpha * eye_x
             x = np.linalg.solve(k, aw.T @ p.y_delta + rho * (phi @ w).T @ d)
             h = w @ x
         else:
             g = np.block([
-                [w.T @ w + p.alpha * eye, -w.T],
-                [-w, (1.0 + rho) * eye + a.T @ a],
+                [w.T @ w + p.alpha * eye_x, -w.T],
+                [-w, (1.0 + rho) * np.eye(n) + a.T @ a],
             ])
-            rhs = np.concatenate([np.zeros(n), a.T @ p.y_delta + rho * phi.T @ d])
-            x, h = np.split(np.linalg.solve(g, rhs), 2)
+            rhs = np.concatenate(
+                [np.zeros(w.shape[1]), a.T @ p.y_delta + rho * phi.T @ d]
+            )
+            x, h = np.split(np.linalg.solve(g, rhs), [w.shape[1]])
         for got, want in ((fv_of(d), phi @ h), (x_of(d), x)):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -536,6 +517,19 @@ class TestStrictNeedsOntoW:
         res = solve(p)
         assert res.converged
         assert natural_residual(p, res) <= 1e-8
+
+    @pytest.mark.parametrize("square, refused", [(1e-14, False), (1e-15, True)])
+    def test_refused_at_working_precision(self, square, refused):
+        # W W* = diag(1, ..., 1, s^2) is singular to working precision when
+        # s^2 <= n eps_mach = 3.6e-15 at n=16; the relaxed model takes it
+        w = np.diag(np.r_[np.ones(15), np.sqrt(square)])
+        strict = self.problem("strict", w)
+        if refused:
+            with pytest.raises(ValueError, match="full row rank"):
+                solvers._singular_basis(strict)
+        else:
+            solvers._singular_basis(strict)
+        solvers._singular_basis(self.problem("relaxed", w))
 
     def test_wide_w_of_full_row_rank(self):
         w = np.random.default_rng(3).standard_normal((16, 24))
