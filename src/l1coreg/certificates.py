@@ -13,10 +13,17 @@ constants, which this module computes; :func:`check_norm_bound` checks
 the norm bound that the injectivity alone provides.
 
 The search runs in wavelet coefficients, so ``W`` must be invertible.  With
-``B = Phi A*`` and ``g = Phi W^-* x*`` it alternates ``nu`` from the one
-pseudo-inverse of ``B`` with the coefficients ``e`` of ``eta`` clipped from
-``B nu - g`` to the box ``|e_lambda| <= kappa_lambda`` off the support; the
-split's own residual ``||W* u - x*||`` decides validity.  The search is a
+``B = Phi A*`` and ``g = Phi W^-* x*`` it alternates ``nu``, the
+least-squares solution of ``B nu = g + e``, with the coefficients ``e`` of
+``eta`` clipped from ``B nu - g`` to the box ``|e_lambda| <= kappa_lambda``
+off the support; the split's own residual ``||W* u - x*||`` decides
+validity.  ``Phi`` is orthonormal, so ``B* B = A A*``: when ``A`` has full
+row rank, one whitening of the m-by-m ``A A*`` by the solver's blocked
+Cholesky kernel makes every least-squares step two m-by-n products, and its
+LAPACK calls are narrow enough that the search's bits do not depend on the
+BLAS thread count.  Otherwise (``m > n``, or dependent rows) the steps use
+the pseudo-inverse of ``B``, one SVD.  ``W^-* x*`` is ``x*`` itself for the
+identity ``W`` and one dense solve for any other.  The search is a
 heuristic: a failed search is reported with its residual, never turned into
 an exception, and does not prove that no certificate exists.
 """
@@ -28,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import support as coeff_support
-from .operators import operator_norm
+from .operators import _is_identity, operator_norm
 from .regularizers import (
     Subgradient,
     SubgradientError,
     bregman_l1,
     subgradient_from_coefficients,
 )
+from .solvers import _whiten
 
 __all__ = [
     "InjectivityReport",
@@ -178,20 +186,52 @@ def check_restricted_injectivity(a, basis, omega):
     return InjectivityReport(omega, sigma_min, inv_norm, injective, a_norm)
 
 
+def _least_squares_maps(a_mat, b_mat):
+    """Maps ``(left, right, v_of)`` of the least-squares step ``min ||B nu - r||``.
+
+    ``left @ r`` is a vector ``z``, ``right @ z`` is ``B nu`` and ``v_of(z)``
+    is ``nu``.  ``Phi`` is orthonormal, so ``B* B = A A*``: when ``A`` has
+    full row rank, :func:`~l1coreg.solvers._whiten` of the m-by-m ``A A*``
+    against ``[B* | I]`` gives ``Y = L^-1 B*`` and ``L^-1``, with ``z = Y r``,
+    ``B nu = Y* z`` and ``nu = L^-* z``.  The whitening is accepted only
+    when every pivot ``l_ii`` (the reciprocal diagonal of ``L^-1``) has
+    ``l_ii^2 > m eps_mach max_i (A A*)_ii``; otherwise, and for ``m > n``,
+    ``left`` is the pseudo-inverse of ``B``, ``right`` is ``B`` and
+    ``nu = z``.
+    """
+    rows, n = a_mat.shape
+    if rows <= n:
+        gram = a_mat @ a_mat.T
+        floor = rows * np.finfo(float).eps * np.max(gram.diagonal(), initial=0.0)
+        try:
+            white = _whiten(gram, np.hstack([b_mat.T, np.eye(rows)]))
+        except np.linalg.LinAlgError:  # not positive definite
+            pass
+        else:
+            y_mat, l_inv = white[:, :n], white[:, n:]
+            if np.all(l_inv.diagonal() ** -2 > floor):
+                return y_mat, y_mat.T, lambda z: l_inv.T @ z
+    return np.linalg.pinv(b_mat), b_mat, lambda z: z
+
+
 def _find_certificate(model, w, a, basis, l1, x_star):
     """Search for ``nu`` and ``eta`` with ``W* A* nu = x* + W* eta``.
 
     ``e`` is ``kappa sign(c*)`` on the support of ``c* = Phi W x*``, and each
     step of the alternation exactly minimizes ``||B nu - g - e||`` in its
-    block, until that residual stops decreasing.  Raises ``ValueError`` if
-    ``W`` is not square or ``x*`` shows it singular to ``INJECTIVITY_RTOL``.
+    block, through :func:`_least_squares_maps`, until that residual stops
+    decreasing.  Raises ``ValueError`` if ``W`` is not square or ``x*``
+    shows it singular to ``INJECTIVITY_RTOL``.
     """
     x_star = np.asarray(x_star, dtype=float)
     w_mat = w.matrix
-    try:
-        w_inv_x = np.linalg.solve(w_mat.T, x_star)
-    except np.linalg.LinAlgError:  # not square, or exactly singular
-        w_inv_x = np.full_like(x_star, np.inf)
+    if _is_identity(w_mat):
+        w_inv_x = x_star
+    else:
+        try:
+            w_inv_x = np.linalg.solve(w_mat.T, x_star)
+        except np.linalg.LinAlgError:  # not square, or exactly singular
+            w_inv_x = np.full_like(x_star, np.inf)
     # sigma_min(W) <= ||x*|| / ||W^-* x*||, and ||W|| >= ||W||_F / sqrt(n)
     floor = INJECTIVITY_RTOL * np.linalg.norm(w_mat) / np.sqrt(x_star.size)
     if not np.linalg.norm(x_star) >= floor * np.linalg.norm(w_inv_x):
@@ -203,7 +243,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     kappa = l1.kappa
     a_mat = a.matrix
     b_mat = basis.decompose(a_mat.T)
-    b_pinv = np.linalg.pinv(b_mat)
+    left, right, v_of = _least_squares_maps(a_mat, b_mat)
     off = np.ones(basis.n, dtype=bool)
     off[support] = False
 
@@ -211,14 +251,15 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     eta_coeffs[support] = kappa[support] * np.sign(c_star[support])
     prev = np.inf
     for _ in range(_MAX_ALTERNATIONS):
-        v = b_pinv @ (g + eta_coeffs)
-        split = b_mat @ v - g
+        z = left @ (g + eta_coeffs)
+        split = right @ z - g
         eta_coeffs[off] = np.clip(split[off], -kappa[off], kappa[off])
         residual = float(np.linalg.norm(split - eta_coeffs))
         if prev - residual <= _ALTERNATION_TOL:
             break
         prev = residual
 
+    v = v_of(z)
     u = a_mat.T @ v - basis.reconstruct(eta_coeffs)
     split_residual = float(np.linalg.norm(w_mat.T @ u - x_star))
     slack = kappa[off] - np.abs(eta_coeffs[off])

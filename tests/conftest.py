@@ -5,10 +5,20 @@ import numpy as np
 import pytest
 
 from l1coreg.basis import WaveletBasis, support as coeff_support
-from l1coreg.certificates import BOUND_SLACK_REL, _BOUND_SLACK_ABS
+from l1coreg.certificates import (
+    BOUND_SLACK_REL,
+    CERTIFICATE_RTOL,
+    _ALTERNATION_TOL,
+    _BOUND_SLACK_ABS,
+    _MAX_ALTERNATIONS,
+)
 from l1coreg.experiments import CSV_COLUMNS, RateFit, SweepRecord
 from l1coreg.operators import BernoulliSensing, identity
-from l1coreg.regularizers import WeightedL1, subgradient_from_coefficients
+from l1coreg.regularizers import (
+    SubgradientError,
+    WeightedL1,
+    subgradient_from_coefficients,
+)
 from l1coreg.solvers import SolverConfig
 
 #: Settings of the accurate solves the tests need: residuals at 1e-14.
@@ -64,6 +74,59 @@ def certified_identity_instance(n, m, sparsity, seed):
     a = BernoulliSensing(m, n, seed=cfg.matrix_seed())
     phantom = make_phantom(n, sparsity, cfg.phantom_seed(), basis, w)
     return basis, l1, w, a, phantom.x_star, phantom.h_star
+
+
+class ReferenceCertificate(NamedTuple):
+    v: np.ndarray
+    u: np.ndarray
+    eta_coeffs: np.ndarray
+    support: tuple
+    valid: bool
+
+
+def pinv_certificate(w, a, basis, l1, x_star):
+    """The certificate search written out on ``np.linalg.pinv(B)``.
+
+    With ``B = Phi A*``, ``g = Phi W^-* x*`` and ``e = kappa sign(c*)`` on
+    the support of ``c* = Phi W x*``, each alternation sets
+    ``v = B^+ (g + e)`` and clips ``e`` off the support from ``B v - g`` to
+    the box, until the residual ``||B v - g - e||`` falls by at most the
+    search's tolerance.  Then ``u = A* v - Phi* e``, and the certificate is
+    valid when ``||W* u - x*||`` is within ``CERTIFICATE_RTOL`` and ``e``
+    passes as a subgradient.
+    """
+    phi = basis.matrix
+    w_mat = w.matrix
+    a_mat = a.matrix
+    g = phi @ np.linalg.solve(w_mat.T, x_star)
+    h_star = w_mat @ x_star
+    c_star = phi @ h_star
+    on = list(coeff_support(c_star))
+    off = np.ones(basis.n, dtype=bool)
+    off[on] = False
+    kappa = l1.kappa
+    b_mat = phi @ a_mat.T
+    b_pinv = np.linalg.pinv(b_mat)
+    eta = np.zeros(basis.n)
+    eta[on] = kappa[on] * np.sign(c_star[on])
+    last = np.inf
+    for _ in range(_MAX_ALTERNATIONS):
+        v = b_pinv @ (g + eta)
+        split = b_mat @ v - g
+        eta[off] = np.clip(split[off], -kappa[off], kappa[off])
+        now = float(np.linalg.norm(split - eta))
+        if last - now <= _ALTERNATION_TOL:
+            break
+        last = now
+    u = a_mat.T @ v - phi.T @ eta
+    residual = np.linalg.norm(w_mat.T @ u - x_star)
+    valid = residual <= CERTIFICATE_RTOL * max(1.0, np.linalg.norm(x_star))
+    if valid:
+        try:
+            subgradient_from_coefficients(l1, h_star, eta)
+        except SubgradientError:
+            valid = False
+    return ReferenceCertificate(v, u, eta, tuple(on), bool(valid))
 
 
 def coupling_map(w, a):

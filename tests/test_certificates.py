@@ -10,9 +10,10 @@ from conftest import (
     coupling_map,
     make_sparse_signal,
     natural_residual,
+    pinv_certificate,
     subgradient_at,
 )
-from l1coreg import certificates
+from l1coreg import certificates, solvers
 from l1coreg.basis import WaveletBasis
 from l1coreg.certificates import (
     CERTIFICATE_RTOL,
@@ -34,7 +35,7 @@ from l1coreg.operators import (
     operator_norm,
 )
 from l1coreg.cli import parse_config_text
-from l1coreg.experiments import SweepConfig, make_phantom
+from l1coreg.experiments import SweepConfig, default_operators, make_phantom
 from l1coreg.regularizers import WeightedL1, bregman_l1
 from l1coreg.solvers import Problem, SolverConfig, solve, solve_relaxed
 
@@ -67,6 +68,12 @@ class TestRestrictedInjectivity:
         a = BernoulliSensing(2, 8, seed=0)
         rep = check_restricted_injectivity(a, basis8, [0, 1, 2])
         assert not rep.injective
+
+    def test_as_many_indices_as_measurements(self, basis8):
+        # |Omega| = m is the largest set that can be injective
+        rep = check_restricted_injectivity(identity(8), basis8, range(8))
+        assert rep.injective
+        assert rep.sigma_min == pytest.approx(1.0, abs=1e-10)
 
     def test_no_measurements(self, basis8):
         rep = check_restricted_injectivity(BernoulliSensing(0, 8, seed=0), basis8, [0])
@@ -166,6 +173,32 @@ class TestFindCertificateRelaxed:
             atol=1e-12,
         )
 
+    def test_saturation_margin_is_off_support_slack(self):
+        basis, l1, w, a, x_star, h_star = certified_identity_instance(64, 48, 4, 198)
+        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        off = np.setdiff1d(np.arange(basis.n), cert.support)
+        slack = l1.kappa[off] - np.abs(cert.eta_coeffs[off])
+        assert cert.saturation_margin == np.min(slack)
+        assert 0.0 < cert.saturation_margin < 1.0
+
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_full_support_is_no_subgradient(self, basis8, l1_unit8, model):
+        # every coefficient of h* = x* is nonzero: e = sign(c*) splits
+        # exactly, but it saturates every index, so it has no margin and is
+        # no subgradient; nothing is left off the support, so the margin
+        # there is infinite and strict complementarity must still be false
+        x_star = basis8.reconstruct(np.arange(1.0, 9.0) * (-1.0) ** np.arange(8))
+        cert, inj, constants = certify(
+            model, identity(8), identity(8), basis8, l1_unit8, x_star, 1.0
+        )
+        assert cert.support == tuple(range(8))
+        assert cert.split_residual <= 1e-13
+        assert not cert.valid
+        assert cert.eta is None
+        assert cert.saturation_margin == float("inf")
+        assert not cert.strict_complementarity
+        assert inj.injective and constants is None
+
     @pytest.mark.parametrize(
         "w",
         [DenseMap(np.vstack([np.eye(8)[:7], np.eye(8)[:1]])),
@@ -247,6 +280,122 @@ class TestFindCertificateStrict:
         # C = 1, so c = (1 + s)^2 / 2 for each model's own source norm s
         assert rel_k.c == pytest.approx((1.0 + rel.norm_uv) ** 2 / 2.0)
         assert st_k.c == pytest.approx((1.0 + st.norm_nu) ** 2 / 2.0)
+
+
+def _count_pinv(monkeypatch):
+    """Record the shape of every ``np.linalg.pinv`` argument from now on."""
+    calls = []
+    pinv = np.linalg.pinv
+
+    def spy(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return pinv(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    return calls
+
+
+def _relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestSearchPaths:
+    """The search whitens ``A A*`` when ``A`` has full row rank and takes the
+    pseudo-inverse of ``B = Phi A*`` otherwise; ``pinv_certificate`` is the
+    reference for both."""
+
+    @pytest.mark.parametrize("forward", ["identity", "integration"])
+    def test_whitened_search_matches_pinv(self, monkeypatch, forward):
+        # seed 198 certifies with identity W; with integration W the search
+        # runs all its alternations and stays invalid
+        basis, l1, w, a, x_star, h_star = certified_identity_instance(64, 48, 4, 198)
+        if forward == "integration":
+            w = IntegrationOp(64)
+            x_star = w.inverse_apply(h_star)
+        ref = pinv_certificate(w, a, basis, l1, x_star)
+        calls = _count_pinv(monkeypatch)
+        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        assert calls == []
+        assert cert.valid == ref.valid == (forward == "identity")
+        assert cert.support == ref.support
+        for got, want in ((cert.v, ref.v), (cert.u, ref.u),
+                          (cert.eta_coeffs, ref.eta_coeffs)):
+            assert _relative_gap(got, want) <= 1e-9
+
+    @staticmethod
+    def duplicated_row_sensing():
+        # a full-rank 7-by-16 Bernoulli matrix with its first row appended
+        rows = BernoulliSensing(7, 16, seed=0).matrix
+        return DenseMap(np.vstack([rows, rows[:1]]))
+
+    @pytest.mark.parametrize("kind", ["wide", "square-deficient", "duplicated-row"])
+    def test_rank_deficient_sensing_takes_pinv(self, monkeypatch, kind):
+        if kind == "wide":
+            basis, l1, w, a, x_star, _ = certified_identity_instance(16, 24, 2, 3)
+        else:
+            basis = WaveletBasis(8 if kind == "square-deficient" else 16)
+            l1 = WeightedL1(basis)
+            w = identity(basis.n)
+            x_star = make_sparse_signal(basis, [0, 3], [1.0, -0.5])
+            if kind == "square-deficient":
+                a = BernoulliSensing(8, 8, seed=0)
+            else:
+                a = self.duplicated_row_sensing()
+        rows, n = a.matrix.shape
+        assert np.linalg.matrix_rank(a.matrix) < rows
+        ref = pinv_certificate(w, a, basis, l1, x_star)
+        calls = _count_pinv(monkeypatch)
+        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        assert calls == [(n, rows)]
+        np.testing.assert_array_equal(cert.v, ref.v)
+        np.testing.assert_array_equal(cert.u, ref.u)
+        np.testing.assert_array_equal(cert.eta_coeffs, ref.eta_coeffs)
+        assert cert.support == ref.support
+        assert cert.valid == ref.valid
+
+    def test_pivot_guard_rejects_factor_of_singular_gram(self):
+        # the Cholesky factor of this singular A A* exists in floating
+        # point, so only the pivot test keeps the search off it
+        a_mat = self.duplicated_row_sensing().matrix
+        gram = a_mat @ a_mat.T
+        floor = len(gram) * np.finfo(float).eps * gram.diagonal().max()
+        pivots = solvers._whiten(gram.copy(), np.eye(len(gram))).diagonal() ** -2
+        assert pivots.min() <= floor < pivots[:-1].min()
+
+    @pytest.mark.parametrize("forward", ["identity", "integration"])
+    def test_full_rank_search_takes_only_narrow_lapack_calls(
+        self, monkeypatch, forward
+    ):
+        # n=256, m=128: two 64-wide blocks factor A A*, no pseudo-inverse,
+        # and W^-* x* is x* itself for identity W
+        n, m = 256, 128
+        basis = WaveletBasis(n)
+        l1 = WeightedL1(basis)
+        cfg = SweepConfig(n=n, m=m, sparsity=8, deltas=(1.0,), seed=178)
+        w, a = default_operators(cfg, forward)
+        x_star = make_phantom(n, 8, cfg.phantom_seed(), basis, w).x_star
+        rows = {"pinv": [], "cholesky": [], "inv": [], "solve": []}
+
+        def spy(name):
+            call = getattr(np.linalg, name)
+
+            def wrapped(mat, *args, **kwargs):
+                rows[name].append(mat.shape[0])
+                return call(mat, *args, **kwargs)
+
+            return wrapped
+
+        for name in rows:
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        for model in ("relaxed", "strict"):
+            for seen in rows.values():
+                seen.clear()
+            certify(model, w, a, basis, l1, x_star, 1.0)
+            assert rows["pinv"] == []
+            for name in ("cholesky", "inv"):
+                assert len(rows[name]) == m // solvers._FACTOR_BLOCK
+                assert max(rows[name]) <= solvers._FACTOR_BLOCK
+            assert rows["solve"] == ([] if forward == "identity" else [n])
 
 
 def synthetic_unit_certificate(basis, l1):

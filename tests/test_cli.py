@@ -698,9 +698,8 @@ def test_import_loads_no_scipy():
 # two factor blocks, certificate included
 _N128 = ("--n", "128", "--m", "64", "--sparsity", "4", "--seed", "3",
          "--trials", "1", "--delta-count", "2")
-# eight factor blocks; the certificate is skipped: at this size its search
-# (one pseudo-inverse) prints different last digits at one and two BLAS
-# threads, while sigma_min agrees
+# eight factor blocks; the certificate is left out here and checked by
+# test_certify_independent_of_blas_threads on its own command
 _N512 = ("--n", "512", "--m", "256", "--sparsity", "16", "--seed", "7",
          "--deltas", "1e-2,1e-3", "--no-certify")
 # identity W builds through K = beta I + A A*: four factor blocks
@@ -730,6 +729,23 @@ def test_sweep_hash_independent_of_blas_threads(tmp_path, model, instance):
         assert proc.returncode == EXIT_OK, proc.stderr
         hashes.append(determinism_hash(out.read_text()))
     assert hashes[0] == hashes[1]
+
+
+def test_certify_independent_of_blas_threads():
+    # A has full row rank, so the search whitens A A* in 64-wide blocks and
+    # takes no SVD; at this size a pseudo-inverse of B prints different last
+    # digits at one and two threads
+    outputs = []
+    for threads in ("1", "2"):
+        proc = run_python(
+            "-m", "l1coreg", "certify", "--model", "strict", "--n", "512",
+            "--m", "256", "--sparsity", "16", "--seed", "7",
+            "--forward", "identity", OPENBLAS_NUM_THREADS=threads,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "valid = true" in proc.stdout.splitlines()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_benchmark_commands_parse(monkeypatch):
