@@ -23,7 +23,9 @@ Cholesky kernel makes every least-squares step two m-by-n products, and its
 LAPACK calls are narrow enough that the search's bits do not depend on the
 BLAS thread count.  Otherwise (``m > n``, or dependent rows) the steps use
 the pseudo-inverse of ``B``, one SVD.  ``W^-* x*`` is ``x*`` itself for the
-identity ``W`` and one dense solve for any other.  The search is a
+identity ``W``, a scaled backward difference for the integration matrix and
+one dense solve for any other
+(:func:`~l1coreg.operators._inverse_adjoint`).  The search is a
 heuristic: a failed search is reported with its residual, never turned into
 an exception, and does not prove that no certificate exists.
 """
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import support as coeff_support
-from .operators import _is_identity, operator_norm
+from .operators import _inverse_adjoint, operator_norm
 from .regularizers import (
     Subgradient,
     SubgradientError,
@@ -225,13 +227,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     """
     x_star = np.asarray(x_star, dtype=float)
     w_mat = w.matrix
-    if _is_identity(w_mat):
-        w_inv_x = x_star
-    else:
-        try:
-            w_inv_x = np.linalg.solve(w_mat.T, x_star)
-        except np.linalg.LinAlgError:  # not square, or exactly singular
-            w_inv_x = np.full_like(x_star, np.inf)
+    w_inv_x = _inverse_adjoint(w, x_star)
     # sigma_min(W) <= ||x*|| / ||W^-* x*||, and ||W|| >= ||W||_F / sqrt(n)
     floor = INJECTIVITY_RTOL * np.linalg.norm(w_mat) / np.sqrt(x_star.size)
     if not np.linalg.norm(x_star) >= floor * np.linalg.norm(w_inv_x):

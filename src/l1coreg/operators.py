@@ -87,21 +87,49 @@ def _spectrum(w):
     :class:`IntegrationOp`, ``W W* = (n^2 D* D)^{-1}`` with ``D`` the first
     difference, whose closed form ``U_jk = sqrt(4/(2n+1)) sin((j+1) t_k)``,
     ``t_k = (2k-1) pi/(2n+1)``, ``lam_k = 1/(n^2 (2 - 2 cos t_k))`` calls no
-    LAPACK routine, so its bits do not depend on the BLAS thread count.  Any
-    other ``W`` goes through ``np.linalg.eigh(W W*)``, whose bits may, with
-    ``lam`` clipped at 0.
+    LAPACK routine, so its bits do not depend on the BLAS thread count.
+    ``(j+1) t_k`` is ``2 pi r/(4n+2)`` with the integer
+    ``r = (j+1)(2k-1) mod (4n+2)``, so ``U`` indexes one table of ``4n+2``
+    sines and no argument grows past ``2 pi``.  Any other ``W`` goes through
+    ``np.linalg.eigh(W W*)``, whose bits may, with ``lam`` clipped at 0.
     """
     mat = w.matrix
     n = mat.shape[0]
     if _is_identity(mat):
         return None, np.ones(n)
     if isinstance(w, IntegrationOp):
-        theta = np.arange(1, 2 * n, 2) * np.pi / (2 * n + 1)
-        u = np.sin(np.outer(np.arange(1.0, n + 1), theta))
-        u *= np.sqrt(4.0 / (2 * n + 1))
-        return u, 1.0 / (n * n * (2.0 - 2.0 * np.cos(theta)))
+        period = 4 * n + 2
+        odd = np.arange(1, 2 * n, 2)
+        table = np.sin(np.arange(period) * (2.0 * np.pi / period))
+        table *= np.sqrt(4.0 / (2 * n + 1))
+        turns = np.outer(np.arange(1, n + 1), odd)
+        turns %= period
+        theta = odd * np.pi / (2 * n + 1)
+        return table[turns], 1.0 / (n * n * (2.0 - 2.0 * np.cos(theta)))
     lam, u = np.linalg.eigh(mat @ mat.T)
     return u, np.maximum(lam, 0.0)
+
+
+def _inverse_adjoint(w, x):
+    """``W^-* x``, or ``inf`` entries when ``np.linalg.solve`` finds ``W`` singular.
+
+    The identity gives ``x`` itself.  For :class:`IntegrationOp`, ``W*`` is
+    ``1/n`` times the upper triangle of ones, whose inverse is the scaled
+    backward difference ``n (x_i - x_{i+1})``, with ``n x_{n-1}`` last.  Any
+    other ``W`` goes through one ``np.linalg.solve`` of ``W*``.
+    """
+    mat = w.matrix
+    if _is_identity(mat):
+        return x
+    if isinstance(w, IntegrationOp):
+        out = np.empty_like(x)
+        out[:-1] = x[:-1] - x[1:]
+        out[-1] = x[-1]
+        return out * float(mat.shape[0])
+    try:
+        return np.linalg.solve(mat.T, x)
+    except np.linalg.LinAlgError:  # not square, or exactly singular
+        return np.full_like(x, np.inf)
 
 
 class IntegrationOp(DenseMap):

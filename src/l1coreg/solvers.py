@@ -23,11 +23,15 @@ symmetric positive definite system ``S h = A* y + rho Phi* d`` with
 ``S = A*A + rho I + alpha G^{-1}`` and ``d = c - u``.  ``Phi`` is
 orthonormal, so the c-step is a weighted soft-threshold, and the v-step
 enters the loop only through the affine map ``d -> c0 + Q d`` with
-``Q = rho Phi S^{-1} Phi*``.  That map is a dense matrix formed once per
-value of rho in the left singular basis ``U`` of ``W``, where ``G^{-1}`` is
-diagonal, so Woodbury leaves one m-by-m factorization for every ``W``; an
-iteration costs one matvec and no operator apply, wavelet transform or
-linear solve.  The dual residual of the stopping rule,
+``Q = rho Phi S^{-1} Phi*``.  That map is built once per value of rho in
+the left singular basis ``U`` of ``W``, where ``G^{-1}`` is diagonal, so
+Woodbury leaves one m-by-m factorization for every ``W``.  When
+``W W*`` is a multiple of the identity, ``Q`` is a dense matrix and an
+iteration costs one n-by-n matvec; otherwise ``Q`` stays in its Woodbury
+factors, ``Phi U`` and an m-by-n matrix, and an iteration costs two
+n-by-n and two m-by-n matvecs, with no n-by-n matrix formed per rho.  No
+iteration applies an operator, a wavelet transform or a linear solve.  The
+dual residual of the stopping rule,
 ``rho ||c_k - c_{k-1}||`` for both models, can stop the loop only together
 with the primal one, so it is computed only on iterations whose primal
 residual is within ``tol``, on the iterations that balance rho, or on
@@ -285,44 +289,52 @@ def _singular_basis(p):
 def _coupling(p, rho, t, a_u, g):
     """The v-step ``S h = A* y + rho Phi* d`` of either model, as two maps.
 
-    ``fv_of(d) = Phi h = c0 + Q d`` is the one matvec of every iteration,
-    with the dense ``Q = rho Phi S^{-1} Phi*``; ``x_of(d) = W* G^{-1} h``
-    runs only after the loop or for a trace row.  ``t``, ``a_u`` and ``g``
-    are :func:`_singular_basis`'s ``T = Phi U``, ``B = A U`` and
+    ``fv_of(d) = Phi h = c0 + Q d`` is the map every iteration applies, with
+    ``Q = rho Phi S^{-1} Phi*``; ``x_of(d) = W* G^{-1} h`` runs only after
+    the loop or for a trace row.  ``t``, ``a_u`` and ``g`` are
+    :func:`_singular_basis`'s ``T = Phi U``, ``B = A U`` and
     ``G^{-1} = U diag(g) U*``.  In the basis ``U``, ``S = U (B* B + E) U*``
     with the diagonal ``E = rho + alpha g``, so Woodbury gives
-    ``Q = rho (T E^{-1} T* - R* R)`` with ``R = L_K^{-1} B E^{-1} T*`` for
-    the Cholesky factor ``L_K`` of the m-by-m ``K = I + B E^{-1} B*``, and
-    ``c0 = (Q/rho) Phi A* y``.  ``T`` is orthogonal, so a constant ``E``
-    (identity ``W``) makes ``T E^{-1} T* = I/E``; otherwise that term is
-    added in block rows of :data:`_FACTOR_BLOCK`.  Besides ``t`` and
-    ``a_u``, the build holds at most ``R`` and ``Q``, and ``x_of`` uses
-    ``Phi* T = U`` to form ``W* Phi* T (g (T* Phi h))`` without ``U``.
+    ``Q = rho T (E^{-1} - P* P) T*`` with ``P = L_K^{-1} B E^{-1}``, m-by-n,
+    for the Cholesky factor ``L_K`` of the m-by-m ``K = I + B E^{-1} B*``,
+    and ``c0 = (Q/rho) Phi A* y``.  ``T`` is orthogonal, so a constant ``E``
+    (identity ``W``, or any ``W`` with a flat spectrum) makes
+    ``Q = rho (I/E - R* R)`` with ``R = P T*``: that ``Q`` is formed once,
+    and an iteration costs one n-by-n matvec.  Otherwise no n-by-n matrix
+    is formed: an iteration applies ``T*``, ``P``, ``P*`` and ``T`` to
+    ``z = T* d``, and ``c0`` is the same map of ``T* Phi A* y = B* y``.
+    ``x_of`` uses ``Phi* T = U`` to form ``W* Phi* T (g (T* Phi h))``
+    without ``U``.
     """
     e_inv = 1.0 / (rho + p.alpha * g)
     a_e = a_u * e_inv
     k_mat = a_e @ a_u.T
     k_mat.flat[:: len(k_mat) + 1] += 1.0
-    rhs = a_e @ t.T
-    del a_e
-    r_mat = _whiten(k_mat, rhs)
-    del k_mat, rhs
-    q_mat = r_mat.T @ r_mat
-    del r_mat
-    n = len(q_mat)
-    if np.all(e_inv == e_inv[0]):
-        q_mat *= -1.0
-        q_mat.flat[:: n + 1] += e_inv[0]
-    else:
-        for i in range(0, n, _FACTOR_BLOCK):
-            e = min(i + _FACTOR_BLOCK, n)
-            q_mat[i:e] = (t[i:e] * e_inv) @ t.T - q_mat[i:e]
     phi = p.l1.basis.matrix
-    c0 = q_mat @ (phi @ (p.a.matrix.T @ p.y_delta))
-    q_mat *= rho
+    if np.all(e_inv == e_inv[0]):
+        rhs = a_e @ t.T
+        del a_e
+        r_mat = _whiten(k_mat, rhs)
+        del k_mat, rhs
+        q_mat = r_mat.T @ r_mat
+        del r_mat
+        q_mat *= -1.0
+        q_mat.flat[:: len(q_mat) + 1] += e_inv[0]
+        c0 = q_mat @ (phi @ (p.a.matrix.T @ p.y_delta))
+        q_mat *= rho
 
-    def fv_of(d):
-        return c0 + q_mat @ d
+        def fv_of(d):
+            return c0 + q_mat @ d
+    else:
+        p_mat = _whiten(k_mat, a_e)
+
+        def in_u(z):
+            return t @ (e_inv * z - p_mat.T @ (p_mat @ z))
+
+        c0 = in_u(a_u.T @ p.y_delta)
+
+        def fv_of(d):
+            return c0 + rho * in_u(t.T @ d)
 
     def x_of(d):
         return p.w.matrix.T @ (phi.T @ (t @ (g * (t.T @ fv_of(d)))))
@@ -498,16 +510,17 @@ def solve(problem, cfg=None, trace=None, warm=None):
 
     Converged when the primal residual ``||Phi h - c||`` and the dual
     residual ``rho ||c_k - c_{k-1}||`` are both at most ``cfg.tol``.  An
-    iteration costs one n-by-n matvec; the dual residual is computed only
-    on iterations whose primal residual is within ``cfg.tol``, on the
-    iterations that balance rho, or on every iteration when ``trace`` is
-    given.  Every 50 iterations rho is balanced against the two residuals,
-    and each change rebuilds the n-by-n map (at most 30 per solve) from one
-    m-by-m factorization, ``A`` being m-by-n.  A strict ``problem`` whose
-    ``W`` is not of full row rank raises ``ValueError``.  ADMM starts from
-    ``c = u = 0`` at ``cfg.rho``, or from the final state of ``warm``; a
-    solve restarted from its own converged result stops within an
-    iteration or two.
+    iteration costs one n-by-n matvec when ``W W*`` is a multiple of the
+    identity, and two n-by-n and two m-by-n matvecs otherwise, ``A`` being
+    m-by-n; the dual residual is computed only on iterations whose primal
+    residual is within ``cfg.tol``, on the iterations that balance rho, or
+    on every iteration when ``trace`` is given.  Every 50 iterations rho is
+    balanced against the two residuals, and each change rebuilds the v-step
+    map (at most 30 per solve) from one m-by-m factorization.  A strict
+    ``problem`` whose ``W`` is not of full row rank raises ``ValueError``.
+    ADMM starts from ``c = u = 0`` at ``cfg.rho``, or from the final state
+    of ``warm``; a solve restarted from its own converged result stops
+    within an iteration or two.
 
     Parameters
     ----------
