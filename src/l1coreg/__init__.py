@@ -25,7 +25,6 @@ from .solvers import (
     SolveResult,
     SolverConfig,
     objective_relaxed,
-    objective_strict,
     solve,
     solve_relaxed,
     solve_strict,

@@ -13,6 +13,7 @@ invalid-but-computed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -31,12 +32,12 @@ from .experiments import (
     emit_csv,
     make_phantom,
     run_sweep,
+    solve_record,
     sweep_metadata,
-    add_noise,
 )
 from .operators import MaterializeBudgetError
 from .regularizers import WeightedL1
-from .solvers import Problem, SolverConfig, SolverError, solve
+from .solvers import SolverConfig, SolverError
 
 __all__ = ["main", "entry_point", "canonical_config", "parse_config_text"]
 
@@ -213,23 +214,22 @@ def _print_block(lines):
 
 
 def _cmd_solve(args):
-    cfg = _sweep_config(args)
+    """Record ``(0, 0)`` of the one-level sweep at ``--delta``."""
+    cfg = _sweep_config(args, (args.delta,))
     basis, l1, w, a, phantom = _build_instance(args, cfg)
-    y_star = a.matrix @ phantom.h_star
-    y_delta = add_noise(y_star, args.delta, cfg.noise_seed(0, 0))
-    alpha = args.big_c * args.delta
-    problem = Problem(args.model, w, a, y_delta, alpha, l1)
     if args.trace is None:
-        result = solve(problem, _solver_config(args))
+        trace = contextlib.nullcontext()
     else:
-        with open(args.trace, "w", encoding="ascii") as trace:
-            result = solve(problem, _solver_config(args), trace=trace)
-    h_out = result.h if args.model == "relaxed" else w.matrix @ result.x
+        trace = open(args.trace, "w", encoding="ascii")
+    with trace as stream:
+        record, result = solve_record(cfg, phantom, w, a, l1, 0, 0,
+                                      solver_cfg=_solver_config(args),
+                                      trace=stream)
 
     config_lines = canonical_config(args)
     summary = [
         f"version = {__version__}",
-        f"alpha = {alpha!r}",
+        f"alpha = {record.alpha!r}",
         f"objective = {result.objective!r}",
         f"iterations = {result.iterations}",
         f"rho_final = {result.rho!r}",
@@ -237,12 +237,12 @@ def _cmd_solve(args):
         f"fixed_point_residual = {result.fixed_point_residual!r}",
         f"converged = {str(result.converged).lower()}",
         f"err_x = {float(np.linalg.norm(result.x - phantom.x_star))!r}",
-        f"err_h = {float(np.linalg.norm(h_out - phantom.h_star))!r}",
+        f"err_h = {record.err_h!r}",
     ]
     os.makedirs(args.out, exist_ok=True)
     header = config_lines + summary
     _write_vector(os.path.join(args.out, "x.txt"), result.x, header)
-    _write_vector(os.path.join(args.out, "h.txt"), h_out, header)
+    _write_vector(os.path.join(args.out, "h.txt"), result.h, header)
     _print_block(config_lines)
     _print_block(summary)
     print(f"walltime_s = {result.wall_time:.3f}")

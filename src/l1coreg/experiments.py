@@ -4,7 +4,9 @@ A sweep fixes a phantom and operators, then for each noise level ``delta``
 (times ``trials`` repetitions) draws data with ``||y_delta - y*|| = delta``
 exactly, solves the chosen model under the parameter choice
 ``alpha = C delta``, and records errors together with the theoretical bound
-sides when rate constants are available.  Identical configurations and seeds
+sides when rate constants are available.  :func:`solve_record` makes one
+record; the bounds concern the solver's estimate ``result.h`` of
+``h* = W x*`` for both models.  Identical configurations and seeds
 reproduce the emitted CSV bit for bit (wall-time metadata excluded), which
 :func:`determinism_hash` makes checkable.
 
@@ -32,14 +34,13 @@ import numpy as np
 
 from . import __version__
 from .basis import support as coeff_support
-from .operators import BernoulliSensing, IntegrationOp, _is_identity, identity
+from .operators import BernoulliSensing, _forward, _inverse
 from .regularizers import bregman_quadratic
 from .solvers import (
     _BALANCE_EVERY,
     _BALANCE_RATIO,
     _MAX_REBUILDS,
     Problem,
-    SolverConfig,
     solve,
 )
 
@@ -54,6 +55,7 @@ __all__ = [
     "make_phantom",
     "add_noise",
     "fit_rate",
+    "solve_record",
     "run_sweep",
     "emit_csv",
     "determinism_hash",
@@ -88,13 +90,12 @@ class SweepError(RuntimeError):
 class Phantom:
     """Ground-truth pair with a sparse indirect signal.
 
-    ``h_star`` has nonzero wavelet coefficients exactly at ``support`` and
-    ``x_star`` satisfies ``W x_star = h_star`` to roundoff.
+    ``h_star`` is sparse in the wavelet basis and ``x_star`` satisfies
+    ``W x_star = h_star`` to roundoff.
     """
 
     x_star: np.ndarray
     h_star: np.ndarray
-    support: tuple
 
 
 @dataclass(frozen=True)
@@ -204,15 +205,9 @@ def make_phantom(n, sparsity, seed, basis, w):
         magnitudes = rng.uniform(0.5, 1.5, size=sparsity)
         signs = rng.choice([-1.0, 1.0], size=sparsity)
         coeffs[support] = magnitudes * signs
-    else:
-        support = np.zeros(0, dtype=int)
     h_star = basis.reconstruct(coeffs)
-
-    if isinstance(w, IntegrationOp):
-        x_star = w.inverse_apply(h_star)
-    elif _is_identity(w.matrix):
-        x_star = h_star.copy()
-    else:
+    x_star = _inverse(w, h_star)
+    if x_star is None:
         raise PhantomError(
             "phantom generation needs an exactly invertible forward operator "
             "(integration or identity)"
@@ -225,11 +220,7 @@ def make_phantom(n, sparsity, seed, basis, w):
         raise PhantomError(
             f"phantom support has {len(found)} coefficients, wanted {sparsity}"
         )
-    return Phantom(
-        x_star=x_star,
-        h_star=h_star,
-        support=tuple(int(i) for i in support),
-    )
+    return Phantom(x_star=x_star, h_star=h_star)
 
 
 def add_noise(y_star, delta, seed):
@@ -266,26 +257,57 @@ def fit_rate(deltas, errors):
     return RateFit(float(coef[0]), float(coef[1]), r2, points)
 
 
-def _solve_record(model, w, a, l1, y_delta, alpha, solver_cfg, warm=None):
-    res = solve(Problem(model, w, a, y_delta, alpha, l1), solver_cfg, warm=warm)
-    if model == "relaxed":
-        # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
-        stacked = np.concatenate([w.matrix @ res.x - res.h, a.matrix @ res.h - y_delta])
-        return res, res.h, float(np.linalg.norm(stacked))
-    wx = w.matrix @ res.x
-    residual = float(np.linalg.norm(a.matrix @ wx - y_delta))
-    return res, wx, residual
+def solve_record(cfg, phantom, w, a, l1, i, t, constants=None,
+                 solver_cfg=None, warm=None, trace=None):
+    """``(SweepRecord, SolveResult)`` of delta index ``i``, trial ``t`` of ``cfg``.
+
+    Draws ``y_delta`` with ``||y_delta - A h*|| = cfg.deltas[i]``, solves at
+    ``alpha = C delta`` from ``warm`` (cold when ``None``), writing ``trace``,
+    and measures the solver's estimate ``result.h`` of ``h* = W x*``.  The
+    residual is that of the coupling ``(x, h) -> (W x - h, A h)`` against
+    ``(0, y_delta)``: ``||A h - y_delta||`` for the strict ``h = W x``.  With
+    ``constants`` the record carries the bound sides and their pass flags.
+    """
+    delta = cfg.deltas[i]
+    alpha = cfg.big_c * delta
+    y_delta = add_noise(a.matrix @ phantom.h_star, delta, cfg.noise_seed(i, t))
+    problem = Problem(cfg.model, w, a, y_delta, alpha, l1)
+    res = solve(problem, solver_cfg, trace=trace, warm=warm)
+    stacked = np.concatenate([w.matrix @ res.x - res.h, a.matrix @ res.h - y_delta])
+    err_h = float(np.linalg.norm(res.h - phantom.h_star))
+    breg = bregman_quadratic(res.x, phantom.x_star)
+    c_rhs = d_rhs = float("nan")
+    pass_c = pass_d = None
+    if constants is not None:
+        c_rhs, d_rhs = constants.c * delta, constants.d * delta
+        pass_c = breg <= c_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
+        pass_d = err_h <= d_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
+    record = SweepRecord(
+        delta=delta,
+        alpha=alpha,
+        bregman_x=breg,
+        err_h=err_h,
+        residual=float(np.linalg.norm(stacked)),
+        iterations=res.iterations,
+        bound_c_rhs=c_rhs,
+        bound_d_rhs=d_rhs,
+        pass_c=pass_c,
+        pass_d=pass_d,
+    )
+    return record, res
 
 
 def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     """Run the noise-level sweep and fit the rate on per-delta medians.
 
-    Records run delta by delta, trials innermost.  The first delta's solves
-    start cold; every later one warm-starts from the same trial's record at
-    the previous delta when that solve converged, and cold otherwise (see
+    Records run delta by delta, trials innermost, each one
+    :func:`solve_record`.  The first delta's solves start cold; every later
+    one warm-starts from the same trial's record at the previous delta when
+    that solve converged, and cold otherwise (see
     :func:`~l1coreg.solvers.solve`).  Replaying one record with a cold
     :func:`~l1coreg.solvers.solve` therefore reaches the same optimum to
-    within ``solver_cfg.tol``, not the same bits.
+    within ``solver_cfg.tol``, not the same bits.  ``err_h`` is the error of
+    the solver's estimate of ``h* = W x*``, ``result.h``, for both models.
 
     Parameters
     ----------
@@ -308,13 +330,8 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
         only clears ``all_converged``.
     """
     start = time.perf_counter()
-    solver_cfg = solver_cfg or SolverConfig()
     if w.matrix.shape[1] != cfg.n or a.matrix.shape[0] != cfg.m:
         raise ValueError("operator dimensions do not match the sweep config")
-    y_star = a.matrix @ phantom.h_star
-    h_star = phantom.h_star
-    x_star = phantom.x_star
-    w_x_star = w.matrix @ x_star
 
     records = []
     all_converged = True
@@ -322,50 +339,20 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     warm = [None] * cfg.trials
     for i, delta in enumerate(cfg.deltas):
         for t in range(cfg.trials):
-            alpha = cfg.big_c * delta
-            y_delta = add_noise(y_star, delta, cfg.noise_seed(i, t))
             try:
-                res, err_vec, residual = _solve_record(
-                    cfg.model, w, a, l1, y_delta, alpha, solver_cfg, warm[t]
+                record, res = solve_record(
+                    cfg, phantom, w, a, l1, i, t, constants, solver_cfg, warm[t]
                 )
             except Exception as exc:
                 raise SweepError(
                     f"solve failed at delta={delta!r} trial={t}: {exc}"
                 ) from exc
-            target = h_star if cfg.model == "relaxed" else w_x_star
-            err_h = float(np.linalg.norm(err_vec - target))
-            breg = bregman_quadratic(res.x, x_star)
-            if constants is not None:
-                c_rhs = constants.c * delta
-                d_rhs = constants.d * delta
-                pass_c = breg <= c_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
-                pass_d = err_h <= d_rhs * (1.0 + BOUND_PASS_REL) + BOUND_PASS_ABS
-            else:
-                c_rhs = float("nan")
-                d_rhs = float("nan")
-                pass_c = None
-                pass_d = None
-            record = SweepRecord(
-                delta=delta,
-                alpha=alpha,
-                bregman_x=breg,
-                err_h=err_h,
-                residual=residual,
-                iterations=res.iterations,
-                bound_c_rhs=c_rhs,
-                bound_d_rhs=d_rhs,
-                pass_c=pass_c,
-                pass_d=pass_d,
-            )
             records.append(record)
             all_converged = all_converged and res.converged
             warm[t] = res if res.converged else None
 
-    medians = []
-    for i, delta in enumerate(cfg.deltas):
-        errs = [records[i * cfg.trials + t].err_h for t in range(cfg.trials)]
-        medians.append(float(np.median(errs)))
-    fit = fit_rate(cfg.deltas, medians)
+    errs = np.array([r.err_h for r in records]).reshape(-1, cfg.trials)
+    fit = fit_rate(cfg.deltas, np.median(errs, axis=1))
     return SweepResult(
         records=records,
         fit=fit,
@@ -447,12 +434,7 @@ def default_operators(cfg, forward="integration"):
     ``"identity"``); ``A`` is always the Bernoulli sensing matrix drawn from
     ``cfg.m``, ``cfg.n`` and ``cfg.matrix_seed()``.
     """
-    if forward == "integration":
-        w = IntegrationOp(cfg.n)
-    elif forward == "identity":
-        w = identity(cfg.n)
-    else:
-        raise ValueError(f"unknown forward operator {forward!r}")
+    w = _forward(forward, cfg.n)
     return w, BernoulliSensing(cfg.m, cfg.n, seed=cfg.matrix_seed())
 
 

@@ -110,6 +110,28 @@ def _spectrum(w):
     return u, np.maximum(lam, 0.0)
 
 
+def _forward(name, n):
+    """The forward map ``W`` on ``R^n`` named ``"integration"`` or ``"identity"``."""
+    if name == "integration":
+        return IntegrationOp(n)
+    if name == "identity":
+        return identity(n)
+    raise ValueError(f"unknown forward operator {name!r}")
+
+
+def _inverse(w, h):
+    """``W^-1 h`` in closed form, or ``None`` for a ``W`` without one.
+
+    For :class:`IntegrationOp` it is the scaled first difference
+    ``n (h_i - h_{i-1})`` with ``h_{-1} = 0``; the identity gives a copy.
+    """
+    if isinstance(w, IntegrationOp):
+        return np.diff(h, prepend=0.0) * float(w.matrix.shape[1])
+    if _is_identity(w.matrix):
+        return np.array(h, dtype=float)
+    return None
+
+
 def _inverse_adjoint(w, x):
     """``W^-* x``, or ``inf`` entries when ``np.linalg.solve`` finds ``W`` singular.
 
@@ -137,7 +159,7 @@ class IntegrationOp(DenseMap):
 
     Holds the lower-triangular all-ones matrix scaled by ``1/n``
     (left-endpoint quadrature of the running integral).  Invertible; the
-    inverse is the scaled first difference, see :meth:`inverse_apply`.
+    inverse is the scaled first difference, see :func:`_inverse`.
     """
 
     def __init__(self, n):
@@ -148,14 +170,6 @@ class IntegrationOp(DenseMap):
         mat = np.tri(n)
         mat *= 1.0 / n
         self._hold(mat)
-
-    def inverse_apply(self, h):
-        """Exact inverse ``x`` with ``matrix @ x == h``: the scaled first difference."""
-        h = np.asarray(h, dtype=float)
-        x = np.empty_like(h)
-        x[0] = h[0]
-        x[1:] = h[1:] - h[:-1]
-        return x * float(self.matrix.shape[1])
 
 
 class BernoulliSensing(DenseMap):

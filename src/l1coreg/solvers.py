@@ -56,7 +56,9 @@ comes from one ``np.linalg.eigh``.  The build reads the matrices ``W`` and
 ``A`` hold, which their builders kept within
 :data:`~l1coreg.operators.DEFAULT_MATERIALIZE_BUDGET`.
 
-Both models share one :class:`Problem` type.  The loop is deterministic:
+Both models share one :class:`Problem` type, and a :class:`SolveResult`
+carries each model's estimate ``h`` of ``h* = W x*``: ``Phi* c`` relaxed,
+``W x`` strict.  The loop is deterministic:
 it starts from ``c = u = 0`` at ``cfg.rho``, or from the final state
 ``(c, rho u, rho)`` of an earlier :class:`SolveResult` passed as ``warm``,
 and branches on the data only in the stopping rule and the balancing of
@@ -80,7 +82,6 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "objective_relaxed",
-    "objective_strict",
     "solve_relaxed",
     "solve_strict",
     "solve",
@@ -184,12 +185,15 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Output of a solve: iterates, objective and the final ADMM residuals.
+    """Output of a solve: estimates, objective and the final ADMM residuals.
 
-    ``c``, ``multiplier`` and ``rho`` are the final ADMM state: the exactly
-    sparse coefficients with ``h = Phi* c``, the unscaled multiplier
-    ``rho u`` of the split ``Phi h = c``, whose optimal value does not
-    depend on ``rho``, and the penalty the loop ended with.  Passing the
+    ``h`` is the model's estimate of ``h* = W x*``, the one the error bounds
+    concern: ``Phi* c`` for the relaxed model and ``W x`` for the strict
+    one.  ``objective`` is the functional at ``(x, h)``.  ``c``,
+    ``multiplier`` and ``rho`` are the final ADMM state: the exactly sparse
+    coefficients of the split ``Phi h = c``, its unscaled multiplier
+    ``rho u``, whose optimal value does not depend on ``rho``, and the
+    penalty the loop ended with.  Passing the
     result as ``warm`` to :func:`solve` restarts ADMM there.
     ``primal_residual`` (``||Phi h - c||``) and ``dual_residual``
     (``rho ||c_k - c_{k-1}||``) are the last iteration's; ``rebuilds``
@@ -216,7 +220,7 @@ class SolveResult:
 
 
 def objective_relaxed(p, x, h):
-    """Value of the relaxed functional at ``(x, h)``."""
+    """The relaxed functional at ``(x, h)``, and the strict one at ``h = W x``."""
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     coupling = p.w.matrix @ x - h
@@ -226,11 +230,6 @@ def objective_relaxed(p, x, h):
         + 0.5 * float(misfit @ misfit)
         + p.alpha * (0.5 * float(x @ x) + p.l1.eval(h))
     )
-
-
-def objective_strict(p, x):
-    """Value of the strict functional at ``x``: the relaxed one at ``h = W x``."""
-    return objective_relaxed(p, x, p.w.matrix @ x)
 
 
 def _whiten(mat, rhs):
@@ -401,10 +400,8 @@ def _admm(p, cfg, trace, warm):
     thresholds = (p.alpha / rho) * p.l1.kappa
     basis = p.l1.basis
 
-    def objective(x, c):
-        if p.model == "strict":
-            return objective_strict(p, x)
-        return objective_relaxed(p, x, basis.reconstruct(c))
+    def estimate(x, c):  # the model's estimate of h* = W x*
+        return p.w.matrix @ x if p.model == "strict" else basis.reconstruct(c)
 
     def dual_residual(dc):
         return rho * math.sqrt(dc.dot(dc))
@@ -437,10 +434,11 @@ def _admm(p, cfg, trace, warm):
             continue
         dual = dual_residual(c - c_prev)
         if trace is not None:
+            x = x_of(d)
             _trace_row(
                 trace,
                 k,
-                objective(x_of(d), c),
+                objective_relaxed(p, x, estimate(x, c)),
                 max(primal, dual),
                 primal,
                 dual,
@@ -477,12 +475,13 @@ def _admm(p, cfg, trace, warm):
         dual = dual_residual(c - c_prev)
 
     x = x_of(d)
+    h = estimate(x, c)
     return SolveResult(
         x=x,
-        h=basis.reconstruct(c),
+        h=h,
         c=c,
         multiplier=rho * u,
-        objective=objective(x, c),
+        objective=objective_relaxed(p, x, h),
         iterations=iterations,
         primal_residual=primal,
         dual_residual=dual,
@@ -542,12 +541,13 @@ def solve(problem, cfg=None, trace=None, warm=None):
     Returns
     -------
     SolveResult
-        ``h = Phi* c`` is exactly sparse in the wavelet coefficients, and
-        ``x`` is read off the last v-step; ``c``, ``multiplier`` and ``rho``
-        are the final ADMM state, ``primal_residual`` and ``dual_residual``
-        its residuals, and ``rebuilds`` the number of changes of rho.  The
-        error bounds concern ``result.h`` for the relaxed model and ``W x``
-        for the strict one.
+        ``x`` is read off the last v-step, and ``h`` is the model's estimate
+        of ``h* = W x*``: ``Phi* c``, exactly sparse in the wavelet
+        coefficients, for the relaxed model and ``W x`` for the strict one;
+        ``c``, ``multiplier`` and ``rho`` are the final ADMM state,
+        ``primal_residual`` and ``dual_residual`` its residuals, and
+        ``rebuilds`` the number of changes of rho.  The error bounds concern
+        ``result.h`` for both models.
     """
     if problem.model == "relaxed":
         return solve_relaxed(problem, cfg, trace, warm)

@@ -31,6 +31,7 @@ from l1coreg.operators import (
     BernoulliSensing,
     DenseMap,
     IntegrationOp,
+    _inverse,
     identity,
     operator_norm,
 )
@@ -68,6 +69,9 @@ class TestRestrictedInjectivity:
         a = BernoulliSensing(2, 8, seed=0)
         rep = check_restricted_injectivity(a, basis8, [0, 1, 2])
         assert not rep.injective
+        # three columns in R^2 have a null space: sigma_min is exactly zero
+        assert rep.sigma_min == 0.0
+        assert rep.a_omega_inv_norm == float("inf")
 
     def test_as_many_indices_as_measurements(self, basis8):
         # |Omega| = m is the largest set that can be injective
@@ -152,7 +156,7 @@ class TestFindCertificateRelaxed:
         w = IntegrationOp(n)
         a = BernoulliSensing(32, n, seed=5)
         h_star = make_sparse_signal(basis, [0, 3, 7, 11], [1.0, -0.8, 1.2, 0.6])
-        x_star = w.inverse_apply(h_star)
+        x_star = _inverse(w, h_star)
         cert = find_certificate_relaxed(w, a, basis, l1, x_star)
         assert not cert.valid
         assert cert.eta is None
@@ -198,6 +202,22 @@ class TestFindCertificateRelaxed:
         assert cert.saturation_margin == float("inf")
         assert not cert.strict_complementarity
         assert inj.injective and constants is None
+
+    def test_invertibility_floor_scales_down_with_n(self):
+        # W = diag(1, ..., 1, eps) and x* = e_15 show sigma_min(W) <= eps;
+        # the floor is 1e-10 ||W||_F / sqrt(16) = 1e-10 sqrt(15)/4 ~ 9.7e-11,
+        # so eps = 1e-9 is searched and eps = 1e-11 refused
+        basis = WaveletBasis(16)
+        l1 = WeightedL1(basis)
+        x_star = np.eye(16)[15]
+        for eps, accepted in ((1e-9, True), (1e-11, False)):
+            w = DenseMap(np.diag(np.r_[np.ones(15), eps]))
+            if accepted:
+                cert = find_certificate_relaxed(w, identity(16), basis, l1, x_star)
+                assert cert.support
+            else:
+                with pytest.raises(ValueError, match="invertible W"):
+                    find_certificate_relaxed(w, identity(16), basis, l1, x_star)
 
     @pytest.mark.parametrize(
         "w",
@@ -311,7 +331,7 @@ class TestSearchPaths:
         basis, l1, w, a, x_star, h_star = certified_identity_instance(64, 48, 4, 198)
         if forward == "integration":
             w = IntegrationOp(64)
-            x_star = w.inverse_apply(h_star)
+            x_star = _inverse(w, h_star)
         ref = pinv_certificate(w, a, basis, l1, x_star)
         calls = _count_pinv(monkeypatch)
         cert = find_certificate_relaxed(w, a, basis, l1, x_star)
@@ -592,6 +612,45 @@ class TestNormBound:
         assert rep.lhs == pytest.approx(1.0, abs=1e-10)
         assert rep.rhs_l1 == pytest.approx(3.0, abs=1e-8)
         assert rep.l1_ok
+
+    def test_factor_grows_with_operator_norm(self, basis8, l1_unit8):
+        # A = 2 I: sigma_min = ||A|| = 2, so the tail factor is
+        # 1 + (1/2) 2 = 2; h = h* + phi_5 gives lhs = 1, misfit = 2, tail = 1
+        # and rhs = (1/2) 2 + 2 * 1 = 3.  eta = 1/2 off Omega = {0} has
+        # margin 1/2 and D_eta(h, h*) = 2 - 3/2 = 1/2, so the Bregman side is
+        # (1/2) 2 + (2 / (1/2)) (1/2) = 3 too
+        a = DenseMap(2.0 * np.eye(8))
+        h_star = basis8.matrix[0]
+        eta = subgradient_at(l1_unit8, h_star, fill=np.full(8, 0.5))
+        inj = check_restricted_injectivity(a, basis8, [0])
+        assert inj.a_norm == pytest.approx(2.0, rel=1e-12)
+        assert inj.a_omega_inv_norm == pytest.approx(0.5, rel=1e-12)
+        assert eta.margin == 0.5
+        rep = check_norm_bound(a, basis8, h_star + basis8.matrix[5], h_star, inj,
+                               eta=eta, l1=l1_unit8)
+        assert rep.lhs == pytest.approx(1.0, rel=1e-12)
+        assert rep.rhs_l1 == pytest.approx(3.0, rel=1e-12)
+        assert rep.rhs_bregman == pytest.approx(3.0, rel=1e-12)
+        assert rep.l1_ok and rep.bregman_ok
+
+    def test_verdicts_fail_within_a_factor_two(self, basis8, l1_unit8):
+        # h = h* + phi_0/2 has no tail off Omega = {0}, D_eta(h, h*) = 0 and
+        # A = I, so both sides are inv_norm * lhs: the true inv_norm 1 meets
+        # the bounds with equality, and an understated 0.6 misses them by a
+        # factor 1/0.6 < 2
+        h_star = basis8.matrix[0]
+        h = 1.5 * h_star
+        eta = subgradient_at(l1_unit8, h_star)
+        inj = check_restricted_injectivity(identity(8), basis8, [0])
+        for inv_norm, ok in ((1.0, True), (0.6, False)):
+            rep = check_norm_bound(
+                identity(8), basis8, h, h_star,
+                replace(inj, a_omega_inv_norm=inv_norm), eta=eta, l1=l1_unit8,
+            )
+            assert rep.lhs == pytest.approx(0.5, rel=1e-12)
+            assert rep.rhs_l1 == pytest.approx(0.5 * inv_norm, rel=1e-12)
+            assert rep.rhs_bregman == pytest.approx(0.5 * inv_norm, rel=1e-12)
+            assert rep.l1_ok is ok and rep.bregman_ok is ok
 
     def test_randomized_instances(self, rng):
         n = 32

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import parse_csv
 import l1coreg
-from l1coreg import cli
+from l1coreg import cli, experiments
 from l1coreg.basis import WaveletBasis
 from l1coreg.cli import (
     EXIT_CERT_INVALID,
@@ -29,7 +29,7 @@ from l1coreg.experiments import (
     make_phantom,
     run_sweep,
 )
-from l1coreg.solvers import SolverError
+from l1coreg.solvers import SolverError, solve
 
 
 SMALL = ["--n", "32", "--m", "24", "--sparsity", "2", "--seed", "1",
@@ -239,7 +239,7 @@ class TestSolveFailure:
         assert err.count("\n") == 1
 
     def test_solve(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("l1coreg.cli.solve", _failing_solve)
+        monkeypatch.setattr("l1coreg.experiments.solve", _failing_solve)
         rc, _, err = run_cli(
             ["solve", "--model", "relaxed", *SMALL, "--out", str(tmp_path / "o")],
             capsys,
@@ -287,7 +287,7 @@ class TestSolve:
         assert err_h == float(parse_config_text(stdout)["err_h"])
 
     def test_zero_delta_refused(self, tmp_path, capsys):
-        # alpha = C*delta is zero, which no problem accepts
+        # a solve is a one-level sweep, whose noise level must be positive
         rc, stdout, err = run_cli(
             ["solve", "--model", "strict", *SMALL, "--delta", "0",
              "--out", str(tmp_path / "r")],
@@ -295,8 +295,40 @@ class TestSolve:
         )
         assert rc == EXIT_USAGE
         assert stdout == ""
-        assert err == "error: alpha must be positive and finite\n"
+        assert err == "error: all noise levels must be positive and finite\n"
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("forward", ["identity", "integration"])
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_solve_is_the_sweeps_first_record(self, tmp_path, capsys,
+                                              monkeypatch, model, forward):
+        # solve --delta d runs record (0, 0) of sweep --deltas d --trials 1
+        instance = ["--model", model, "--n", "32", "--m", "24", "--sparsity",
+                    "2", "--seed", "1", "--forward", forward]
+        rc, stdout, _ = run_cli(
+            ["solve", *instance, "--delta", "1e-2", "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        solved = parse_config_text(stdout)
+        swept = []
+
+        def spy(*args, **kwargs):
+            swept.append(solve(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(experiments, "solve", spy)
+        csv = tmp_path / "s.csv"
+        rc_sweep, _, _ = run_cli(
+            ["sweep", *instance, "--deltas", "1e-2", "--trials", "1",
+             "--no-certify", "--out", str(csv)],
+            capsys,
+        )
+        [record], _, _ = parse_csv(csv)
+        assert rc == rc_sweep == EXIT_OK
+        assert solved["alpha"] == repr(record.alpha)
+        assert solved["err_h"] == repr(record.err_h)
+        assert int(solved["iterations"]) == record.iterations
+        assert np.array_equal(np.loadtxt(tmp_path / "o" / "x.txt"), swept[0].x)
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         rc, stdout, _ = run_cli(
@@ -669,6 +701,27 @@ def test_readme_cli_row_names_subcommands():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert sorted(listed) == sorted(commands[0])
+
+
+def test_readme_certified_sweeps_print_its_hashes(tmp_path, capsys):
+    # the README's "Certified indirect data" sweeps, run as printed there
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text[text.index("**Certified indirect data.**"):]
+    section = section[:section.index("\n## ")]
+    commands = [line.split()[1:] for line in section.splitlines()
+                if line.startswith("l1coreg sweep ")]
+    prefixes = re.findall(r"`([0-9a-f]{8})…`", section)
+    assert len(commands) == len(prefixes) == 2
+    for argv, prefix in zip(commands, prefixes):
+        out = tmp_path / "s.csv"
+        rc, stdout, _ = run_cli([*argv, "--out", str(out)], capsys)
+        assert rc == EXIT_OK
+        records, meta, _ = parse_csv(out)
+        assert meta["cert_valid"] == "true"
+        assert all(r.pass_c and r.pass_d for r in records)
+        assert parse_config_text(stdout)["determinism_hash"].startswith(prefix)
 
 
 def test_python_dash_m_runs_cli():

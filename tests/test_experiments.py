@@ -19,8 +19,8 @@ from l1coreg.experiments import (
     emit_csv,
     fit_rate,
     make_phantom,
-    _solve_record,
     run_sweep,
+    solve_record,
     sweep_metadata,
 )
 from l1coreg.operators import BernoulliSensing, DenseMap, IntegrationOp, identity
@@ -49,7 +49,7 @@ class TestMakePhantom:
         ph = make_phantom(16, 0, 3, basis, identity(16))
         assert np.all(ph.x_star == 0.0)
         assert np.all(ph.h_star == 0.0)
-        assert ph.support == ()
+        assert len(support(basis.decompose(ph.h_star))) == 0
 
     def test_forward_consistency_integration(self):
         basis = WaveletBasis(64)
@@ -67,8 +67,9 @@ class TestMakePhantom:
     def test_support_in_coarsest_quarter_with_dc(self):
         basis = WaveletBasis(64)
         ph = make_phantom(64, 6, 4, basis, identity(64))
-        assert 0 in ph.support
-        assert max(ph.support) < 16
+        found = support(basis.decompose(ph.h_star))
+        assert 0 in found
+        assert max(found) < 16
 
     def test_determinism(self):
         basis = WaveletBasis(32)
@@ -224,19 +225,26 @@ class TestRunSweep:
             run_sweep(cfg, phantom, w, a, l1=bad_l1)
         assert "delta=" in str(err.value)
 
-    def test_relaxed_residual_formula(self, small_sweep):
-        # residual of the coupling (x, h) -> (W x - h, A h) against (0, y_delta)
-        cfg, phantom, _, a, l1 = small_sweep
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_record_formulas(self, small_sweep, model):
+        # the residual of the coupling (x, h) -> (W x - h, A h) against
+        # (0, y_delta), and err_h of the solver's estimate h, for both models
+        cfg, _, _, a, l1 = small_sweep
+        cfg = replace(cfg, model=model)
         w = IntegrationOp(cfg.n)
-        y_delta = add_noise(a.matrix @ phantom.h_star, 1e-2, 5)
-        res, h, residual = _solve_record(
-            "relaxed", w, a, l1, y_delta, 1e-2, SolverConfig()
-        )
+        phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(),
+                               l1.basis, w)
+        record, res = solve_record(cfg, phantom, w, a, l1, 1, 0)
+        y_delta = add_noise(a.matrix @ phantom.h_star, 1e-2, cfg.noise_seed(1, 0))
         target = np.concatenate([np.zeros(cfg.n), y_delta])
         stacked = np.concatenate([res.x, res.h])
         expected = np.linalg.norm(coupling_map(w, a) @ stacked - target)
-        assert h is res.h
-        assert residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert record.residual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert record.err_h == np.linalg.norm(res.h - phantom.h_star)
+        assert record.alpha == cfg.big_c * 1e-2
+        if model == "strict":
+            assert np.array_equal(res.h, w.matrix @ res.x)
+            assert record.residual == np.linalg.norm(a.matrix @ res.h - y_delta)
 
     def test_dimension_guard(self, small_sweep):
         cfg, phantom, w, a, l1 = small_sweep
@@ -259,7 +267,8 @@ class TestRunSweep:
         chained = run_sweep(cfg, phantom, w, a, l1=l1, constants=constants,
                             solver_cfg=solver_cfg)
         monkeypatch.setattr(
-            experiments, "solve", lambda p, scfg, warm=None: solve(p, scfg)
+            experiments, "solve",
+            lambda p, scfg, trace=None, warm=None: solve(p, scfg, trace),
         )
         cold = run_sweep(cfg, phantom, w, a, l1=l1, constants=constants,
                          solver_cfg=solver_cfg)
@@ -290,8 +299,8 @@ class TestRunSweep:
         cfg, phantom, w, a, l1 = small_sweep
         calls = []
 
-        def spy(p, scfg, warm=None):
-            res = solve(p, scfg, warm=warm)
+        def spy(p, scfg, trace=None, warm=None):
+            res = solve(p, scfg, trace, warm)
             if len(calls) == 2:  # delta index 1, trial 0
                 res = replace(res, converged=False)
             calls.append((warm, res))

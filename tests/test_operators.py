@@ -9,6 +9,8 @@ from l1coreg.operators import (
     DenseMap,
     IntegrationOp,
     MaterializeBudgetError,
+    _forward,
+    _inverse,
     _inverse_adjoint,
     _spectrum,
     identity,
@@ -58,8 +60,21 @@ class TestIntegrationOp:
         w = IntegrationOp(33)
         for _ in range(10):
             x = rng.standard_normal(33)
-            np.testing.assert_allclose(w.matrix @ w.inverse_apply(x), x, atol=1e-12)
-            np.testing.assert_allclose(w.inverse_apply(w.matrix @ x), x, atol=1e-12)
+            np.testing.assert_allclose(w.matrix @ _inverse(w, x), x, atol=1e-12)
+            np.testing.assert_allclose(_inverse(w, w.matrix @ x), x, atol=1e-12)
+
+    def test_inverse_of_identity_and_others(self, rng):
+        # the identity gives a copy; a W without a closed-form inverse, None
+        h = rng.standard_normal(8)
+        x = _inverse(identity(8), h)
+        assert x is not h and np.array_equal(x, h)
+        assert _inverse(DenseMap(2.0 * np.eye(8)), h) is None
+
+    def test_forward_by_name(self):
+        assert isinstance(_forward("integration", 8), IntegrationOp)
+        assert np.array_equal(_forward("identity", 8).matrix, np.eye(8))
+        with pytest.raises(ValueError, match="unknown forward operator"):
+            _forward("blur", 8)
 
     @pytest.mark.parametrize("n", [1, 2, 33, 1024])
     def test_inverse_adjoint_matches_solve(self, rng, n):

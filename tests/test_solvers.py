@@ -31,7 +31,6 @@ from l1coreg.solvers import (
     Problem,
     SolverConfig,
     objective_relaxed,
-    objective_strict,
     solve,
     solve_relaxed,
     solve_strict,
@@ -78,13 +77,16 @@ class TestObjectives:
 
     def test_strict_zero(self, l1_unit8):
         p = Problem("strict", identity(8), identity(8), np.zeros(8), 1.0, l1_unit8)
-        assert objective_strict(p, np.zeros(8)) == 0.0
+        # the strict functional is the relaxed one at h = W x
+        assert objective_relaxed(p, np.zeros(8), np.zeros(8)) == 0.0
 
     def test_strict_plugin_1d(self):
         basis = WaveletBasis(1)
         l1 = WeightedL1(basis)
         p = Problem("strict", identity(1), identity(1), np.ones(1), 1.0, l1)
-        assert objective_strict(p, np.ones(1)) == pytest.approx(1.5)
+        assert objective_relaxed(p, np.ones(1), p.w.matrix @ np.ones(1)) == (
+            pytest.approx(1.5)
+        )
 
     def test_strict_recomputation(self, rng):
         for _ in range(10):
@@ -94,7 +96,7 @@ class TestObjectives:
             expected = 0.5 * np.linalg.norm(
                 p.a.matrix @ wx - p.y_delta
             ) ** 2 + p.alpha * (0.5 * np.linalg.norm(x) ** 2 + p.l1.eval(wx))
-            assert objective_strict(p, x) == pytest.approx(expected, abs=1e-12)
+            assert objective_relaxed(p, x, wx) == pytest.approx(expected, abs=1e-12)
 
 
 class TestConfigValidation:
@@ -279,16 +281,20 @@ class TestSolveStrict:
         res = solve_strict(p, SolverConfig(tol=1e-12))
 
         def objective(x0, x1):
-            return objective_strict(p, np.array([x0, x1]))
+            x = np.array([x0, x1])
+            return objective_relaxed(p, x, w.matrix @ x)
 
         opt = grid_search_2d(objective, span=3.0)
         assert res.objective <= objective(*opt) + 1e-6
         np.testing.assert_allclose(res.x, opt, atol=1e-4)
 
     def test_constraint_gap_reported(self, rng):
+        # the estimate is h = W x; the split copy Phi* c stays within the
+        # primal residual of it
         p = random_small_problem(rng, model="strict")
         res = solve_strict(p, SolverConfig())
-        gap = np.linalg.norm(p.w.matrix @ res.x - res.h)
+        assert np.array_equal(res.h, p.w.matrix @ res.x)
+        gap = np.linalg.norm(res.h - p.l1.basis.reconstruct(res.c))
         assert res.primal_residual == pytest.approx(gap, abs=1e-12)
 
     def test_trace_stream(self, rng):
@@ -771,7 +777,10 @@ class TestWarmStart:
         assert first.converged and again.converged
         assert again.iterations <= 2
         assert np.max(np.abs(again.h - first.h)) <= 1e-9
-        assert np.array_equal(again.h, p.l1.basis.reconstruct(again.c))
+        # the estimate of h* = W x*: Phi* c relaxed, W x strict
+        estimate = (p.l1.basis.reconstruct(again.c) if model == "relaxed"
+                    else p.w.matrix @ again.x)
+        assert np.array_equal(again.h, estimate)
 
     @FORWARDS
     @MODELS
