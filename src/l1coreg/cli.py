@@ -250,8 +250,9 @@ def _cmd_solve(args):
 
 
 def _cmd_sweep(args):
-    if args.deltas:
-        deltas = tuple(float(tok) for tok in args.deltas.split(","))
+    if args.deltas is not None:
+        tokens = args.deltas.split(",") if args.deltas else ()
+        deltas = tuple(float(tok) for tok in tokens)
     else:
         # checked before the grid is built, so numpy warns about nothing
         if not all(0 < v < np.inf for v in (args.delta_max, args.delta_min)):
@@ -312,6 +313,9 @@ def _cmd_certify(args):
     return EXIT_OK if valid else EXIT_CERT_INVALID
 
 
+_COMMANDS = {"solve": _cmd_solve, "sweep": _cmd_sweep, "certify": _cmd_certify}
+
+
 def main(argv=None):
     """Run the CLI; returns the exit code instead of raising.
 
@@ -331,19 +335,13 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, MaterializeBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (SolverError, SweepError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NOT_CONVERGED
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entry_point():

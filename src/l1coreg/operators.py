@@ -135,21 +135,15 @@ def _inverse(w, h):
 def _inverse_adjoint(w, x):
     """``W^-* x``, or ``inf`` entries when ``np.linalg.solve`` finds ``W`` singular.
 
-    The identity gives ``x`` itself.  For :class:`IntegrationOp`, ``W*`` is
-    ``1/n`` times the upper triangle of ones, whose inverse is the scaled
-    backward difference ``n (x_i - x_{i+1})``, with ``n x_{n-1}`` last.  Any
-    other ``W`` goes through one ``np.linalg.solve`` of ``W*``.
+    Both ``W`` with a closed-form :func:`_inverse` satisfy ``W* = J W J``,
+    ``J`` the reversal, so ``W^-* x = J W^-1 J x``, returned contiguous.
+    Any other ``W`` goes through one ``np.linalg.solve`` of ``W*``.
     """
-    mat = w.matrix
-    if _is_identity(mat):
-        return x
-    if isinstance(w, IntegrationOp):
-        out = np.empty_like(x)
-        out[:-1] = x[:-1] - x[1:]
-        out[-1] = x[-1]
-        return out * float(mat.shape[0])
+    back = _inverse(w, x[::-1])
+    if back is not None:
+        return np.ascontiguousarray(back[::-1])
     try:
-        return np.linalg.solve(mat.T, x)
+        return np.linalg.solve(w.matrix.T, x)
     except np.linalg.LinAlgError:  # not square, or exactly singular
         return np.full_like(x, np.inf)
 

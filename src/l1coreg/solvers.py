@@ -24,12 +24,15 @@ symmetric positive definite system ``S h = A* y + rho Phi* d`` with
 orthonormal, so the c-step is a weighted soft-threshold, and the v-step
 enters the loop only through the affine map ``d -> c0 + Q d`` with
 ``Q = rho Phi S^{-1} Phi*``.  That map is built once per value of rho in
-the left singular basis ``U`` of ``W``, where ``G^{-1}`` is diagonal, so
-Woodbury leaves one m-by-m factorization for every ``W``.  When
-``W W*`` is a multiple of the identity, ``Q`` is a dense matrix and an
-iteration costs one n-by-n matvec; otherwise ``Q`` stays in its Woodbury
-factors, ``Phi U`` and an m-by-n matrix, and an iteration costs two
-n-by-n and two m-by-n matvecs, with no n-by-n matrix formed per rho.  No
+the left singular basis ``U`` of ``W``, where ``G^{-1}`` is diagonal, by
+one recipe for every ``W``: Woodbury leaves one m-by-m matrix ``K``, a
+product of a matrix with its own transpose, and whitening against its
+factor gives one m-by-n factor ``P`` and the offset ``c0``.  Only the
+apply step forks.  When ``W W*`` is a multiple of the identity, ``Q`` is
+``P`` multiplied out into a dense matrix and an iteration costs one
+n-by-n matvec; otherwise ``Q`` stays in its factors, ``Phi U`` and ``P``,
+and an iteration costs two n-by-n and two m-by-n matvecs, with no n-by-n
+matrix formed per rho.  No
 iteration applies an operator, a wavelet transform or a linear solve.  The
 dual residual of the stopping rule,
 ``rho ||c_k - c_{k-1}||`` for both models, can stop the loop only together
@@ -293,47 +296,49 @@ def _coupling(p, rho, t, a_u, g):
     the loop or for a trace row.  ``t``, ``a_u`` and ``g`` are
     :func:`_singular_basis`'s ``T = Phi U``, ``B = A U`` and
     ``G^{-1} = U diag(g) U*``.  In the basis ``U``, ``S = U (B* B + E) U*``
-    with the diagonal ``E = rho + alpha g``, so Woodbury gives
-    ``Q = rho T (E^{-1} - P* P) T*`` with ``P = L_K^{-1} B E^{-1}``, m-by-n,
-    for the Cholesky factor ``L_K`` of the m-by-m ``K = I + B E^{-1} B*``,
-    and ``c0 = (Q/rho) Phi A* y``.  ``T`` is orthogonal, so a constant ``E``
-    (identity ``W``, or any ``W`` with a flat spectrum) makes
-    ``Q = rho (I/E - R* R)`` with ``R = P T*``: that ``Q`` is formed once,
-    and an iteration costs one n-by-n matvec.  Otherwise no n-by-n matrix
-    is formed: an iteration applies ``T*``, ``P``, ``P*`` and ``T`` to
-    ``z = T* d``, and ``c0`` is the same map of ``T* Phi A* y = B* y``.
-    ``x_of`` uses ``Phi* T = U`` to form ``W* Phi* T (g (T* Phi h))``
-    without ``U``.
+    with the diagonal ``E = rho + alpha g``.  One build serves every ``W``:
+    with ``S_E = B E^{-1/2}``, Woodbury gives
+    ``Q = rho T (E^{-1} - P* P) T*`` with ``P = L_K^{-1} S_E E^{-1/2}``,
+    m-by-n, for the Cholesky factor ``L_K`` of the m-by-m
+    ``K = I + S_E S_E*``, a matrix times its own transpose.  With
+    ``in_u(z) = E^{-1} z - P* P z``, ``c0 = T in_u(B* y)``, since
+    ``T* Phi A* y = B* y``.  The only fork is how ``Q`` is applied.  ``T``
+    is orthogonal, so a constant ``E`` (identity ``W``, or any ``W`` with a
+    flat spectrum) makes ``Q = rho (I/E - R* R)`` with ``R = P T*``: ``P``
+    multiplied out, formed once, and an iteration costs one n-by-n matvec.
+    Otherwise no n-by-n matrix is formed, and an iteration applies ``T*``,
+    ``P``, ``P*`` and ``T``.  ``x_of`` uses ``Phi* T = U`` to form
+    ``W* Phi* T (g (T* Phi h))`` without ``U``.
     """
     e_inv = 1.0 / (rho + p.alpha * g)
-    a_e = a_u * e_inv
-    k_mat = a_e @ a_u.T
+    e_half = np.sqrt(e_inv)
+    s_mat = a_u * e_half
+    k_mat = s_mat @ s_mat.T
     k_mat.flat[:: len(k_mat) + 1] += 1.0
-    phi = p.l1.basis.matrix
+    p_mat = _whiten(k_mat, s_mat)
+    del k_mat, s_mat
+    p_mat *= e_half
+
+    def in_u(z):
+        return e_inv * z - p_mat.T @ (p_mat @ z)
+
+    c0 = t @ in_u(a_u.T @ p.y_delta)
     if np.all(e_inv == e_inv[0]):
-        rhs = a_e @ t.T
-        del a_e
-        r_mat = _whiten(k_mat, rhs)
-        del k_mat, rhs
+        r_mat = p_mat @ t.T
+        del p_mat, in_u  # dropped first: the build peaks holding only R and Q
         q_mat = r_mat.T @ r_mat
         del r_mat
-        q_mat *= -1.0
-        q_mat.flat[:: len(q_mat) + 1] += e_inv[0]
-        c0 = q_mat @ (phi @ (p.a.matrix.T @ p.y_delta))
-        q_mat *= rho
+        q_mat *= -rho
+        q_mat.flat[:: len(q_mat) + 1] += rho * e_inv[0]
 
         def fv_of(d):
             return c0 + q_mat @ d
     else:
-        p_mat = _whiten(k_mat, a_e)
-
-        def in_u(z):
-            return t @ (e_inv * z - p_mat.T @ (p_mat @ z))
-
-        c0 = in_u(a_u.T @ p.y_delta)
 
         def fv_of(d):
-            return c0 + rho * in_u(t.T @ d)
+            return c0 + rho * (t @ in_u(t.T @ d))
+
+    phi = p.l1.basis.matrix
 
     def x_of(d):
         return p.w.matrix.T @ (phi.T @ (t @ (g * (t.T @ fv_of(d)))))

@@ -348,7 +348,15 @@ class TestSearchPaths:
         rows = BernoulliSensing(7, 16, seed=0).matrix
         return DenseMap(np.vstack([rows, rows[:1]]))
 
-    @pytest.mark.parametrize("kind", ["wide", "square-deficient", "duplicated-row"])
+    @staticmethod
+    def zero_row_sensing():
+        # a full-rank 7-by-16 Bernoulli matrix with an all-zero row appended
+        rows = BernoulliSensing(7, 16, seed=0).matrix
+        return DenseMap(np.vstack([rows, np.zeros(16)]))
+
+    @pytest.mark.parametrize(
+        "kind", ["wide", "square-deficient", "duplicated-row", "zero-row"]
+    )
     def test_rank_deficient_sensing_takes_pinv(self, monkeypatch, kind):
         if kind == "wide":
             basis, l1, w, a, x_star, _ = certified_identity_instance(16, 24, 2, 3)
@@ -359,6 +367,8 @@ class TestSearchPaths:
             x_star = make_sparse_signal(basis, [0, 3], [1.0, -0.5])
             if kind == "square-deficient":
                 a = BernoulliSensing(8, 8, seed=0)
+            elif kind == "zero-row":
+                a = self.zero_row_sensing()
             else:
                 a = self.duplicated_row_sensing()
         rows, n = a.matrix.shape
@@ -372,6 +382,13 @@ class TestSearchPaths:
         np.testing.assert_array_equal(cert.eta_coeffs, ref.eta_coeffs)
         assert cert.support == ref.support
         assert cert.valid == ref.valid
+
+    def test_zero_pivot_fails_whitening(self):
+        # an all-zero row of A gives A A* a zero pivot, so the search's
+        # whitening raises and it takes the pseudo-inverse
+        a_mat = self.zero_row_sensing().matrix
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers._whiten(a_mat @ a_mat.T, np.eye(len(a_mat)))
 
     def test_pivot_guard_rejects_factor_of_singular_gram(self):
         # the Cholesky factor of this singular A A* exists in floating

@@ -126,20 +126,25 @@ class TestUsageErrors:
         ["--delta-max", "0"],
         ["--delta-min=-1e-5"],
         ["--delta-count", "-1"],
+        ["--deltas", ""],
     ], ids=["nan", "inf", "delta-max-nan", "delta-min-inf", "delta-max-inf",
-            "delta-max-zero", "delta-min-negative", "delta-count-negative"])
+            "delta-max-zero", "delta-min-negative", "delta-count-negative",
+            "deltas-empty"])
     def test_non_finite_noise_level_is_usage_error(self, tmp_path, capsys, noise):
         # the noise grid is checked before it is built, so numpy neither
-        # warns nor reports a bad sample count
+        # warns nor reports a bad sample count; an empty --deltas is an
+        # empty grid, not the default one
         rc, _, err = run_cli(
             ["sweep", "--model", "relaxed", *SMALL, "--trials", "1", *noise,
              "--out", str(tmp_path / "s.csv")],
             capsys,
         )
         assert rc == EXIT_USAGE
-        expected = ("deltas must be nonempty" if "--delta-count" in noise
+        expected = ("deltas must be nonempty"
+                    if "--delta-count" in noise or "" in noise
                     else "all noise levels must be positive and finite")
         assert err == f"error: {expected}\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_noise_level_cap_before_grid(self, tmp_path, capsys):
         # the count is refused before any level is allocated
@@ -594,6 +599,42 @@ class TestConfigFile:
                          ["--conf", str(cfg)]):
             assert block(spelling) == flags, spelling
 
+    def test_config_comments_and_blank_lines_replay(self, tmp_path, capsys):
+        # a printed block fed back with a comment and a blank line in it
+        # writes the same files
+        rc, stdout, _ = run_cli(
+            ["solve", "--model", "relaxed", *SMALL, "--delta", "1e-4",
+             "--out", str(tmp_path / "a")],
+            capsys,
+        )
+        assert rc == EXIT_OK
+        block = stdout.split("version = ")[0].splitlines()
+        cfg = tmp_path / "commented.cfg"
+        cfg.write_text("\n".join(["# replay of a solve", "", *block[:2], "",
+                                   "  # indented comment", *block[2:]]) + "\n")
+        rc, _, _ = run_cli(
+            ["solve", "--config", str(cfg), "--out", str(tmp_path / "b")],
+            capsys,
+        )
+        assert rc == EXIT_OK
+        for name in ("x.txt", "h.txt"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
+    def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = 32\nm 24\n")
+        rc, stdout, err = run_cli(
+            ["solve", "--model", "relaxed", "--config", str(cfg),
+             "--out", str(tmp_path / "r")],
+            capsys,
+        )
+        assert rc == EXIT_USAGE
+        assert stdout == ""
+        assert err.startswith("error: bad config file: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
     def test_flags_win_over_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 1\nn = 32\nm = 24\nsparsity = 2\n"
@@ -755,7 +796,7 @@ _N128 = ("--n", "128", "--m", "64", "--sparsity", "4", "--seed", "3",
 # test_certify_independent_of_blas_threads on its own command
 _N512 = ("--n", "512", "--m", "256", "--sparsity", "16", "--seed", "7",
          "--deltas", "1e-2,1e-3", "--no-certify")
-# identity W builds through K = beta I + A A*: four factor blocks
+# identity W builds through the same K = I + S S*: four factor blocks
 _N512_IDENTITY = (*_N512, "--forward", "identity")
 
 

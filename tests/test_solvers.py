@@ -429,7 +429,7 @@ class TestDenseCoupling:
     def test_build_memory(self, model, n, forward, arrays):
         # W is held by its operator, built before the trace starts; with
         # m = n/2 the integration-W solve holds T = Phi U and A U, and its
-        # build peaks whitening A U E^-1 into the m-by-n P, with K and no
+        # build peaks whitening A U E^-1/2 into the m-by-n P, with K and no
         # n-by-n array (2.95 measured at n=512, 2.80 at 2048); identity W
         # needs neither T nor A U and peaks forming its Q (1.50 measured)
         p = fixed_problem(model, n, forward)
@@ -504,6 +504,26 @@ class TestUnifiedVStep:
             x, h = np.split(np.linalg.solve(g, rhs), [w.shape[1]])
         for got, want in ((fv_of(d), phi @ h), (x_of(d), x)):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+    @pytest.mark.parametrize("forward", ["identity", "integration"])
+    def test_one_whitening_of_a_symmetric_k(self, monkeypatch, forward):
+        # every build whitens once, against an exactly symmetric K, whether
+        # the map is then multiplied out (identity W) or kept in factors
+        seen = []
+        whiten = solvers._whiten
+
+        def spy(mat, rhs):
+            seen.append((mat.shape, rhs.shape, np.array_equal(mat, mat.T)))
+            return whiten(mat, rhs)
+
+        monkeypatch.setattr(solvers, "_whiten", spy)
+        n = 128
+        p = fixed_problem("relaxed", n, forward)
+        spectral = solvers._singular_basis(p)
+        for rho in (1.0, 3.0):
+            solvers._coupling(p, rho, *spectral)
+        assert seen == [((n // 2, n // 2), (n // 2, n), True)] * 2
 
 
 class TestStrictNeedsOntoW:
