@@ -216,6 +216,7 @@ def _print_block(lines):
 def _cmd_solve(args):
     """Record ``(0, 0)`` of the one-level sweep at ``--delta``."""
     cfg = _sweep_config(args, (args.delta,))
+    solver_cfg = _solver_config(args)
     basis, l1, w, a, phantom = _build_instance(args, cfg)
     if args.trace is None:
         trace = contextlib.nullcontext()
@@ -223,7 +224,7 @@ def _cmd_solve(args):
         trace = open(args.trace, "w", encoding="ascii")
     with trace as stream:
         record, result = solve_record(cfg, phantom, w, a, l1, 0, 0,
-                                      solver_cfg=_solver_config(args),
+                                      solver_cfg=solver_cfg,
                                       trace=stream)
 
     config_lines = canonical_config(args)
@@ -267,8 +268,8 @@ def _cmd_sweep(args):
             )
         )
     cfg = _sweep_config(args, deltas, args.trials)
-    basis, l1, w, a, phantom = _build_instance(args, cfg)
     solver_cfg = _solver_config(args)
+    basis, l1, w, a, phantom = _build_instance(args, cfg)
 
     constants = None
     cert_lines = []

@@ -41,6 +41,7 @@ from .solvers import (
     _BALANCE_RATIO,
     _MAX_REBUILDS,
     Problem,
+    _singular_basis,
     solve,
 )
 
@@ -258,7 +259,7 @@ def fit_rate(deltas, errors):
 
 
 def solve_record(cfg, phantom, w, a, l1, i, t, constants=None,
-                 solver_cfg=None, warm=None, trace=None):
+                 solver_cfg=None, warm=None, trace=None, _spectral=None):
     """``(SweepRecord, SolveResult)`` of delta index ``i``, trial ``t`` of ``cfg``.
 
     Draws ``y_delta`` with ``||y_delta - A h*|| = cfg.deltas[i]``, solves at
@@ -267,11 +268,12 @@ def solve_record(cfg, phantom, w, a, l1, i, t, constants=None,
     residual is that of the coupling ``(x, h) -> (W x - h, A h)`` against
     ``(0, y_delta)``: ``||A h - y_delta||`` for the strict ``h = W x``.  With
     ``constants`` the record carries the bound sides and their pass flags.
+    ``_spectral`` is :func:`run_sweep`'s ``_singular_basis``, else ``None``.
     """
     delta = cfg.deltas[i]
     alpha = cfg.big_c * delta
     y_delta = add_noise(a.matrix @ phantom.h_star, delta, cfg.noise_seed(i, t))
-    problem = Problem(cfg.model, w, a, y_delta, alpha, l1)
+    problem = Problem(cfg.model, w, a, y_delta, alpha, l1, _spectral)
     res = solve(problem, solver_cfg, trace=trace, warm=warm)
     stacked = np.concatenate([w.matrix @ res.x - res.h, a.matrix @ res.h - y_delta])
     err_h = float(np.linalg.norm(res.h - phantom.h_star))
@@ -308,6 +310,7 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     :func:`~l1coreg.solvers.solve` therefore reaches the same optimum to
     within ``solver_cfg.tol``, not the same bits.  ``err_h`` is the error of
     the solver's estimate of ``h* = W x*``, ``result.h``, for both models.
+    W's spectrum, ``Phi U`` and ``A U`` are formed once, at the first record.
 
     Parameters
     ----------
@@ -337,12 +340,13 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     all_converged = True
     # the converged solve each trial's next record starts from, else None
     warm = [None] * cfg.trials
+    spectral = None
     for i, delta in enumerate(cfg.deltas):
         for t in range(cfg.trials):
             try:
-                record, res = solve_record(
-                    cfg, phantom, w, a, l1, i, t, constants, solver_cfg, warm[t]
-                )
+                spectral = spectral or _singular_basis(w, a, l1.basis)
+                record, res = solve_record(cfg, phantom, w, a, l1, i, t, constants,
+                                           solver_cfg, warm[t], None, spectral)
             except Exception as exc:
                 raise SweepError(
                     f"solve failed at delta={delta!r} trial={t}: {exc}"

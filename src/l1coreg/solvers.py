@@ -32,8 +32,9 @@ apply step forks.  When ``W W*`` is a multiple of the identity, ``Q`` is
 ``P`` multiplied out into a dense matrix and an iteration costs one
 n-by-n matvec; otherwise ``Q`` stays in its factors, ``Phi U`` and ``P``,
 and an iteration costs two n-by-n and two m-by-n matvecs, with no n-by-n
-matrix formed per rho.  No
-iteration applies an operator, a wavelet transform or a linear solve.  The
+matrix formed per rho.  ``U``, ``Phi U`` and ``A U`` depend on the instance
+alone, and a sweep forms them once for all of its records.  No iteration
+applies an operator, a wavelet transform or a linear solve.  The
 dual residual of the stopping rule,
 ``rho ||c_k - c_{k-1}||`` for both models, can stop the loop only together
 with the primal one, so it is computed only on iterations whose primal
@@ -72,7 +73,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,6 +143,7 @@ class Problem:
     y_delta: np.ndarray
     alpha: float
     l1: WeightedL1
+    _spectral: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.model not in ("relaxed", "strict"):
@@ -267,25 +269,18 @@ def _trace_row(trace, it, objective, fpr, primal, dual, rho):
     trace.write(f"{it},{objective!r},{fpr!r},{primal!r},{dual!r},{rho!r}\n")
 
 
-def _singular_basis(p):
-    """The once-per-solve arrays ``(Phi U, A U, g)`` of :func:`_coupling`.
+def _singular_basis(w, a, basis):
+    """``(Phi U, A U, lam)`` of one instance, with ``W W* = U diag(lam) U*``.
 
-    ``W W* = U diag(lam) U*`` (:func:`~l1coreg.operators._spectrum`), so
-    ``G^{-1} = U diag(g) U*`` with ``g = 1/(lam + eps)``.  ``Phi U`` and
-    ``A U`` are ``Phi`` and ``A`` themselves when ``W`` is the identity.
-    Raises ``ValueError`` for the strict model when ``W W*`` is singular to
-    working precision, ``lam_min <= n eps_mach lam_max``.
+    ``U`` and ``lam`` come from :func:`~l1coreg.operators._spectrum`;
+    ``Phi U`` and ``A U`` are ``Phi`` and ``A`` when ``W`` is the identity.
+    No model or alpha enters: a sweep forms it once and hands it to every
+    solve in :class:`Problem`'s private last field, else the solve forms it.
     """
-    u, lam = _spectrum(p.w)
-    strict = p.model == "strict"
-    if strict and lam.min() <= len(lam) * np.finfo(float).eps * lam.max():
-        raise ValueError(
-            "the strict model needs W of full row rank (W W* must factor)"
-        )
-    g = 1.0 / (lam if strict else lam + p.alpha)
+    u, lam = _spectrum(w)
     if u is None:
-        return p.l1.basis.matrix, p.a.matrix, g
-    return p.l1.basis.matrix @ u, p.a.matrix @ u, g
+        return basis.matrix, a.matrix, lam
+    return basis.matrix @ u, a.matrix @ u, lam
 
 
 def _coupling(p, rho, t, a_u, g):
@@ -293,10 +288,10 @@ def _coupling(p, rho, t, a_u, g):
 
     ``fv_of(d) = Phi h = c0 + Q d`` is the map every iteration applies, with
     ``Q = rho Phi S^{-1} Phi*``; ``x_of(d) = W* G^{-1} h`` runs only after
-    the loop or for a trace row.  ``t``, ``a_u`` and ``g`` are
-    :func:`_singular_basis`'s ``T = Phi U``, ``B = A U`` and
-    ``G^{-1} = U diag(g) U*``.  In the basis ``U``, ``S = U (B* B + E) U*``
-    with the diagonal ``E = rho + alpha g``.  One build serves every ``W``:
+    the loop or for a trace row.  ``t`` and ``a_u`` are the instance's
+    ``T = Phi U`` and ``B = A U`` (:func:`_singular_basis`), and ``g`` the
+    solve's ``G^{-1} = U diag(g) U*``, ``g = 1/(lam + eps)``.  In the basis
+    ``U``, ``S = U (B* B + E) U*`` with the diagonal ``E = rho + alpha g``.  One build serves every ``W``:
     with ``S_E = B E^{-1/2}``, Woodbury gives
     ``Q = rho T (E^{-1} - P* P) T*`` with ``P = L_K^{-1} S_E E^{-1/2}``,
     m-by-n, for the Cholesky factor ``L_K`` of the m-by-m
@@ -400,13 +395,19 @@ def _admm(p, cfg, trace, warm):
     """
     start = time.perf_counter()
     c, u, rho = _start(warm, p.w.matrix.shape[0], cfg.rho)
-    spectral = _singular_basis(p)
-    x_of, fv_of = _coupling(p, rho, *spectral)
+    t, a_u, lam = p._spectral or _singular_basis(p.w, p.a, p.l1.basis)
+    strict = p.model == "strict"
+    if strict and lam.min() <= len(lam) * np.finfo(float).eps * lam.max():
+        raise ValueError(
+            "the strict model needs W of full row rank (W W* must factor)"
+        )
+    g = 1.0 / (lam if strict else lam + p.alpha)
+    x_of, fv_of = _coupling(p, rho, t, a_u, g)
     thresholds = (p.alpha / rho) * p.l1.kappa
     basis = p.l1.basis
 
     def estimate(x, c):  # the model's estimate of h* = W x*
-        return p.w.matrix @ x if p.model == "strict" else basis.reconstruct(c)
+        return p.w.matrix @ x if strict else basis.reconstruct(c)
 
     def dual_residual(dc):
         return rho * math.sqrt(dc.dot(dc))
@@ -472,7 +473,7 @@ def _admm(p, cfg, trace, warm):
         rho = new_rho
         u = u / scale
         x_of = fv_of = None  # free the old coupling before the build
-        x_of, fv_of = _coupling(p, rho, *spectral)
+        x_of, fv_of = _coupling(p, rho, t, a_u, g)
         thresholds = (p.alpha / rho) * p.l1.kappa
         rebuilds += 1
     else:

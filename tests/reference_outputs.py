@@ -1,8 +1,9 @@
 """Reference outputs of the benchmark's CLI commands: replay, compare, rewrite.
 
-The 40 commands of ``perfbench/workloads.py`` (read, never edited) and
-criterion 9's sweep are replayed in-process, and each is summarized in
-three tiers:
+The 40 commands of ``perfbench/workloads.py`` (read, never edited),
+criterion 9's sweep and the README's two "Certified indirect data" sweeps
+(integration ``W``, the only sweeps here that hold ``W``'s spectrum) are
+replayed in-process, and each is summarized in three tiers:
 
 * ``bytes``: SHA-256 of stdout and of each file written (``sweep.csv``,
   ``x.txt``, ``h.txt``), without the wall-time lines and the ``csv =``
@@ -49,6 +50,12 @@ CRITERION_9 = (
     "--deltas", "1e-2,1e-3,1e-4", "--trials", "2",
 )
 
+#: The README's "Certified indirect data" sweeps, at the CLI defaults.
+README_CERTIFIED = tuple(
+    ("sweep", "--model", model, "--kappa", "1e5", "--C", "1e-4")
+    for model in ("strict", "relaxed")
+)
+
 #: Lines left out of every digest: run times and the output path.
 _VOLATILE = ("walltime", "# walltime", "csv = ")
 
@@ -61,7 +68,8 @@ def versions():
 
 
 def commands():
-    """``{key: argv}`` of the workloads' commands, in listed order, and criterion 9."""
+    """``{key: argv}`` of the workloads' commands, in listed order, criterion 9
+    and the README's certified sweeps."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS_PATH)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up
@@ -70,7 +78,8 @@ def commands():
     for name in workloads.WORKLOADS:
         for cmd in workloads.commands(name, 0):
             out[cmd.key] = cmd.argv()
-    out[" ".join(CRITERION_9)] = list(CRITERION_9)
+    for argv in (CRITERION_9, *README_CERTIFIED):
+        out[" ".join(argv)] = list(argv)
     return out
 
 

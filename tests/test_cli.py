@@ -224,6 +224,25 @@ class TestUsageErrors:
         assert rc == EXIT_USAGE
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--model", "relaxed", "--tol", "nan"],
+        ["sweep", "--model", "relaxed", "--rho", "0"],
+        ["solve", "--model", "relaxed", "--max-iters", "0", "--trace", "t.csv"],
+    ], ids=["sweep-tol", "sweep-rho", "solve-max-iters"])
+    def test_solver_config_checked_before_instance(self, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        # a bad solver setting is refused before Phi, W, A or the phantom is
+        # built and before any output or trace file is opened
+        def no_build(*args):
+            pytest.fail("instance built before the solver config was checked")
+
+        monkeypatch.setattr(cli, "WaveletBasis", no_build)
+        monkeypatch.chdir(tmp_path)
+        rc, _, err = run_cli([*argv, *SMALL], capsys)
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 def _failing_solve(*args, **kwargs):
     raise SolverError("non-finite iterate at iteration 1")

@@ -25,7 +25,7 @@ from l1coreg.experiments import (
 )
 from l1coreg.operators import BernoulliSensing, DenseMap, IntegrationOp, identity
 from l1coreg.regularizers import WeightedL1
-from l1coreg.solvers import SolverConfig, solve
+from l1coreg.solvers import Problem, SolverConfig, solve
 
 
 @pytest.fixture
@@ -219,11 +219,52 @@ class TestRunSweep:
         assert violations <= 1
 
     def test_solver_failure_identified(self, small_sweep):
+        # on integration W the wrong basis fails already in the build of
+        # Phi U, which is part of the first record
         cfg, phantom, w, a, l1 = small_sweep
         bad_l1 = WeightedL1(WaveletBasis(32))  # wrong basis size
-        with pytest.raises(SweepError) as err:
-            run_sweep(cfg, phantom, w, a, l1=bad_l1)
-        assert "delta=" in str(err.value)
+        for forward in (w, IntegrationOp(cfg.n)):
+            with pytest.raises(SweepError) as err:
+                run_sweep(cfg, phantom, forward, a, l1=bad_l1)
+            assert "delta=" in str(err.value) and "trial=" in str(err.value)
+
+    @staticmethod
+    def _integration_sweep(small_sweep):
+        cfg, _, _, a, l1 = small_sweep
+        cfg = replace(cfg, deltas=(1e-1, 1e-2))
+        w = IntegrationOp(cfg.n)
+        phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(),
+                               l1.basis, w)
+        return cfg, phantom, w, a, l1
+
+    def test_instance_arrays_built_once(self, small_sweep, monkeypatch):
+        # W's spectrum, Phi U and A U belong to the instance: a 2-delta,
+        # 2-trial sweep forms them once for its four records, and a lone
+        # solve forms its own once
+        cfg, phantom, w, a, l1 = self._integration_sweep(small_sweep)
+        calls = []
+        build = solvers._singular_basis
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(solvers, "_singular_basis", spy)
+        monkeypatch.setattr(experiments, "_singular_basis", spy)
+        result = run_sweep(cfg, phantom, w, a, l1=l1)
+        assert len(result.records) == 4
+        assert len(calls) == 1
+        solve(Problem("strict", w, a, np.ones(cfg.m), 0.1, l1))
+        assert len(calls) == 2
+
+    def test_held_arrays_keep_the_bits(self, small_sweep, monkeypatch):
+        # records that read the sweep's arrays equal, bit for bit, records
+        # whose solves form their own (compared by repr: NaN bound sides)
+        cfg, phantom, w, a, l1 = self._integration_sweep(small_sweep)
+        held = run_sweep(cfg, phantom, w, a, l1=l1)
+        monkeypatch.setattr(experiments, "_singular_basis", lambda *args: None)
+        own = run_sweep(cfg, phantom, w, a, l1=l1)
+        assert repr(held.records) == repr(own.records)
 
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_record_formulas(self, small_sweep, model):

@@ -457,6 +457,14 @@ class TestDenseCoupling:
         assert peak <= 3.01 * 8 * n * n
 
 
+def instance_coupling(p, rho, spectral=None):
+    """The v-step map a solve of ``p`` builds at ``rho``, from the instance's
+    ``(Phi U, A U, lam)`` and the model's ``g = 1/(lam + eps)``."""
+    t, a_u, lam = spectral or solvers._singular_basis(p.w, p.a, p.l1.basis)
+    eps = 0.0 if p.model == "strict" else p.alpha
+    return solvers._coupling(p, rho, t, a_u, 1.0 / (lam + eps))
+
+
 class TestUnifiedVStep:
     @pytest.mark.parametrize(
         "forward, m",
@@ -471,7 +479,7 @@ class TestUnifiedVStep:
     )
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_matches_model_normal_equations(self, rng, model, forward, m):
-        # the v-step in h alone, from the once-per-solve arrays, solves each
+        # the v-step in h alone, from the instance's arrays, solves each
         # model's own v-step system
         n, rho = 64, 3.0
         if forward == "generic":
@@ -482,7 +490,7 @@ class TestUnifiedVStep:
             w_map = IntegrationOp(n) if forward == "integration" else identity(n)
         a_map = BernoulliSensing(m, n, seed=1)
         p = Problem(model, w_map, a_map, np.ones(m), 0.1, WeightedL1(WaveletBasis(n)))
-        x_of, fv_of = solvers._coupling(p, rho, *solvers._singular_basis(p))
+        x_of, fv_of = instance_coupling(p, rho)
         d = rng.standard_normal(n)
         phi = p.l1.basis.matrix
         w = p.w.matrix
@@ -520,9 +528,9 @@ class TestUnifiedVStep:
         monkeypatch.setattr(solvers, "_whiten", spy)
         n = 128
         p = fixed_problem("relaxed", n, forward)
-        spectral = solvers._singular_basis(p)
+        spectral = solvers._singular_basis(p.w, p.a, p.l1.basis)
         for rho in (1.0, 3.0):
-            solvers._coupling(p, rho, *spectral)
+            instance_coupling(p, rho, spectral)
         assert seen == [((n // 2, n // 2), (n // 2, n), True)] * 2
 
 
@@ -551,12 +559,13 @@ class TestStrictNeedsOntoW:
         # s^2 <= n eps_mach = 3.6e-15 at n=16; the relaxed model takes it
         w = np.diag(np.r_[np.ones(15), np.sqrt(square)])
         strict = self.problem("strict", w)
+        cfg = SolverConfig(max_iters=1)
         if refused:
             with pytest.raises(ValueError, match="full row rank"):
-                solvers._singular_basis(strict)
+                solve(strict, cfg)
         else:
-            solvers._singular_basis(strict)
-        solvers._singular_basis(self.problem("relaxed", w))
+            solve(strict, cfg)
+        solve(self.problem("relaxed", w), cfg)
 
     def test_wide_w_of_full_row_rank(self):
         w = np.random.default_rng(3).standard_normal((16, 24))
