@@ -346,7 +346,7 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
             try:
                 spectral = spectral or _singular_basis(w, a, l1.basis)
                 record, res = solve_record(cfg, phantom, w, a, l1, i, t, constants,
-                                           solver_cfg, warm[t], None, spectral)
+                                           solver_cfg, warm[t], _spectral=spectral)
             except Exception as exc:
                 raise SweepError(
                     f"solve failed at delta={delta!r} trial={t}: {exc}"

@@ -26,8 +26,8 @@ first when it is odd, in fresh interpreters with one BLAS thread:
 The JSON file holds both commits, N, the seeds, each side's numpy, BLAS and
 thread record, and per metric both sides' medians and quartiles over the
 pairs, every sample, and the number of pairs the change won.  The CLI mode
-also states whether both sides printed the same output, wall-time lines and
-output paths left out.
+also states whether both sides printed the same output and exit code,
+wall-time lines and output paths left out.
 """
 
 from __future__ import annotations
@@ -96,10 +96,8 @@ def _time_cli(tree, argv, repeats):
                 t0, c0 = time.perf_counter(), time.process_time()
                 rc = cli.main(argv + out)
                 t1, c1 = time.perf_counter(), time.process_time()
-            if rc != 0:
-                raise SystemExit(f"{shlex.join(argv)} exited {rc} in {tree}")
-            kept = [line for line in text.getvalue().splitlines()
-                    if not line.startswith(_VOLATILE)]
+            kept = [f"exit {rc}"] + [line for line in text.getvalue().splitlines()
+                                     if not line.startswith(_VOLATILE)]
             digests.add(hashlib.sha256("\n".join(kept).encode()).hexdigest())
             if k:  # the first run is the untimed warm-up
                 wall.append(t1 - t0)
@@ -220,8 +218,8 @@ def parse_args(argv):
     if args.child is None:
         if args.base is None or args.change is None:
             p.error("BASE and CHANGE are required")
-        if args.pairs < 1 or args.repeats < 1:
-            p.error("--pairs and --repeats must be at least 1")
+        if args.pairs < 2 or args.repeats < 1:
+            p.error("--pairs must be at least 2 (quartiles) and --repeats 1")
         args.slug = args.slug or args.workload
         if not args.slug:
             p.error("--cli needs --slug")
