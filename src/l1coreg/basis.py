@@ -149,9 +149,6 @@ class WaveletBasis:
         """Inverse ``Phi.T @ c`` of :meth:`decompose`, also column by column."""
         return self.matrix.T @ self._checked(c)
 
-    def __repr__(self):
-        return f"WaveletBasis(n={self.n})"
-
 
 def support(c):
     """Indices with a nonzero coefficient in the coefficient array ``c``.

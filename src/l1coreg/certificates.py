@@ -216,7 +216,7 @@ def _least_squares_maps(a_mat, b_mat):
     return np.linalg.pinv(b_mat), b_mat, lambda z: z
 
 
-def _find_certificate(model, w, a, basis, l1, x_star):
+def _find_certificate(model, w, a, l1, x_star):
     """Search for ``nu`` and ``eta`` with ``W* A* nu = x* + W* eta``.
 
     ``e`` is ``kappa sign(c*)`` on the support of ``c* = Phi W x*``, and each
@@ -226,6 +226,7 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     shows it singular to ``INJECTIVITY_RTOL``.
     """
     x_star = np.asarray(x_star, dtype=float)
+    basis = l1.basis
     w_mat = w.matrix
     w_inv_x = _inverse_adjoint(w, x_star)
     # sigma_min(W) <= ||x*|| / ||W^-* x*||, and ||W|| >= ||W||_F / sqrt(n)
@@ -281,24 +282,24 @@ def _find_certificate(model, w, a, basis, l1, x_star):
     )
 
 
-def find_certificate_relaxed(w, a, basis, l1, x_star):
+def find_certificate_relaxed(w, a, l1, x_star):
     """Search for a relaxed-model certificate ``(u, v)`` at ``x_star``.
 
     ``W* u = x*`` and ``A* v - u = eta`` a subgradient at ``h* = W x*``;
     see :func:`_find_certificate`.  Invalid outcomes are reported, not
     raised.
     """
-    return _find_certificate("relaxed", w, a, basis, l1, x_star)
+    return _find_certificate("relaxed", w, a, l1, x_star)
 
 
-def find_certificate_strict(w, a, basis, l1, x_star):
+def find_certificate_strict(w, a, l1, x_star):
     """Search for a strict-model certificate ``nu`` (returned as ``v``).
 
     ``W* A* nu = x* + W* eta`` with ``eta`` a subgradient at ``h* = W x*``;
     the split uses ``xi = x*`` since the quadratic penalty has gradient
     identity.  See :func:`_find_certificate`.
     """
-    return _find_certificate("strict", w, a, basis, l1, x_star)
+    return _find_certificate("strict", w, a, l1, x_star)
 
 
 def rate_constants(cert, inj, big_c):
@@ -325,7 +326,7 @@ def rate_constants(cert, inj, big_c):
     return RateConstants(c=c, d=d, big_c=float(big_c))
 
 
-def certify(model, w, a, basis, l1, x_star, big_c):
+def certify(model, w, a, l1, x_star, big_c):
     """Certificate search, restricted injectivity and rate constants at ``x_star``.
 
     Runs the search of ``model`` (``"relaxed"`` or ``"strict"``), tests
@@ -340,27 +341,27 @@ def certify(model, w, a, basis, l1, x_star, big_c):
         ``constants`` is ``None`` when the linear bounds are not certified.
     """
     if model == "relaxed":
-        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        cert = find_certificate_relaxed(w, a, l1, x_star)
     elif model == "strict":
-        cert = find_certificate_strict(w, a, basis, l1, x_star)
+        cert = find_certificate_strict(w, a, l1, x_star)
     else:
         raise ValueError(f"model must be 'relaxed' or 'strict', got {model!r}")
     omega = cert.eta.omega if cert.eta is not None else cert.support
-    inj = check_restricted_injectivity(a, basis, omega)
+    inj = check_restricted_injectivity(a, l1.basis, omega)
     constants = None
     if cert.valid and inj.injective:
         constants = rate_constants(cert, inj, big_c)
     return cert, inj, constants
 
 
-def check_norm_bound(a, basis, h, h_star, inj, eta=None, l1=None):
+def check_norm_bound(a, l1, h, h_star, inj, eta=None):
     """Check the norm bounds that restricted injectivity provides.
 
     Verifies ``||h - h*|| <= ||A_Omega^-1|| ||A h - A h*||
     + (1 + ||A_Omega^-1|| ||A||) sum_{off Omega} |<phi_lambda, h>|`` and,
-    when a subgradient ``eta`` (with ``Omega = Omega[eta]``) and its
-    functional ``l1`` are supplied, the variant with the l1 tail replaced by
-    ``D_eta(h, h*) / m[eta]``.  ``Omega`` is ``inj.omega``, the set the
+    when a subgradient ``eta`` of ``l1`` (with ``Omega = Omega[eta]``) is
+    supplied, the variant with the l1 tail replaced by ``D_eta(h, h*) / m[eta]``.
+    ``phi`` is ``l1.basis``, ``Omega`` is ``inj.omega``, the set the
     injectivity report tested, and ``||A||`` is ``inj.a_norm``.
 
     Raises
@@ -371,8 +372,8 @@ def check_norm_bound(a, basis, h, h_star, inj, eta=None, l1=None):
     """
     h = np.asarray(h, dtype=float)
     h_star = np.asarray(h_star, dtype=float)
-    c_star = basis.decompose(h_star)
-    off = np.ones(basis.n, dtype=bool)
+    c_star = l1.basis.decompose(h_star)
+    off = np.ones(l1.basis.n, dtype=bool)
     off[list(inj.omega)] = False
     off_energy = float(np.linalg.norm(c_star[off]))
     if off_energy > 1e-10:
@@ -385,7 +386,7 @@ def check_norm_bound(a, basis, h, h_star, inj, eta=None, l1=None):
 
     lhs = float(np.linalg.norm(h - h_star))
     misfit = float(np.linalg.norm(a.matrix @ h - a.matrix @ h_star))
-    c_h = basis.decompose(h)
+    c_h = l1.basis.decompose(h)
     tail_l1 = float(np.sum(np.abs(c_h[off])))
     factor = 1.0 + inj.a_omega_inv_norm * inj.a_norm
     rhs_l1 = inj.a_omega_inv_norm * misfit + factor * tail_l1
@@ -394,8 +395,6 @@ def check_norm_bound(a, basis, h, h_star, inj, eta=None, l1=None):
     rhs_bregman = None
     bregman_ok = None
     if eta is not None:
-        if l1 is None:
-            raise ValueError("the Bregman variant needs the weighted-l1 functional")
         if set(eta.omega) != set(inj.omega):
             raise ValueError(
                 f"eta saturates {eta.omega} but the injectivity report tested "

@@ -197,7 +197,7 @@ def _build_instance(args, cfg):
     l1 = WeightedL1(basis, np.full(cfg.n, args.kappa))
     w, a = default_operators(cfg, forward=args.forward)
     phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(), basis, w)
-    return basis, l1, w, a, phantom
+    return l1, w, a, phantom
 
 
 def _write_vector(path, vector, header_lines):
@@ -217,7 +217,7 @@ def _cmd_solve(args):
     """Record ``(0, 0)`` of the one-level sweep at ``--delta``."""
     cfg = _sweep_config(args, (args.delta,))
     solver_cfg = _solver_config(args)
-    basis, l1, w, a, phantom = _build_instance(args, cfg)
+    l1, w, a, phantom = _build_instance(args, cfg)
     if args.trace is None:
         trace = contextlib.nullcontext()
     else:
@@ -269,14 +269,13 @@ def _cmd_sweep(args):
         )
     cfg = _sweep_config(args, deltas, args.trials)
     solver_cfg = _solver_config(args)
-    basis, l1, w, a, phantom = _build_instance(args, cfg)
+    l1, w, a, phantom = _build_instance(args, cfg)
 
     constants = None
     cert_lines = []
     if not args.no_certify:
-        cert, inj, constants = certify(
-            args.model, w, a, basis, l1, phantom.x_star, args.big_c
-        )
+        cert, inj, constants = certify(args.model, w, a, l1, phantom.x_star,
+                                       args.big_c)
         cert_lines = report_lines(cert, inj, constants)
 
     result = run_sweep(
@@ -304,10 +303,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_certify(args):
-    basis, l1, w, a, phantom = _build_instance(args, _sweep_config(args))
-    cert, inj, constants = certify(
-        args.model, w, a, basis, l1, phantom.x_star, args.big_c
-    )
+    l1, w, a, phantom = _build_instance(args, _sweep_config(args))
+    cert, inj, constants = certify(args.model, w, a, l1, phantom.x_star, args.big_c)
     _print_block(canonical_config(args))
     _print_block(report_lines(cert, inj, constants))
     valid = cert.valid and inj.injective

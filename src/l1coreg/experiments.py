@@ -225,12 +225,10 @@ def make_phantom(n, sparsity, seed, basis, w):
 
 
 def add_noise(y_star, delta, seed):
-    """Perturb ``y_star`` by a seeded direction scaled to ``||noise|| = delta``."""
+    """Add a seeded direction of norm ``delta`` (positive, finite) to ``y_star``."""
     y_star = np.asarray(y_star, dtype=float)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if delta == 0.0:
-        return y_star.copy()
+    if not 0 < delta < math.inf:
+        raise ValueError("the noise level must be positive and finite")
     if y_star.shape[0] == 0:
         raise ValueError("cannot add noise of positive norm to empty data")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -344,6 +342,9 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     for i, delta in enumerate(cfg.deltas):
         for t in range(cfg.trials):
             try:
+                if l1.basis.n != w.matrix.shape[0]:
+                    raise ValueError(f"l1 basis size {l1.basis.n} != intermediate "
+                                     f"dimension {w.matrix.shape[0]}")
                 spectral = spectral or _singular_basis(w, a, l1.basis)
                 record, res = solve_record(cfg, phantom, w, a, l1, i, t, constants,
                                            solver_cfg, warm[t], _spectral=spectral)

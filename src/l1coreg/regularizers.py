@@ -94,14 +94,17 @@ def subgradient_from_coefficients(f, h_star, eta_coeffs):
 
     Checks the box constraint everywhere and the sign equalities
     ``eta_lambda = kappa_lambda * sign(<phi_lambda, h_star>)`` on the support
-    of ``h_star``, then computes the saturated set and margin.
+    of ``h_star``, then computes the saturated set and the margin, positive
+    since ``kappa - |eta| > SATURATION_TOL * kappa`` off the saturated set.
 
     Raises
     ------
     SubgradientError
-        If any constraint fails or the margin is not positive.
+        If a coefficient is not finite, a constraint fails or all are saturated.
     """
     eta_coeffs = np.asarray(eta_coeffs, dtype=float)
+    if not np.all(np.isfinite(eta_coeffs)):
+        raise SubgradientError("eta has a non-finite coefficient")
     c_star = f.basis.decompose(h_star)
     box_violation = np.max(np.abs(eta_coeffs) - f.kappa, initial=0.0)
     if box_violation > SATURATION_TOL * f.kappa.max():
@@ -123,8 +126,6 @@ def subgradient_from_coefficients(f, h_star, eta_coeffs):
             "every index is saturated; the margin m[eta] is undefined"
         )
     margin = float(np.min(f.kappa[off] - np.abs(eta_coeffs[off])))
-    if margin <= 0.0:
-        raise SubgradientError(f"margin m[eta] = {margin} must be positive")
     eta_coeffs.setflags(write=False)
     return Subgradient(eta_coeffs, omega, margin)
 

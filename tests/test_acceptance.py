@@ -83,7 +83,7 @@ def rate_instance():
 @pytest.fixture(scope="module")
 def certified_instance():
     basis, l1, w, a, phantom, cfg = build_instance(64, 48, 4, BOUND_SEED)
-    cert = find_certificate_relaxed(w, a, basis, l1, phantom.x_star)
+    cert = find_certificate_relaxed(w, a, l1, phantom.x_star)
     assert cert.valid and cert.strict_complementarity
     inj = check_restricted_injectivity(a, basis, cert.eta.omega)
     assert inj.injective
@@ -246,8 +246,8 @@ def test_criterion_5_norm_bound_randomized():
         use_eta = set(sg.omega) == set(omega)
         h = h_star + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
         rep = check_norm_bound(
-            a, basis, h, h_star, inj,
-            eta=sg if use_eta else None, l1=l1 if use_eta else None,
+            a, l1, h, h_star, inj,
+            eta=sg if use_eta else None,
         )
         checked += 1
         if not rep.l1_ok:
@@ -398,7 +398,7 @@ def test_criterion_10_certificate_engine():
     basis = WaveletBasis(8)
     l1 = WeightedL1(basis)
     x_star = basis.matrix[0]
-    cert = find_certificate_relaxed(identity(8), identity(8), basis, l1, x_star)
+    cert = find_certificate_relaxed(identity(8), identity(8), l1, x_star)
     inj = check_restricted_injectivity(identity(8), basis, cert.eta.omega)
     hand_ok = (
         cert.valid

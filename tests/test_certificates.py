@@ -115,7 +115,7 @@ class TestFindCertificateRelaxed:
     def test_identity_one_sparse(self, basis8, l1_unit8):
         x_star = basis8.matrix[0]
         cert = find_certificate_relaxed(
-            identity(8), identity(8), basis8, l1_unit8, x_star
+            identity(8), identity(8), l1_unit8, x_star
         )
         assert cert.valid
         assert cert.strict_complementarity
@@ -126,9 +126,9 @@ class TestFindCertificateRelaxed:
         assert cert.support == (0,)
         assert cert.eta.omega == (0,)
 
-    def test_zero_truth_trivially_valid(self, basis8, l1_unit8):
+    def test_zero_truth_trivially_valid(self, l1_unit8):
         cert = find_certificate_relaxed(
-            identity(8), identity(8), basis8, l1_unit8, np.zeros(8)
+            identity(8), identity(8), l1_unit8, np.zeros(8)
         )
         assert cert.valid
         assert cert.support == ()
@@ -136,7 +136,7 @@ class TestFindCertificateRelaxed:
 
     def test_acceptance_style_instance_certifies(self):
         basis, l1, w, a, x_star, h_star = certified_identity_instance(64, 48, 4, 198)
-        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        cert = find_certificate_relaxed(w, a, l1, x_star)
         assert cert.valid
         assert cert.strict_complementarity
         assert cert.saturation_margin > 0.2
@@ -157,7 +157,7 @@ class TestFindCertificateRelaxed:
         a = BernoulliSensing(32, n, seed=5)
         h_star = make_sparse_signal(basis, [0, 3, 7, 11], [1.0, -0.8, 1.2, 0.6])
         x_star = _inverse(w, h_star)
-        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        cert = find_certificate_relaxed(w, a, l1, x_star)
         assert not cert.valid
         assert cert.eta is None
         assert cert.split_residual > CERTIFICATE_RTOL * max(
@@ -179,7 +179,7 @@ class TestFindCertificateRelaxed:
 
     def test_saturation_margin_is_off_support_slack(self):
         basis, l1, w, a, x_star, h_star = certified_identity_instance(64, 48, 4, 198)
-        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        cert = find_certificate_relaxed(w, a, l1, x_star)
         off = np.setdiff1d(np.arange(basis.n), cert.support)
         slack = l1.kappa[off] - np.abs(cert.eta_coeffs[off])
         assert cert.saturation_margin == np.min(slack)
@@ -193,7 +193,7 @@ class TestFindCertificateRelaxed:
         # there is infinite and strict complementarity must still be false
         x_star = basis8.reconstruct(np.arange(1.0, 9.0) * (-1.0) ** np.arange(8))
         cert, inj, constants = certify(
-            model, identity(8), identity(8), basis8, l1_unit8, x_star, 1.0
+            model, identity(8), identity(8), l1_unit8, x_star, 1.0
         )
         assert cert.support == tuple(range(8))
         assert cert.split_residual <= 1e-13
@@ -213,11 +213,11 @@ class TestFindCertificateRelaxed:
         for eps, accepted in ((1e-9, True), (1e-11, False)):
             w = DenseMap(np.diag(np.r_[np.ones(15), eps]))
             if accepted:
-                cert = find_certificate_relaxed(w, identity(16), basis, l1, x_star)
+                cert = find_certificate_relaxed(w, identity(16), l1, x_star)
                 assert cert.support
             else:
                 with pytest.raises(ValueError, match="invertible W"):
-                    find_certificate_relaxed(w, identity(16), basis, l1, x_star)
+                    find_certificate_relaxed(w, identity(16), l1, x_star)
 
     @pytest.mark.parametrize(
         "w",
@@ -228,21 +228,21 @@ class TestFindCertificateRelaxed:
          DenseMap(np.eye(8)[:, :6])],
         ids=["singular", "numerically-singular", "non-square"],
     )
-    def test_non_invertible_forward_refused(self, basis8, l1_unit8, w):
+    def test_non_invertible_forward_refused(self, l1_unit8, w):
         # the search works in coefficients through W^-*, so it needs W invertible
         x_star = np.ones(w.matrix.shape[1])
         with pytest.raises(ValueError, match="invertible W"):
-            find_certificate_relaxed(w, identity(8), basis8, l1_unit8, x_star)
+            find_certificate_relaxed(w, identity(8), l1_unit8, x_star)
         for model in ("relaxed", "strict"):
             with pytest.raises(ValueError, match="invertible W"):
-                certify(model, w, identity(8), basis8, l1_unit8, x_star, 1.0)
+                certify(model, w, identity(8), l1_unit8, x_star, 1.0)
 
 
 class TestFindCertificateStrict:
     def test_identity_one_sparse(self, basis8, l1_unit8):
         x_star = basis8.matrix[0]
         cert = find_certificate_strict(
-            identity(8), identity(8), basis8, l1_unit8, x_star
+            identity(8), identity(8), l1_unit8, x_star
         )
         assert cert.valid
         assert cert.model == "strict"
@@ -253,16 +253,16 @@ class TestFindCertificateStrict:
         )
         assert cert.source_norm == pytest.approx(2.0, abs=1e-10)
 
-    def test_zero_truth(self, basis8, l1_unit8):
+    def test_zero_truth(self, l1_unit8):
         cert = find_certificate_strict(
-            identity(8), identity(8), basis8, l1_unit8, np.zeros(8)
+            identity(8), identity(8), l1_unit8, np.zeros(8)
         )
         assert cert.valid
         np.testing.assert_allclose(cert.v, np.zeros(8), atol=1e-10)
 
     def test_split_residual_recomputation(self):
         basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
-        cert = find_certificate_strict(w, a, basis, l1, x_star)
+        cert = find_certificate_strict(w, a, l1, x_star)
         if not cert.valid:
             pytest.skip("instance did not certify; nothing to recompute")
         w_mat = w.matrix
@@ -275,7 +275,7 @@ class TestFindCertificateStrict:
         assert split <= 1e-8
 
         # the same split is a relaxed certificate: W* u = x*, A* v - u = eta
-        relaxed = find_certificate_relaxed(w, a, basis, l1, x_star)
+        relaxed = find_certificate_relaxed(w, a, l1, x_star)
         assert relaxed.valid and relaxed.model == "relaxed"
         tol = CERTIFICATE_RTOL * max(1.0, np.linalg.norm(x_star))
         assert np.linalg.norm(w_mat.T @ relaxed.u - x_star) <= tol
@@ -288,9 +288,9 @@ class TestFindCertificateStrict:
     def test_both_models_certify_alike(self):
         # identity forward operator: the relaxed and strict source conditions
         # are the same equation, so certify must reach the same verdict
-        basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
+        _, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
         (rel, rel_inj, rel_k), (st, st_inj, st_k) = (
-            certify(model, w, a, basis, l1, x_star, 1.0)
+            certify(model, w, a, l1, x_star, 1.0)
             for model in ("relaxed", "strict")
         )
         assert rel.valid and st.valid
@@ -334,7 +334,7 @@ class TestSearchPaths:
             x_star = _inverse(w, h_star)
         ref = pinv_certificate(w, a, basis, l1, x_star)
         calls = _count_pinv(monkeypatch)
-        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        cert = find_certificate_relaxed(w, a, l1, x_star)
         assert calls == []
         assert cert.valid == ref.valid == (forward == "identity")
         assert cert.support == ref.support
@@ -375,7 +375,7 @@ class TestSearchPaths:
         assert np.linalg.matrix_rank(a.matrix) < rows
         ref = pinv_certificate(w, a, basis, l1, x_star)
         calls = _count_pinv(monkeypatch)
-        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        cert = find_certificate_relaxed(w, a, l1, x_star)
         assert calls == [(n, rows)]
         np.testing.assert_array_equal(cert.v, ref.v)
         np.testing.assert_array_equal(cert.u, ref.u)
@@ -428,7 +428,7 @@ class TestSearchPaths:
         for model in ("relaxed", "strict"):
             for seen in rows.values():
                 seen.clear()
-            certify(model, w, a, basis, l1, x_star, 1.0)
+            certify(model, w, a, l1, x_star, 1.0)
             assert rows["pinv"] == []
             for name in ("cholesky", "inv"):
                 assert len(rows[name]) == m // solvers._FACTOR_BLOCK
@@ -511,7 +511,7 @@ class TestRateConstants:
 
     def test_recomputation_from_ingredients(self):
         basis, l1, w, a, x_star, h_star = certified_identity_instance(64, 48, 4, 198)
-        cert = find_certificate_relaxed(w, a, basis, l1, x_star)
+        cert = find_certificate_relaxed(w, a, l1, x_star)
         inj = check_restricted_injectivity(a, basis, cert.eta.omega)
         assert inj.a_norm == operator_norm(a.matrix)
         q = inj.a_omega_inv_norm
@@ -527,7 +527,7 @@ class TestRateConstants:
     @pytest.mark.parametrize("model", ["relaxed", "strict"])
     def test_certify_computes_operator_norm_once(self, monkeypatch, model):
         # the injectivity test and the rate constants share one ||A||
-        basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
+        _, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
         calls = []
 
         def counted(mat):
@@ -535,7 +535,7 @@ class TestRateConstants:
             return operator_norm(mat)
 
         monkeypatch.setattr(certificates, "operator_norm", counted)
-        cert, inj, constants = certify(model, w, a, basis, l1, x_star, 1.0)
+        cert, inj, constants = certify(model, w, a, l1, x_star, 1.0)
         assert constants is not None
         assert len(calls) == 1 and calls[0] is a.matrix
         assert inj.a_norm == operator_norm(a.matrix)
@@ -576,7 +576,7 @@ class TestVariationalBounds:
         p = Problem("relaxed", w, a, y_big, alpha, l1_unit8)
         res = solve_relaxed(p, SolverConfig(tol=1e-13))
         # the certified pair: x* = phi0, h* = phi0, y* = A h* = phi0
-        cert = find_certificate_relaxed(w, a, basis8, l1_unit8, x_star)
+        cert = find_certificate_relaxed(w, a, l1_unit8, x_star)
         assert cert.valid
         source = np.concatenate([cert.u, cert.v])
         x_sol = np.concatenate([res.x, res.h])
@@ -615,7 +615,7 @@ class TestNormBound:
     def test_equal_signals_trivial(self, basis8, l1_unit8):
         h_star = make_sparse_signal(basis8, [0, 2], [1.0, -1.0])
         inj = check_restricted_injectivity(identity(8), basis8, [0, 2])
-        rep = check_norm_bound(identity(8), basis8, h_star, h_star, inj)
+        rep = check_norm_bound(identity(8), l1_unit8, h_star, h_star, inj)
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.l1_ok
 
@@ -625,7 +625,7 @@ class TestNormBound:
         h_star = basis8.matrix[0]
         h = h_star + basis8.matrix[5]
         inj = check_restricted_injectivity(identity(8), basis8, [0])
-        rep = check_norm_bound(identity(8), basis8, h, h_star, inj)
+        rep = check_norm_bound(identity(8), l1_unit8, h, h_star, inj)
         assert rep.lhs == pytest.approx(1.0, abs=1e-10)
         assert rep.rhs_l1 == pytest.approx(3.0, abs=1e-8)
         assert rep.l1_ok
@@ -643,8 +643,8 @@ class TestNormBound:
         assert inj.a_norm == pytest.approx(2.0, rel=1e-12)
         assert inj.a_omega_inv_norm == pytest.approx(0.5, rel=1e-12)
         assert eta.margin == 0.5
-        rep = check_norm_bound(a, basis8, h_star + basis8.matrix[5], h_star, inj,
-                               eta=eta, l1=l1_unit8)
+        rep = check_norm_bound(a, l1_unit8, h_star + basis8.matrix[5], h_star, inj,
+                               eta=eta)
         assert rep.lhs == pytest.approx(1.0, rel=1e-12)
         assert rep.rhs_l1 == pytest.approx(3.0, rel=1e-12)
         assert rep.rhs_bregman == pytest.approx(3.0, rel=1e-12)
@@ -661,8 +661,8 @@ class TestNormBound:
         inj = check_restricted_injectivity(identity(8), basis8, [0])
         for inv_norm, ok in ((1.0, True), (0.6, False)):
             rep = check_norm_bound(
-                identity(8), basis8, h, h_star,
-                replace(inj, a_omega_inv_norm=inv_norm), eta=eta, l1=l1_unit8,
+                identity(8), l1_unit8, h, h_star,
+                replace(inj, a_omega_inv_norm=inv_norm), eta=eta,
             )
             assert rep.lhs == pytest.approx(0.5, rel=1e-12)
             assert rep.rhs_l1 == pytest.approx(0.5 * inv_norm, rel=1e-12)
@@ -672,6 +672,7 @@ class TestNormBound:
     def test_randomized_instances(self, rng):
         n = 32
         basis = WaveletBasis(n)
+        l1 = WeightedL1(basis)
         for trial in range(100):
             m = int(rng.integers(12, 25))
             a = BernoulliSensing(m, n, seed=int(rng.integers(0, 2**31)))
@@ -683,13 +684,14 @@ class TestNormBound:
             c_star[omega] = rng.uniform(0.5, 1.5, 3) * rng.choice([-1, 1], 3)
             h_star = basis.reconstruct(c_star)
             h = h_star + 0.5 * rng.standard_normal(n)
-            rep = check_norm_bound(a, basis, h, h_star, inj)
+            rep = check_norm_bound(a, l1, h, h_star, inj)
             assert rep.l1_ok
 
     def test_reuses_operator_norm_of_report(self, monkeypatch, rng):
         # ||A|| comes from the injectivity report; the bound computes none
         n = 16
         basis = WaveletBasis(n)
+        l1 = WeightedL1(basis)
         a = BernoulliSensing(12, n, seed=3)
         omega = [0, 2]
         inj = check_restricted_injectivity(a, basis, omega)
@@ -704,7 +706,7 @@ class TestNormBound:
             return operator_norm(mat)
 
         monkeypatch.setattr(certificates, "operator_norm", counted)
-        rep = check_norm_bound(a, basis, h, h_star, inj)
+        rep = check_norm_bound(a, l1, h, h_star, inj)
         assert calls == []
         assert rep.l1_ok
 
@@ -722,30 +724,37 @@ class TestNormBound:
         assert inj.injective
         for _ in range(50):
             h = h_star + 0.3 * rng.standard_normal(n)
-            rep = check_norm_bound(a, basis, h, h_star, inj, eta=sg, l1=l1)
+            rep = check_norm_bound(a, l1, h, h_star, inj, eta=sg)
             assert rep.l1_ok and rep.bregman_ok
 
     def test_off_support_energy_rejected(self, basis8, l1_unit8):
         h_star = basis8.matrix[0] + 0.5 * basis8.matrix[4]
         inj = check_restricted_injectivity(identity(8), basis8, [0])
         with pytest.raises(ValueError):
-            check_norm_bound(identity(8), basis8, h_star, h_star, inj)
+            check_norm_bound(identity(8), l1_unit8, h_star, h_star, inj)
 
     def test_omega_mismatch_rejected(self, basis8, l1_unit8):
         h_star = basis8.matrix[0]
         sg = subgradient_at(l1_unit8, h_star)
         inj = check_restricted_injectivity(identity(8), basis8, [0, 1])
         with pytest.raises(ValueError):
-            check_norm_bound(
-                identity(8), basis8, h_star, h_star, inj, eta=sg, l1=l1_unit8,
-            )
+            check_norm_bound(identity(8), l1_unit8, h_star, h_star, inj, eta=sg)
+
+    def test_non_injective_rejected(self, basis8, l1_unit8):
+        # five indices cannot be injective under four measurements; h* = 0
+        # lies in every H_Omega, so the injectivity test is what refuses
+        a = DenseMap(np.eye(8)[:4])
+        inj = check_restricted_injectivity(a, basis8, range(5))
+        assert not inj.injective
+        with pytest.raises(ValueError, match="injective A_Omega"):
+            check_norm_bound(a, l1_unit8, np.ones(8), np.zeros(8), inj)
 
 
 class TestReportRoundTrip:
     def test_relaxed_report(self, basis8, l1_unit8):
         x_star = basis8.matrix[0]
         cert = find_certificate_relaxed(
-            identity(8), identity(8), basis8, l1_unit8, x_star
+            identity(8), identity(8), l1_unit8, x_star
         )
         inj = check_restricted_injectivity(identity(8), basis8, cert.eta.omega)
         constants = rate_constants(cert, inj, 1.0)
@@ -760,7 +769,7 @@ class TestReportRoundTrip:
 
     def test_strict_report(self, basis8, l1_unit8):
         cert = find_certificate_strict(
-            identity(8), identity(8), basis8, l1_unit8, basis8.matrix[0]
+            identity(8), identity(8), l1_unit8, basis8.matrix[0]
         )
         inj = check_restricted_injectivity(identity(8), basis8, cert.eta.omega)
         lines = report_lines(cert, inj)
@@ -782,9 +791,9 @@ class TestCertify:
         cfg = SweepConfig(n=8, m=8, sparsity=1, deltas=(1.0,), seed=3)
         return make_phantom(8, 1, cfg.phantom_seed(), basis8, identity(8)).x_star
 
-    def test_identity_instance_constants(self, basis8, l1_unit8, x_star):
+    def test_identity_instance_constants(self, l1_unit8, x_star):
         cert, inj, constants = certify(
-            "relaxed", identity(8), identity(8), basis8, l1_unit8, x_star, 1.0
+            "relaxed", identity(8), identity(8), l1_unit8, x_star, 1.0
         )
         kv = parse_config_text("\n".join(report_lines(cert, inj, constants)))
         assert kv["valid"] == "true"
@@ -804,12 +813,16 @@ class TestCertify:
         assert rep["c"] == pytest.approx(c, rel=1e-12)
         assert rep["d"] == pytest.approx(d, rel=1e-12)
 
-    def test_strict_model(self, basis8, l1_unit8, x_star):
+    def test_strict_model(self, l1_unit8, x_star):
         cert, inj, constants = certify(
-            "strict", identity(8), identity(8), basis8, l1_unit8, x_star, 1.0
+            "strict", identity(8), identity(8), l1_unit8, x_star, 1.0
         )
         assert cert.valid and inj.injective and constants is not None
         assert "certificate_kind = strict" in report_lines(cert, inj, constants)
+
+    def test_unknown_model_refused(self, l1_unit8, x_star):
+        with pytest.raises(ValueError, match="'relaxed' or 'strict', got 'exact'"):
+            certify("exact", identity(8), identity(8), l1_unit8, x_star, 1.0)
 
 
 class TestStrictBoundSuite:
@@ -820,7 +833,7 @@ class TestStrictBoundSuite:
         from l1coreg.experiments import add_noise
 
         basis, l1, w, a, x_star, h_star = certified_identity_instance(32, 24, 3, 1)
-        cert = find_certificate_strict(w, a, basis, l1, x_star)
+        cert = find_certificate_strict(w, a, l1, x_star)
         assert cert.valid
         inj = check_restricted_injectivity(a, basis, cert.eta.omega)
         assert inj.injective

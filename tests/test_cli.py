@@ -640,6 +640,29 @@ class TestConfigFile:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
 
+    def test_command_and_config_keys_skipped(self, tmp_path, capsys):
+        # a block that names another subcommand and another config file
+        # replays the command line's own run, byte for byte
+        rc, stdout, _ = run_cli(
+            ["solve", "--model", "relaxed", *SMALL, "--delta", "1e-4",
+             "--out", str(tmp_path / "a")],
+            capsys,
+        )
+        assert rc == EXIT_OK
+        block = stdout.split("version = ")[0].splitlines()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(["command = certify", "config = other.cfg",
+                                   *block]) + "\n")
+        rc, replayed, _ = run_cli(
+            ["solve", "--config", str(cfg), "--out", str(tmp_path / "b")],
+            capsys,
+        )
+        assert rc == EXIT_OK
+        assert replayed.split("version = ")[0].splitlines() == block
+        for name in ("x.txt", "h.txt"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
     def test_line_without_equals_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n = 32\nm 24\n")

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_sparse_signal, subgradient_at
 from l1coreg.basis import WaveletBasis
 from l1coreg.regularizers import (
+    Subgradient,
     SubgradientError,
     WeightedL1,
     bregman_l1,
@@ -187,6 +188,21 @@ class TestSubgradientFromCoefficients:
         assert sg.omega == (2,)
         assert sg.margin == pytest.approx(0.6)
 
+    @pytest.mark.parametrize(
+        "index, value",
+        [(3, np.nan), (0, np.nan), (3, np.inf), (3, -np.inf)],
+        ids=["nan-off-support", "nan-on-support", "inf", "-inf"],
+    )
+    def test_non_finite_rejected(self, basis8, l1_unit8, index, value):
+        # NaN passes both the box and the sign comparison, so it is refused
+        # before them
+        h_star = basis8.matrix[0]
+        eta = np.zeros(8)
+        eta[0] = 1.0
+        eta[index] = value
+        with pytest.raises(SubgradientError, match="non-finite"):
+            subgradient_from_coefficients(l1_unit8, h_star, eta)
+
 
 class TestBregmanL1:
     def test_zero_at_truth(self, basis8, l1_unit8):
@@ -233,6 +249,35 @@ class TestBregmanL1:
         other = basis8.matrix[3]  # eta is not a subgradient at other
         with pytest.raises(SubgradientError):
             bregman_l1(l1_unit8, sg, h_star, other)
+
+    def test_negative_value_refused(self, basis8, l1_unit8):
+        # eta_3 = 1 + 1e-13 passes the box check's tolerance, but on c_3 = 1
+        # it makes D = -1e-13, far outside the roundoff window
+        eta = np.zeros(8)
+        eta[0] = 1.0
+        eta[3] = 1.0 + 1e-13
+        sg = Subgradient(eta, (0, 3), 1.0)
+        with pytest.raises(SubgradientError, match="came out negative"):
+            bregman_l1(l1_unit8, sg, basis8.matrix[3], basis8.matrix[0])
+
+    def test_roundoff_negative_clamped_to_zero(self, basis8, l1_unit8):
+        # as above, eta_3 = 1 + 1e-13 on c_3 = 1 makes a term of -1e-13; here
+        # eta_5 on c_5 = 1e-13 cancels it to the last bits, and every other
+        # term is |c| - sign(c) c = 0.  The first eta_5 that leaves the sum
+        # negative leaves it inside the guard's 1e-12 relative window
+        h = basis8.matrix[0] + basis8.matrix[3] + 1e-13 * basis8.matrix[5]
+        c = basis8.decompose(h)
+        eta = np.sign(c)
+        eta[3] = 1.0 + 1e-13
+        eta[5] = (abs(c[5]) + (abs(c[3]) - eta[3] * c[3])) / c[5]
+        for _ in range(100):
+            terms = np.abs(c) - eta * c
+            if np.sum(terms) < 0.0:
+                break
+            eta[5] += 1e-16
+        assert -1e-12 * np.sum(np.abs(terms)) <= np.sum(terms) < 0.0
+        sg = Subgradient(eta, (0, 3), 1.0)
+        assert bregman_l1(l1_unit8, sg, h, basis8.matrix[0]) == 0.0
 
 
 class TestQuadratic:

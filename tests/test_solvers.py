@@ -132,6 +132,9 @@ class TestConfigValidation:
             Problem("strict", eye, eye, np.zeros(8), np.inf, l1_unit8)
         with pytest.raises(ValueError):
             Problem("relaxed", IntegrationOp(4), eye, np.zeros(8), 1.0, l1_unit8)
+        l1_16 = WeightedL1(WaveletBasis(16))
+        with pytest.raises(ValueError, match="l1 basis size 16 != intermediate dimension 8"):
+            Problem("relaxed", eye, eye, np.zeros(8), 1.0, l1_16)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_problem_rejects_non_finite_data(self, l1_unit8, bad):
