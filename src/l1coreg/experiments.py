@@ -41,6 +41,7 @@ from .solvers import (
     _BALANCE_RATIO,
     _MAX_REBUILDS,
     Problem,
+    _check_l1_size,
     _singular_basis,
     solve,
 )
@@ -342,9 +343,7 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     for i, delta in enumerate(cfg.deltas):
         for t in range(cfg.trials):
             try:
-                if l1.basis.n != w.matrix.shape[0]:
-                    raise ValueError(f"l1 basis size {l1.basis.n} != intermediate "
-                                     f"dimension {w.matrix.shape[0]}")
+                _check_l1_size(w, l1)
                 spectral = spectral or _singular_basis(w, a, l1.basis)
                 record, res = solve_record(cfg, phantom, w, a, l1, i, t, constants,
                                            solver_cfg, warm[t], _spectral=spectral)

@@ -107,6 +107,12 @@ class SolverError(RuntimeError):
     """A solve produced non-finite values or could not proceed."""
 
 
+def _check_l1_size(w, l1):
+    if l1.basis.n != w.matrix.shape[0]:
+        raise ValueError(f"l1 basis size {l1.basis.n} != intermediate "
+                         f"dimension {w.matrix.shape[0]}")
+
+
 def _check_problem_dims(w, a, y_delta, alpha, l1):
     w_rows = w.matrix.shape[0]
     a_rows, a_cols = a.matrix.shape
@@ -114,10 +120,7 @@ def _check_problem_dims(w, a, y_delta, alpha, l1):
         raise ValueError(
             f"W maps into R^{w_rows} but A expects R^{a_cols}"
         )
-    if l1.basis.n != w_rows:
-        raise ValueError(
-            f"l1 basis size {l1.basis.n} != intermediate dimension {w_rows}"
-        )
+    _check_l1_size(w, l1)
     if y_delta.shape != (a_rows,):
         raise ValueError(
             f"data length {y_delta.shape} != measurement dimension {a_rows}"
