@@ -245,10 +245,7 @@ def test_criterion_5_norm_bound_randomized():
         sg = subgradient_at(l1, h_star)
         use_eta = set(sg.omega) == set(omega)
         h = h_star + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
-        rep = check_norm_bound(
-            a, l1, h, h_star, inj,
-            eta=sg if use_eta else None,
-        )
+        rep = check_norm_bound(a, l1, h, h_star, inj, eta=sg if use_eta else None)
         checked += 1
         if not rep.l1_ok:
             violations += 1
