@@ -17,10 +17,13 @@ A seed must be nonnegative and small enough that every key is below
 ``2**128``.
 
 Each trial's records form one chain along the descending noise levels: the
-solve of delta index ``i > 0`` starts ADMM from the final state of the same
+solve of delta index ``i > 0`` starts from the final state of the same
 trial's record at ``i - 1`` when that one converged, and from zero
-otherwise.  The chain runs from large to small ``alpha`` and is fixed by the
-configuration, so replay stays bit-exact.
+otherwise.  A chained solve first takes the solver's active-set steps from
+that state; when their point verifies, no ADMM runs (``iterations`` 0),
+and otherwise ADMM runs from the state.  The chain runs from
+large to small ``alpha`` and is fixed by the configuration, so replay stays
+bit-exact.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ from .regularizers import bregman_quadratic
 from .solvers import (
     _BALANCE_EVERY,
     _BALANCE_RATIO,
+    _FACTOR_BLOCK,
+    _KKT_TOL,
+    _MAX_ACTIVE_SET_STEPS,
     _MAX_REBUILDS,
     Problem,
     _check_l1_size,
@@ -305,9 +311,10 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     :func:`solve_record`.  The first delta's solves start cold; every later
     one warm-starts from the same trial's record at the previous delta when
     that solve converged, and cold otherwise (see
-    :func:`~l1coreg.solvers.solve`).  Replaying one record with a cold
-    :func:`~l1coreg.solvers.solve` therefore reaches the same optimum to
-    within ``solver_cfg.tol``, not the same bits.  ``err_h`` is the error of
+    :func:`~l1coreg.solvers.solve`: a warm start is finished by active-set
+    steps when their point verifies, by ADMM otherwise).  Replaying one
+    record with a cold :func:`~l1coreg.solvers.solve` therefore reaches the
+    same optimum to within ``solver_cfg.tol``, not the same bits.  ``err_h`` is the error of
     the solver's estimate of ``h* = W x*``, ``result.h``, for both models.
     W's spectrum, ``Phi U`` and ``A U`` are formed once, at the first record.
 
@@ -483,6 +490,14 @@ def sweep_metadata(cfg, l1, solver_cfg, forward):
             f"[1/{_BALANCE_RATIO:g}, {_BALANCE_RATIO:g}]; when a residual is "
             f"within solver_tol, only back toward solver_rho by at most "
             f"{_BALANCE_RATIO:g}x; at most {_MAX_REBUILDS} changes per solve"
+        ),
+        "solver_finish_rule": (
+            f"a warm start first takes primal-dual active-set steps from the "
+            f"support and signs of its c until the set and signs repeat, at "
+            f"most {_MAX_ACTIVE_SET_STEPS} steps on sets of at most "
+            f"{_FACTOR_BLOCK} indices; their point is kept when its signs hold "
+            f"and kkt_residual <= {_KKT_TOL:g} (iterations 0); otherwise, and "
+            f"when an earlier set comes back, ADMM runs from the warm start"
         ),
         "phantom_support_rule": "index 0 plus draws from coarsest quarter",
     }

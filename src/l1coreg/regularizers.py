@@ -92,7 +92,9 @@ def soft_threshold(c, thresholds):
 def subgradient_from_coefficients(f, h_star, eta_coeffs):
     """Validate raw coefficients as a subgradient of ``||.||_{1,kappa}`` at ``h_star``.
 
-    Checks the box constraint everywhere and the sign equalities
+    Checks the box constraint everywhere, each ``|eta_lambda|`` against its
+    own ``kappa_lambda`` within ``SATURATION_TOL * kappa_lambda``, and the
+    sign equalities
     ``eta_lambda = kappa_lambda * sign(<phi_lambda, h_star>)`` on the support
     of ``h_star``, then computes the saturated set and the margin, positive
     since ``kappa - |eta| > SATURATION_TOL * kappa`` off the saturated set.
@@ -106,10 +108,12 @@ def subgradient_from_coefficients(f, h_star, eta_coeffs):
     if not np.all(np.isfinite(eta_coeffs)):
         raise SubgradientError("eta has a non-finite coefficient")
     c_star = f.basis.decompose(h_star)
-    box_violation = np.max(np.abs(eta_coeffs) - f.kappa, initial=0.0)
-    if box_violation > SATURATION_TOL * f.kappa.max():
+    excess = np.abs(eta_coeffs) - f.kappa
+    outside = np.flatnonzero(excess > SATURATION_TOL * f.kappa)
+    if outside.size:
+        lam = int(outside[np.argmax(excess[outside])])
         raise SubgradientError(
-            f"|eta| exceeds kappa by {box_violation:.3e} somewhere"
+            f"|eta| exceeds kappa by {excess[lam]:.3e} at index {lam}"
         )
     eta_coeffs = np.clip(eta_coeffs, -f.kappa, f.kappa)
     for lam in support(c_star):

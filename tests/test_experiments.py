@@ -389,6 +389,17 @@ class TestCsvRoundTrip:
         assert keys.index("solver_rho_rule") == keys.index("solver_start_rule") + 1
         assert "every 50 iterations" in meta["solver_rho_rule"]
 
+    def test_metadata_states_finish_rule(self, small_sweep):
+        # the chained records' active-set finish and its limits
+        cfg, _, _, _, l1 = small_sweep
+        meta = sweep_metadata(cfg, l1, SolverConfig(), "identity")
+        keys = list(meta)
+        assert keys.index("solver_finish_rule") == keys.index("solver_rho_rule") + 1
+        rule = meta["solver_finish_rule"]
+        for part in ("at most 20 steps", "at most 64 indices",
+                     "kkt_residual <= 1e-12"):
+            assert part in rule
+
     def test_metadata_kappa_is_one_value_when_uniform(self, small_sweep):
         cfg, _, _, _, l1 = small_sweep
         meta = sweep_metadata(cfg, l1, SolverConfig(), "identity")

@@ -179,6 +179,18 @@ class TestSubgradientFromCoefficients:
         with pytest.raises(SubgradientError):
             subgradient_from_coefficients(l1_unit8, h_star, bad)
 
+    def test_box_checked_per_weight(self, basis8):
+        # a tolerance scaled by the largest weight let eta_3 = 1.9 pass the
+        # box |eta_3| <= 1 and clipped it to 1
+        kappa = np.ones(8)
+        kappa[7] = 1e12
+        eta = np.zeros(8)
+        eta[0] = 1.0
+        eta[3] = 1.9
+        with pytest.raises(SubgradientError, match="at index 3"):
+            subgradient_from_coefficients(WeightedL1(basis8, kappa),
+                                          basis8.matrix[0], eta)
+
     def test_valid_roundtrip(self, basis8, l1_unit8):
         h_star = basis8.matrix[2]
         eta = np.zeros(8)

@@ -11,7 +11,7 @@ from conftest import (
     exact_minimizer,
     natural_residual,
 )
-from l1coreg import solvers
+from l1coreg import experiments, solvers
 from l1coreg.basis import WaveletBasis
 from l1coreg.experiments import (
     SweepConfig,
@@ -859,8 +859,10 @@ class TestWarmStart:
     @MODELS
     def test_trace_counts_from_one(self, model, monkeypatch):
         # at a fixed rho the nearby start saves iterations; with rho balanced
-        # the strict warm start takes more than the cold one
+        # the strict warm start takes more than the cold one; the active set
+        # is off, since it finishes this start with no iteration
         monkeypatch.setattr(solvers, "_MAX_REBUILDS", 0)
+        monkeypatch.setattr(solvers, "_MAX_ACTIVE_SET_STEPS", 0)
         p = fixed_problem(model, 64, "identity")
         cfg = SolverConfig()
         nearby = solve(replace(p, alpha=0.2), cfg)
@@ -869,3 +871,186 @@ class TestWarmStart:
         rows = trace_rows(buf)
         assert [row[0] for row in rows] == list(range(1, res.iterations + 1))
         assert 1 < res.iterations < solve(p, cfg).iterations
+
+
+def chained_solves(monkeypatch, cfg, solver_cfg, forward="identity"):
+    """``(problem, warm, result)`` of every chained record of ``cfg``'s sweep."""
+    l1 = WeightedL1(WaveletBasis(cfg.n))
+    w, a = default_operators(cfg, forward=forward)
+    phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(), l1.basis, w)
+    seen = []
+
+    def spy(p, scfg, trace=None, warm=None):
+        res = solve(p, scfg, trace, warm)
+        seen.append((p, warm, res))
+        return res
+
+    monkeypatch.setattr(experiments, "solve", spy)
+    assert run_sweep(cfg, phantom, w, a, l1=l1, solver_cfg=solver_cfg).all_converged
+    return [(p, warm, res) for p, warm, res in seen if warm is not None]
+
+
+def admm_only(monkeypatch, p, cfg, warm):
+    """The warm solve with the active set switched off: ADMM from ``warm``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_MAX_ACTIVE_SET_STEPS", 0)
+        return solve(p, cfg, warm=warm)
+
+
+def assert_same_bits(got, want):
+    for name in ("x", "h", "c", "multiplier"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("objective", "iterations", "primal_residual", "dual_residual",
+                 "rho", "rebuilds", "active_set_steps", "converged"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestActiveSetFinish:
+    # a warm solve first takes active-set steps from the support and signs of
+    # warm.c and keeps their point only when it verifies; the checks here use
+    # the tests' own dense KKT residual and exact minimizer
+    SWEEPS = {
+        "sweep_relaxed_n64": (
+            SweepConfig(n=64, m=48, sparsity=4, deltas=np.logspace(-2, -5, 7),
+                        trials=3, seed=198),
+            SolverConfig(max_iters=30_000),
+        ),
+        "criterion_2": (
+            SweepConfig(n=256, m=128, sparsity=8, deltas=np.logspace(-2, -5, 7),
+                        model="strict", trials=3, seed=178),
+            SolverConfig(rho=1.0, max_iters=40_000),
+        ),
+    }
+
+    @pytest.mark.parametrize("sweep", list(SWEEPS))
+    def test_finishes_every_chained_record(self, monkeypatch, sweep):
+        cfg, solver_cfg = self.SWEEPS[sweep]
+        chained = chained_solves(monkeypatch, cfg, solver_cfg)
+        assert len(chained) == (len(cfg.deltas) - 1) * cfg.trials
+        for p, warm, res in chained:
+            assert res.converged and res.active_set_steps > 0
+            assert res.iterations == res.rebuilds == 0
+            assert res.rho == warm.rho
+            assert natural_residual(p, res) <= 1e-12
+            point = exact_minimizer(p, res)
+            assert np.max(np.abs(point.h - res.h)) <= 1e-12 * np.max(np.abs(res.h))
+            assert point.objective == pytest.approx(res.objective, rel=1e-12)
+
+    def test_result_is_a_primal_dual_pair(self, monkeypatch):
+        # c is exactly sparse and the multiplier is the dual r = b - H c:
+        # alpha kappa sign(c) on the support, to rounding relative to
+        # ||b||_inf with b = Phi A* y, and within the box off it
+        cfg, solver_cfg = self.SWEEPS["sweep_relaxed_n64"]
+        p, _, res = chained_solves(monkeypatch, cfg, solver_cfg)[-1]
+        on = res.c != 0
+        level = p.alpha * p.l1.kappa
+        scale = np.max(np.abs(p.l1.basis.decompose(p.a.matrix.T @ p.y_delta)))
+        assert 0 < on.sum() < len(on)
+        gap = res.multiplier[on] - level[on] * np.sign(res.c[on])
+        assert np.max(np.abs(gap)) <= 1e-12 * scale
+        assert np.all(np.abs(res.multiplier[~on]) <= level[~on])
+        assert np.array_equal(res.h, p.l1.basis.reconstruct(res.c))
+        again = admm_only(monkeypatch, p, solver_cfg, res)
+        assert again.converged and again.iterations <= 2
+
+    def test_wide_support_falls_back(self, monkeypatch):
+        # the kappa = 1 integration instance: the previous record's support
+        # is wider than _FACTOR_BLOCK, so ADMM runs from it as without the
+        # finish
+        cfg = SweepConfig(n=256, m=128, sparsity=8, deltas=(1e-2, 1e-3), seed=7)
+        l1 = WeightedL1(WaveletBasis(cfg.n))
+        w, a = default_operators(cfg)
+        phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(), l1.basis, w)
+        first, second = (
+            Problem("relaxed", w, a, add_noise(a.matrix @ phantom.h_star, delta,
+                                               cfg.noise_seed(i, 0)), delta, l1)
+            for i, delta in enumerate(cfg.deltas)
+        )
+        warm = solve(first)
+        assert np.count_nonzero(warm.c) > solvers._FACTOR_BLOCK
+        res = solve(second, warm=warm)
+        assert res.converged and res.iterations > 0
+        assert_same_bits(res, admm_only(monkeypatch, second, SolverConfig(), warm))
+
+    def test_failed_check_falls_back(self, monkeypatch):
+        cfg, solver_cfg = self.SWEEPS["sweep_relaxed_n64"]
+        p, warm, finished = chained_solves(monkeypatch, cfg, solver_cfg)[0]
+        checked = []
+
+        def failing(problem, result):
+            checked.append(result)
+            return np.inf
+
+        monkeypatch.setattr(solvers, "kkt_residual", failing)
+        res = solve(p, solver_cfg, warm=warm)
+        assert [r.active_set_steps for r in checked] == [finished.active_set_steps]
+        assert res.converged and res.iterations > 0
+        assert_same_bits(res, admm_only(monkeypatch, p, solver_cfg, warm))
+
+    def test_cycle_falls_back(self, monkeypatch):
+        # from c = e_0 on this underdetermined instance the steps alternate
+        # between two active sets
+        l1 = WeightedL1(WaveletBasis(8))
+        p = Problem("relaxed", identity(8), BernoulliSensing(3, 8, seed=0),
+                    np.array([1.0, 2.0, 3.0]), 0.1, l1)
+        cfg = SolverConfig()
+        start = np.zeros(8)
+        start[0] = 1.0
+        warm = replace(solve(p, cfg), c=start, multiplier=np.zeros(8), rho=1.0)
+        steps = []
+        hess = solvers._hess
+
+        def counting(*args):
+            steps.append(1)
+            return hess(*args)
+
+        monkeypatch.setattr(solvers, "_hess", counting)
+        res = solve(p, cfg, warm=warm)
+        # one product per step, none for a check: the steps stopped early
+        assert 2 < len(steps) < solvers._MAX_ACTIVE_SET_STEPS
+        assert res.converged and res.iterations > 0 and res.active_set_steps == 0
+        assert_same_bits(res, admm_only(monkeypatch, p, cfg, warm))
+
+    def test_step_cap_falls_back(self, monkeypatch):
+        cfg, solver_cfg = self.SWEEPS["sweep_relaxed_n64"]
+        p, warm, finished = chained_solves(monkeypatch, cfg, solver_cfg)[0]
+        assert finished.active_set_steps > 1
+        monkeypatch.setattr(solvers, "_MAX_ACTIVE_SET_STEPS",
+                            finished.active_set_steps - 1)
+        res = solve(p, solver_cfg, warm=warm)
+        assert res.active_set_steps == 0 and res.iterations > 0
+        assert_same_bits(res, admm_only(monkeypatch, p, solver_cfg, warm))
+
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_traced_matches_untraced(self, model):
+        p = fixed_problem(model, 64)
+        cfg = SolverConfig()
+        warm = solve(replace(p, alpha=0.11), cfg)
+        buf = io.StringIO()
+        traced = solve(p, cfg, trace=buf, warm=warm)
+        assert traced.active_set_steps > 0
+        assert buf.getvalue() == "iter,objective,fpr,primal_res,dual_res,rho\n"
+        assert_same_bits(traced, solve(p, cfg, warm=warm))
+
+
+class TestKktResidual:
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_zero_point(self, model):
+        # at c = 0 the dual is b = Phi A* y, so the residual is
+        # (||b||_inf - alpha)/||b||_inf at unit weights when alpha < ||b||_inf
+        p = fixed_problem(model, 64)
+        res = replace(solve(p, SolverConfig(max_iters=1)), c=np.zeros(64))
+        b = np.max(np.abs(p.l1.basis.decompose(p.a.matrix.T @ p.y_delta)))
+        assert p.alpha < b
+        assert solvers.kkt_residual(p, res) == pytest.approx((b - p.alpha) / b,
+                                                             rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_separates_admm_from_exact_points(self, model):
+        p = fixed_problem(model, 64)
+        cfg = SolverConfig()
+        early = solve(p, SolverConfig(max_iters=20))
+        exact = solve(p, cfg, warm=solve(replace(p, alpha=0.11), cfg))
+        assert exact.active_set_steps > 0
+        assert solvers.kkt_residual(p, exact) <= 1e-12
+        assert solvers.kkt_residual(p, early) > 1e-6
