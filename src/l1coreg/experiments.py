@@ -21,9 +21,8 @@ solve of delta index ``i > 0`` starts from the final state of the same
 trial's record at ``i - 1`` when that one converged, and from zero
 otherwise.  A chained solve first takes the solver's active-set steps from
 that state; when their point verifies, no ADMM runs (``iterations`` 0),
-and otherwise ADMM runs from the state.  The chain runs from
-large to small ``alpha`` and is fixed by the configuration, so replay stays
-bit-exact.
+and otherwise ADMM runs from the state.  The chain runs from large to small
+``alpha`` and is fixed by the configuration, so replay stays bit-exact.
 """
 
 from __future__ import annotations
@@ -314,8 +313,9 @@ def run_sweep(cfg, phantom, w, a, l1, constants=None, solver_cfg=None):
     :func:`~l1coreg.solvers.solve`: a warm start is finished by active-set
     steps when their point verifies, by ADMM otherwise).  Replaying one
     record with a cold :func:`~l1coreg.solvers.solve` therefore reaches the
-    same optimum to within ``solver_cfg.tol``, not the same bits.  ``err_h`` is the error of
-    the solver's estimate of ``h* = W x*``, ``result.h``, for both models.
+    same optimum to within ``solver_cfg.tol``, not the same bits.  ``err_h``
+    is the error of the solver's estimate of ``h* = W x*``, ``result.h``,
+    for both models.
     W's spectrum, ``Phi U`` and ``A U`` are formed once, at the first record.
 
     Parameters

@@ -873,10 +873,11 @@ class TestWarmStart:
         assert 1 < res.iterations < solve(p, cfg).iterations
 
 
-def chained_solves(monkeypatch, cfg, solver_cfg, forward="identity"):
-    """``(problem, warm, result)`` of every chained record of ``cfg``'s sweep."""
+def chained_solves(monkeypatch, cfg, solver_cfg):
+    """``(problem, warm, result)`` of every chained record of ``cfg``'s
+    sweep on identity ``W``."""
     l1 = WeightedL1(WaveletBasis(cfg.n))
-    w, a = default_operators(cfg, forward=forward)
+    w, a = default_operators(cfg, forward="identity")
     phantom = make_phantom(cfg.n, cfg.sparsity, cfg.phantom_seed(), l1.basis, w)
     seen = []
 
@@ -1054,3 +1055,28 @@ class TestKktResidual:
         assert exact.active_set_steps > 0
         assert solvers.kkt_residual(p, exact) <= 1e-12
         assert solvers.kkt_residual(p, early) > 1e-6
+
+    @pytest.mark.parametrize("model", ["relaxed", "strict"])
+    def test_matches_dense_formula(self, model):
+        # r = b - H c from dense matrices, with b = Phi A* y and
+        # H = Phi (A*A + alpha G^-1) Phi*, at an early ADMM point and at the
+        # exact point with one coefficient of its support moved by 1e-6
+        p = fixed_problem(model, 64)
+        cfg = SolverConfig()
+        exact = solve(p, cfg, warm=solve(replace(p, alpha=0.11), cfg))
+        moved = exact.c.copy()
+        lam = np.flatnonzero(moved)[0]
+        moved[lam] *= 1 + 1e-6
+        phi = p.l1.basis.matrix
+        w, a = p.w.matrix, p.a.matrix
+        g = w @ w.T + (p.alpha * np.eye(64) if model == "relaxed" else 0.0)
+        hess = phi @ (a.T @ a + p.alpha * np.linalg.inv(g)) @ phi.T
+        b = phi @ (a.T @ p.y_delta)
+        level = p.alpha * p.l1.kappa
+        for c in (solve(p, SolverConfig(max_iters=20)).c, moved):
+            r = b - hess @ c
+            on = c != 0
+            want = max(np.max(np.abs(r[on] - level[on] * np.sign(c[on]))),
+                       np.max(np.maximum(np.abs(r[~on]) - level[~on], 0.0)))
+            got = solvers.kkt_residual(p, replace(exact, c=c))
+            assert got == pytest.approx(want / np.max(np.abs(b)), rel=1e-6)
